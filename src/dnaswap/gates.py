@@ -16,8 +16,6 @@ from .statevec import StateVector, _readonly
 
 UNITARY_ATOL = 1e-12
 
-BELL_CONVENTION = "b00=(00+11)/sqrt2 b10=(00-11)/sqrt2 b01=(01+10)/sqrt2 b11=(01-10)/sqrt2"
-
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
 

@@ -3,7 +3,8 @@
 Pipeline for a template/incoming base pair:
 
 1. Each base's 3-qubit pairing face is promoted from its initial basis ket
-   to a tautomer superposition by the recognition unitary U.
+   to a tautomer superposition by the recognition unitary U. Only U's four
+   columns at the initial kets matter, so recognition reads them directly.
 2. The two 3-qubit states are tensored and the register is interleaved so
    that bonded atom pairs sit next to each other: template qubits land on
    positions (1, 3, 5), incoming qubits on (2, 4, 6).
@@ -17,12 +18,12 @@ same trajectories stochastically from a counter-based seeded stream.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import gates
-from .encodings import BaseCode, UnsupportedEncodingError, wc_initial_state
+from .encodings import BaseCode, UnsupportedEncodingError, wc_initial_pattern
 from .gates import BELL_LABELS, BellLabel, Gate, bell_basis, bell_state, equality_entangler, pauli
 from .statevec import (
     StateVector,
@@ -40,8 +41,6 @@ DEFAULT_PHI = math.acos(1.0 / math.sqrt(2.0))
 # odd positions, incoming (4,5,6) to even positions.
 INTERLEAVE = (1, 4, 2, 5, 3, 6)
 
-COMPLETIONS = ("ascending", "descending", "mixed")
-
 _MERGE_ATOL = 1e-10
 _ZERO_SNAP = 1e-12
 
@@ -57,12 +56,15 @@ class ProtocolConfig:
 
     theta: float = DEFAULT_THETA
     phi: float = DEFAULT_PHI
-    bell_convention: str = gates.BELL_CONVENTION
     prune_threshold: float = 1e-14
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
             raise ValueError("theta and phi must be finite")
+        if not (math.isfinite(self.prune_threshold) and self.prune_threshold >= 0):
+            raise ValueError(
+                f"prune_threshold must be finite and >= 0, got {self.prune_threshold}"
+            )
 
 
 @dataclass(frozen=True)
@@ -167,20 +169,16 @@ def recognition_targets(cfg: ProtocolConfig) -> dict[tuple[int, ...], np.ndarray
     }
 
 
-def build_recognition_unitary(
-    cfg: ProtocolConfig | None = None, completion: str = "ascending"
-) -> Gate:
+def build_recognition_unitary(cfg: ProtocolConfig | None = None) -> Gate:
     """The 3-qubit recognition unitary U.
 
     U is pinned by its action on the four initial kets; the remaining four
-    columns are a deterministic orthonormal completion (Gram-Schmidt over
-    computational kets). ``completion`` selects among equivalent
-    completions - protocol output never depends on the choice because U is
-    only ever applied to the four pinned kets.
+    columns are an orthonormal basis of the null space of the pinned ones
+    (the trailing left singular vectors of the pinned 8x4 block). The
+    protocol never reads them: ``recognize`` takes the pinned column
+    straight from ``recognition_targets``.
     """
     cfg = cfg or ProtocolConfig()
-    if completion not in COMPLETIONS:
-        raise ValueError(f"completion must be one of {COMPLETIONS}, got {completion!r}")
     targets = recognition_targets(cfg)
     cols = list(targets.values())
     gram = np.array([[np.vdot(a, b) for b in cols] for a in cols])
@@ -188,49 +186,17 @@ def build_recognition_unitary(
         raise ValueError("recognition targets are not orthonormal for these angles")
 
     mat = np.zeros((8, 8), dtype=complex)
-    assigned = []
-    for bits, col in targets.items():
-        idx = int("".join(str(b) for b in bits), 2)
-        mat[:, idx] = col
-        assigned.append(idx)
-
-    free = [i for i in range(8) if i not in assigned]
-    free_order = free[::-1] if completion == "descending" else free
-    # Candidate pool: the unassigned kets first (sufficient at the default
-    # angles), then the rest, so degenerate angle choices still complete.
-    candidates = free_order + (assigned[::-1] if completion == "descending" else assigned)
-    fixed = list(cols)
-    completed = []
-    for cand in candidates:
-        if len(completed) == len(free):
-            break
-        v = np.zeros(8, dtype=complex)
-        v[cand] = 1.0
-        for c in fixed:
-            v = v - np.vdot(c, v) * c
-        norm = np.linalg.norm(v)
-        if norm < 1e-9:
-            continue
-        v = v / norm
-        fixed.append(v)
-        completed.append(v)
-    if len(completed) != len(free):
-        raise ValueError("orthonormal completion failed")
-    if completion == "mixed":
-        h = 1.0 / math.sqrt(2.0)
-        c0, c1, c2, c3 = completed
-        completed = [h * (c0 + c1), h * (c0 - c1), h * (c2 + c3), h * (c2 - c3)]
-    for idx, col in zip(free_order, completed):
-        mat[:, idx] = col
-    return Gate(f"U[{completion}]", mat)
+    pinned = [int("".join(map(str, bits)), 2) for bits in targets]
+    mat[:, pinned] = np.column_stack(cols)
+    free = [i for i in range(8) if i not in pinned]
+    mat[:, free] = np.linalg.svd(mat[:, pinned])[0][:, 4:]
+    return Gate("U", mat)
 
 
-def recognize(b: BaseCode, cfg: ProtocolConfig | None = None, u_gate: Gate | None = None) -> StateVector:
-    """Apply the recognition unitary to a base's initial pairing-face ket."""
+def recognize(b: BaseCode, cfg: ProtocolConfig | None = None) -> StateVector:
+    """A base's post-recognition pairing face: U's column at its initial ket."""
     cfg = cfg or ProtocolConfig()
-    initial = wc_initial_state(b)  # rejects rare tautomers
-    u = u_gate if u_gate is not None else build_recognition_unitary(cfg)
-    return StateVector(3, u.matrix @ initial.amplitudes)
+    return StateVector(3, recognition_targets(cfg)[wc_initial_pattern(b).bits])
 
 
 _SUPPORTED_PAIRS = {("A", "T"), ("T", "A"), ("G", "C"), ("C", "G")}
@@ -240,7 +206,6 @@ def assemble_pair(
     template: BaseCode,
     incoming: BaseCode,
     cfg: ProtocolConfig | None = None,
-    u_gate: Gate | None = None,
 ) -> StateVector:
     """Interleaved 6-qubit state of a recognized complementary base pair."""
     if template.rare or incoming.rare:
@@ -250,7 +215,7 @@ def assemble_pair(
     if (template.base, incoming.base) not in _SUPPORTED_PAIRS:
         raise ValueError(f"unsupported pairing {template}.{incoming}")
     cfg = cfg or ProtocolConfig()
-    product = tensor(recognize(template, cfg, u_gate), recognize(incoming, cfg, u_gate))
+    product = tensor(recognize(template, cfg), recognize(incoming, cfg))
     return permute_qubits(product, INTERLEAVE)
 
 
@@ -389,7 +354,8 @@ def sample(
     cfg = cfg or ProtocolConfig()
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    if not 0 <= int(seed) < 2**64:
+    seed = operator.index(seed)  # rejects 1.5 rather than truncating it
+    if not 0 <= seed < 2**64:
         raise ValueError(f"seed must fit in 64 bits, got {seed}")
 
     ensemble = swap(pair_state, cfg)
@@ -405,7 +371,7 @@ def sample(
         cdf[-1] = 1.0  # guard the float tail
         return live[np.searchsorted(cdf, u, side="right")]
 
-    uniforms = np.random.Generator(np.random.Philox(key=int(seed))).random((shots, 2))
+    uniforms = np.random.Generator(np.random.Philox(key=seed)).random((shots, 2))
     idx34 = pick(joint.sum(axis=1), uniforms[:, 0])
     idx12 = np.empty(shots, dtype=np.int64)
     for i in np.unique(idx34):

@@ -85,10 +85,9 @@ def basis_state(bits: str | Sequence[int]) -> StateVector:
 def from_amplitudes(amps: Iterable[complex]) -> StateVector:
     """Build a state from raw amplitudes; the length fixes the qubit count."""
     arr = np.asarray(list(amps), dtype=complex)
-    n = int(round(np.log2(arr.size)))
-    if 2**n != arr.size:
+    if arr.size == 0 or arr.size & (arr.size - 1):
         raise ValueError(f"amplitude count {arr.size} is not a power of two")
-    return StateVector(n, arr)
+    return StateVector(arr.size.bit_length() - 1, arr)
 
 
 @dataclass(eq=False)

@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from dnaswap.encodings import BaseCode
+from dnaswap.encodings import BaseCode, wc_initial_state
 from dnaswap.gates import (
     BELL_LABELS,
     Gate,
@@ -24,10 +24,16 @@ from dnaswap.gates import (
 )
 from dnaswap.metrics import concurrence, entanglement_entropy, hamming_support
 from dnaswap.protocol import (
+    DEFAULT_PHI,
+    DEFAULT_THETA,
+    INTERLEAVE,
+    ProtocolConfig,
     assemble_pair,
     build_recognition_unitary,
     canonical_table,
+    recognition_targets,
     recognize,
+    run_pair,
     sample,
     swap,
 )
@@ -40,6 +46,7 @@ from dnaswap.statevec import (
     measure_two_qubit,
     permute_qubits,
     reduced_density,
+    tensor,
 )
 
 S2 = math.sqrt(2.0)
@@ -169,20 +176,36 @@ def test_criterion_6_entanglement_moves_across_the_cut(at_state, gc_state, at_en
     _passed(6, "pre-swap cut entropy 0; bonded-pair concurrence 1; cross pairs 0")
 
 
-def test_criterion_7_completion_independence(cfg):
-    u_a = build_recognition_unitary(cfg, "ascending")
-    u_b = build_recognition_unitary(cfg, "mixed")
-    assert np.max(np.abs(u_a.matrix - u_b.matrix)) > 1e-3  # genuinely different
-    for template, incoming in ((BaseCode("A"), BaseCode("T")), (BaseCode("G"), BaseCode("C"))):
-        tables = []
-        for u in (u_a, u_b):
-            state = assemble_pair(template, incoming, cfg, u_gate=u)
-            tables.append(canonical_table(swap(state, cfg)))
-        for row_a, row_b in zip(*tables):
-            assert row_a.group == row_b.group and row_a.rank == row_b.rank
-            assert row_a.a == row_b.a  # bit-identical
-            assert row_a.b == row_b.b
-            assert row_a.probability == row_b.probability
+def test_criterion_7_completion_independence():
+    # The second completion rotates U's four free columns by a random
+    # unitary; the four pinned columns, and so the protocol, stay the same.
+    rng = np.random.default_rng(20100829)
+    mix, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    for theta, phi in ((DEFAULT_THETA, DEFAULT_PHI), (0.3, 0.9), (math.pi / 2 + 1e-6, DEFAULT_PHI)):
+        cfg = ProtocolConfig(theta=theta, phi=phi)
+        pinned = [int("".join(map(str, bits)), 2) for bits in recognition_targets(cfg)]
+        free = [i for i in range(8) if i not in pinned]
+        u_lib = build_recognition_unitary(cfg)
+        mixed = u_lib.matrix.copy()
+        mixed[:, free] = mixed[:, free] @ mix
+        u_alt = Gate("U_alt", mixed)
+        assert np.max(np.abs(u_lib.matrix - u_alt.matrix)) > 1e-3  # genuinely different
+        for template, incoming in ((BaseCode("A"), BaseCode("T")), (BaseCode("G"), BaseCode("C"))):
+            states, tables = [], []
+            for u in (u_lib, u_alt):
+                faces = [
+                    StateVector(3, u.matrix @ wc_initial_state(b).amplitudes)
+                    for b in (template, incoming)
+                ]
+                states.append(permute_qubits(tensor(*faces), INTERLEAVE))
+                tables.append(canonical_table(swap(states[-1], cfg)))
+            assert np.array_equal(states[0].amplitudes, states[1].amplitudes)
+            assert np.array_equal(
+                states[0].amplitudes, assemble_pair(template, incoming, cfg).amplitudes
+            )
+            tables.append(canonical_table(run_pair(template, incoming, cfg)))
+            assert len(tables[0]) > 0
+            assert tables[0] == tables[1] == tables[2]  # dataclass eq: bit-identical floats
     _passed(7, "two orthonormal completions of U give bit-identical canonical tables")
 
 

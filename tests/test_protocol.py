@@ -5,17 +5,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _oracle as oracle
-from dnaswap.encodings import BaseCode, UnsupportedEncodingError
+from dnaswap.encodings import BaseCode, UnsupportedEncodingError, wc_initial_state
 from dnaswap.gates import BELL_LABELS, Gate, bell_basis, equality_entangler, pauli
 from dnaswap.protocol import (
+    DEFAULT_PHI,
+    DEFAULT_THETA,
     ProtocolConfig,
     assemble_pair,
     build_recognition_unitary,
     canonical_table,
     recognize,
     recognition_targets,
+    run_pair,
     sample,
     swap,
 )
@@ -23,6 +28,15 @@ from dnaswap.statevec import apply_unitary, basis_state, measure_two_qubit
 
 A, T, G, C = (BaseCode(b) for b in "ATGC")
 S2, S3 = math.sqrt(2.0), math.sqrt(3.0)
+
+# theta = +-pi/2 zeroes cos(theta) in the three-component targets; a
+# completion that projects candidate kets against them loses orthogonality
+# just off these angles.
+NEAR_DEGENERATE_THETAS = [
+    sign * math.pi / 2 + offset
+    for sign in (1, -1)
+    for offset in (0.0, 1e-4, -1e-4, 1e-6, -1e-6, 1e-8, -1e-8)
+]
 
 # Exact branch probabilities of the A.T run, by raw outcome pattern:
 # hi when both measurements give the same label, lo when they differ only
@@ -67,10 +81,46 @@ def test_recognized_states_match_printed_rows(cfg):
         assert np.allclose(got.amplitudes, expected, atol=1e-12), code
 
 
-def test_recognition_unitary_is_unitary(cfg):
-    for completion in ("ascending", "descending", "mixed"):
-        u = build_recognition_unitary(cfg, completion)
-        assert np.max(np.abs(u.matrix.conj().T @ u.matrix - np.eye(8))) <= 1e-12
+def unitarity_deviation(u) -> float:
+    return float(np.max(np.abs(u.matrix.conj().T @ u.matrix - np.eye(8))))
+
+
+@pytest.mark.parametrize("phi", [DEFAULT_PHI, 0.0, 1.3], ids=lambda v: f"phi={v:.4g}")
+@pytest.mark.parametrize(
+    "theta", [DEFAULT_THETA, *NEAR_DEGENERATE_THETAS], ids=lambda v: f"theta={v:.10g}"
+)
+def test_recognition_unitary_is_unitary(theta, phi):
+    u = build_recognition_unitary(ProtocolConfig(theta=theta, phi=phi))
+    assert unitarity_deviation(u) <= 1e-12
+
+
+@pytest.mark.parametrize("theta", NEAR_DEGENERATE_THETAS, ids=lambda v: f"theta={v:.10g}")
+def test_run_pair_succeeds_near_degenerate_theta(theta):
+    cfg = ProtocolConfig(theta=theta)
+    for template, incoming in ((A, T), (G, C)):
+        ens = run_pair(template, incoming, cfg)
+        rows = canonical_table(ens)
+        kept = sum(br.probability for br in ens.branches)
+        assert kept + ens.dropped_mass == pytest.approx(1.0, abs=1e-12)
+        assert sum(row.probability for row in rows) == pytest.approx(kept, abs=1e-12)
+
+
+ANGLES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=math.pi / 2 - 1e-3, max_value=math.pi / 2 + 1e-3),
+    st.floats(min_value=-math.pi / 2 - 1e-3, max_value=-math.pi / 2 + 1e-3),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(theta=ANGLES, phi=ANGLES)
+def test_recognition_reads_the_pinned_columns_of_a_unitary_u(theta, phi):
+    cfg = ProtocolConfig(theta=theta, phi=phi)
+    u = build_recognition_unitary(cfg)
+    assert unitarity_deviation(u) <= 1e-12
+    for code in (A, T, G, C):
+        column = u.matrix @ wc_initial_state(code).amplitudes
+        assert np.array_equal(column, recognize(code, cfg).amplitudes), code
 
 
 def test_recognition_targets_stay_orthonormal_off_default_angles():
@@ -107,8 +157,18 @@ def test_recognize_output_is_normalized(cfg):
 
 
 def test_config_rejects_non_finite_angles():
-    with pytest.raises(ValueError):
-        ProtocolConfig(theta=float("inf"))
+    for bad in (
+        {"theta": float("inf")},
+        {"phi": float("nan")},
+        {"prune_threshold": -1e-14},
+        {"prune_threshold": float("nan")},
+        {"prune_threshold": float("inf")},
+    ):
+        with pytest.raises(ValueError):
+            ProtocolConfig(**bad)
+    with pytest.raises(TypeError):
+        ProtocolConfig(bell_convention="b00=(00+11)/sqrt2")
+    assert ProtocolConfig(prune_threshold=0.0).prune_threshold == 0.0
 
 
 # --- pair assembly ---
@@ -330,19 +390,6 @@ def test_at_classes_merge_four_raw_branches_each(at_ensemble):
     assert all(count == 4 for count in raw_per_group.values())
 
 
-# --- completion independence ---
-
-
-def test_different_completions_change_u_but_not_the_protocol(cfg):
-    u_asc = build_recognition_unitary(cfg, "ascending")
-    u_mix = build_recognition_unitary(cfg, "mixed")
-    assert np.max(np.abs(u_asc.matrix - u_mix.matrix)) > 1e-3
-    for template, incoming in ((A, T), (G, C)):
-        s_asc = assemble_pair(template, incoming, cfg, u_gate=u_asc)
-        s_mix = assemble_pair(template, incoming, cfg, u_gate=u_mix)
-        assert np.array_equal(s_asc.amplitudes, s_mix.amplitudes)
-
-
 # --- sampling ---
 
 
@@ -375,6 +422,8 @@ def test_sample_validates_arguments(at_state, cfg):
         sample(at_state, cfg, shots=1, seed=-1)
     with pytest.raises(ValueError, match="seed"):
         sample(at_state, cfg, shots=1, seed=2**64)
+    with pytest.raises(TypeError):
+        sample(at_state, cfg, shots=1, seed=1.5)
 
 
 # --- mutation sanity: a broken entangler destroys the reference ensemble ---

@@ -1,6 +1,8 @@
 """State-vector core: construction, tensor, permutation, gates, measurement."""
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,16 @@ def test_rejects_unnormalized_amplitudes():
 def test_rejects_wrong_amplitude_count():
     with pytest.raises(ValueError, match="expected 4 amplitudes"):
         StateVector(2, [1.0, 0.0])
+
+
+def test_from_amplitudes_takes_the_qubit_count_from_the_length():
+    assert from_amplitudes([0.0, 1.0]).num_qubits == 1
+    assert from_amplitudes([0.5] * 4).num_qubits == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no log2(0) RuntimeWarning on the way
+        for bad in ([], [1.0, 0.0, 0.0], [1.0]):
+            with pytest.raises(ValueError):
+                from_amplitudes(bad)
 
 
 def test_rejects_nonpositive_qubit_count():
