@@ -92,10 +92,6 @@ def h_edge_pattern(b: BaseCode) -> EdgePattern:
     return EdgePattern("H", (first, second))
 
 
-def h_edge_state(b: BaseCode) -> StateVector:
-    return basis_state(h_edge_pattern(b).bits)
-
-
 def wc_initial_pattern(b: BaseCode) -> EdgePattern:
     if b.rare:
         raise UnsupportedEncodingError(
@@ -113,11 +109,6 @@ def complement_pattern(p: EdgePattern) -> EdgePattern:
     if p.edge != "H":
         raise ValueError(f"complement is defined on edge 'H' only, got {p.edge!r}")
     return EdgePattern("H", tuple(b ^ 1 for b in p.bits))
-
-
-def is_complementary(b1: BaseCode, b2: BaseCode) -> bool:
-    """True when the recognition patterns are bitwise complements."""
-    return h_edge_pattern(b1).bits == complement_pattern(h_edge_pattern(b2)).bits
 
 
 def classify_component(b: BaseCode, ket: str | Sequence[int]) -> str:

@@ -12,8 +12,12 @@ Pipeline for a template/incoming base pair:
    measurement on (3, 4); on outcome b00/b10, Pauli-X on qubits 4 and 5;
    a Bell measurement on (1, 2); on outcome b00/b10, Pauli-X on 2 and 5.
 
-Every measurement trajectory is enumerated exactly; ``sample`` re-draws the
-same trajectories stochastically from a counter-based seeded stream.
+S is a fixed linear instrument, so ``swap`` enumerates every measurement
+trajectory exactly with one contraction of the post-V register against the
+Bell basis on (1, 2) and (3, 4). Trajectories below the pruning threshold
+are dropped and ``dropped_mass`` is their summed probability. ``sample``
+re-draws the same trajectories stochastically from a counter-based seeded
+stream.
 """
 from __future__ import annotations
 
@@ -24,15 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encodings import BaseCode, UnsupportedEncodingError, wc_initial_pattern
-from .gates import BELL_LABELS, BellLabel, Gate, bell_basis, bell_state, equality_entangler, pauli
-from .statevec import (
-    StateVector,
-    apply_unitary,
-    basis_state,
-    measure_two_qubit,
-    permute_qubits,
-    tensor,
-)
+from .gates import BELL_LABELS, BellLabel, Gate, bell_basis, equality_entangler
+from .statevec import StateVector, apply_unitary, permute_qubits, tensor
 
 DEFAULT_THETA = math.acos(math.sqrt(2.0) / math.sqrt(3.0))
 DEFAULT_PHI = math.acos(1.0 / math.sqrt(2.0))
@@ -219,15 +216,6 @@ def assemble_pair(
     return permute_qubits(product, INTERLEAVE)
 
 
-def _third_pair_amplitudes(
-    state: StateVector, f12: BellLabel, f34: BellLabel
-) -> tuple[complex, complex]:
-    ref = tensor(bell_state(f12), bell_state(f34))
-    a = np.vdot(tensor(ref, basis_state("01")).amplitudes, state.amplitudes)
-    b = np.vdot(tensor(ref, basis_state("10")).amplitudes, state.amplitudes)
-    return complex(a), complex(b)
-
-
 def swap(
     pair_state: StateVector,
     cfg: ProtocolConfig | None = None,
@@ -236,56 +224,57 @@ def swap(
 ) -> Ensemble:
     """Run the five-step protocol with exact branch enumeration.
 
-    Branches are keyed by the raw (pre-correction) measurement outcomes;
-    trajectories below the pruning threshold are dropped and their mass is
-    recorded on the ensemble. ``v_gate`` substitutes the step-1 entangler
-    (the protocol family is not unique; this is the extension hook).
+    The protocol is a fixed linear instrument, so all 16 trajectories come
+    from one contraction of the post-V register with the Bell basis on
+    (1, 2) and (3, 4): ``coeff[l34, l12]`` is the unnormalized (5, 6)
+    residual of outcome pair (l34, l12). The X corrections on qubits 2 and 4
+    only relabel the measured pairs as b_j1; X on qubit 5 acts when exactly
+    one correction fires, which swaps the residual's rows.
+
+    Branches are keyed by the raw (pre-correction) measurement outcomes, in
+    ``BELL_LABELS`` order. A (3,4) outcome below the pruning threshold is
+    dropped, and so is a (1,2) outcome whose conditional probability is;
+    ``dropped_mass`` is the summed probability of the dropped trajectories.
+    ``v_gate`` substitutes the step-1 entangler (the protocol family is not
+    unique; this is the extension hook).
     """
     cfg = cfg or ProtocolConfig()
     if pair_state.num_qubits != 6:
         raise ValueError(f"swap needs a 6-qubit register, got {pair_state.num_qubits}")
     v = v_gate if v_gate is not None else equality_entangler()
-    x = pauli("X")
-    basis = bell_basis()
+    bell = np.array([b.amplitudes.reshape(2, 2) for b in bell_basis()])
 
-    stage1 = apply_unitary(pair_state, v, (3, 5))
+    t = apply_unitary(pair_state, v, (3, 5)).as_tensor()
+    # coeff[l34, l12, q5, q6] = (<b_l12| on (1,2)) (<b_l34| on (3,4)) t
+    coeff = np.einsum("xab,ycd,abcdef->yxef", bell.conj(), bell.conj(), t)
+    probs = np.sum(np.abs(coeff) ** 2, axis=(2, 3))
     branches: list[OutcomeBranch] = []
-    kept34 = 0.0
     dropped = 0.0
-    for br34 in measure_two_qubit(stage1, basis, (3, 4), cfg.prune_threshold):
-        kept34 += br34.probability
-        label34 = BELL_LABELS[br34.outcome_label]
-        x45 = label34.k == 0
-        state = br34.post_state
-        if x45:
-            state = apply_unitary(apply_unitary(state, x, (4,)), x, (5,))
-        kept12 = 0.0
-        for br12 in measure_two_qubit(state, basis, (1, 2), cfg.prune_threshold):
-            kept12 += br12.probability
-            label12 = BELL_LABELS[br12.outcome_label]
-            x25 = label12.k == 0
-            final = br12.post_state
-            if x25:
-                final = apply_unitary(apply_unitary(final, x, (2,)), x, (5,))
-            a, b = _third_pair_amplitudes(
-                final, BellLabel(label12.j, 1), BellLabel(label34.j, 1)
-            )
+    for i34, label34 in enumerate(BELL_LABELS):
+        p34 = probs[i34].sum()
+        for i12, label12 in enumerate(BELL_LABELS):
+            p = float(probs[i34, i12])
+            if p34 < cfg.prune_threshold or p / p34 < cfg.prune_threshold:
+                dropped += p
+                continue
+            x45, x25 = label34.k == 0, label12.k == 0
+            r = coeff[i34, i12] / math.sqrt(p)
+            if x45 != x25:
+                r = r[::-1]
+            f12 = bell[BELL_LABELS.index(BellLabel(label12.j, 1))]
+            f34 = bell[BELL_LABELS.index(BellLabel(label34.j, 1))]
+            final = np.multiply.outer(np.multiply.outer(f12, f34), r)
             branches.append(
                 OutcomeBranch(
                     bell_34=label34,
                     bell_12=label12,
                     x45_applied=x45,
                     x25_applied=x25,
-                    probability=br34.probability * br12.probability,
-                    final_state=final,
-                    third_pair=(a, b),
+                    probability=p,
+                    final_state=StateVector(6, final),
+                    third_pair=(complex(r[0, 1]), complex(r[1, 0])),
                 )
             )
-        dropped += br34.probability * max(0.0, 1.0 - kept12)
-    dropped += max(0.0, 1.0 - kept34)
-
-    order = {label: i for i, label in enumerate(BELL_LABELS)}
-    branches.sort(key=lambda br: (order[br.bell_34], order[br.bell_12]))
     return Ensemble(pair=pair, branches=branches, dropped_mass=dropped)
 
 

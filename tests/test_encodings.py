@@ -12,8 +12,6 @@ from dnaswap.encodings import (
     classify_component,
     complement_pattern,
     h_edge_pattern,
-    h_edge_state,
-    is_complementary,
     recognition_matches,
     wc_initial_pattern,
     wc_initial_state,
@@ -41,7 +39,6 @@ def test_base_code_parsing_and_labels():
 )
 def test_recognition_patterns(code, bits):
     assert h_edge_pattern(code).bits == bits
-    assert np.allclose(h_edge_state(code).amplitudes, basis_state(bits).amplitudes)
 
 
 @pytest.mark.parametrize(
@@ -86,8 +83,9 @@ def test_canonical_patterns_are_distinct_and_closed_under_complement():
      (A, C, False), (A, G, False), (T, C, False)],
 )
 def test_complementarity_including_mispairs(b1, b2, expected):
-    assert is_complementary(b1, b2) is expected
-    assert is_complementary(b2, b1) is expected
+    # Complementarity is the recognition_matches rule, rare tautomers included.
+    assert (b2 in recognition_matches(h_edge_pattern(b1), include_rare=True)) is expected
+    assert (b1 in recognition_matches(h_edge_pattern(b2), include_rare=True)) is expected
 
 
 def test_classify_component_examples():

@@ -2,7 +2,9 @@
 
 A refactor that must not change what the program prints is checked here
 byte for byte. If a change is meant to alter an output, update its digest
-and say which outputs moved and why.
+and say which outputs moved and why. ``PYTHONPATH=src python
+tests/test_golden.py`` prints ``case digest`` for every case, so a deliberate
+refresh is a copy of the moved lines.
 """
 from __future__ import annotations
 
@@ -15,12 +17,12 @@ from dnaswap.cli import RunRequest, cmd_inspect, cmd_run, cmd_verify
 SEED_MAX = 2**64 - 1
 
 GOLDEN = {
-    "run-exact-AT-table": "511fd02590b189619922d9698f7fcd77d95bd293ea4413468a9cbe05d753f7d8",
-    "run-exact-AT-json": "c1c9dfe365be184fab028a209cb64429d23ee3a842e367312b6f77234052cf8c",
+    "run-exact-AT-table": "1dfd5693e247984e954ebe67911d4491ef0e952611d888b43faafe70567449af",
+    "run-exact-AT-json": "30e30426695edcb7b7157728a5b98836e8420da3f002193222dcaed7044fc075",
     "run-exact-AT-csv": "a6fd49e88afe69f2ddd4924b78a0d22020b5d3b873a4b64bd91a0e429b3f0fd0",
-    "run-exact-GC-table": "ef06bf91a5fa0aade66ed02f1db395d3ba6159a8ee8bd412da2b19f3afeae3c2",
-    "run-exact-GC-json": "6a3a6404e14c355bf59ede94b3e1d4f064fba90e5b926ff1e4b14122908e667b",
-    "run-exact-GC-csv": "e19c9278265fd59f2da937bfa378e0f7c993171622890a7f556f2f2c6042f851",
+    "run-exact-GC-table": "c42119b27e0387dd9a53afd336b39136b89f5b95bdec4657083bd1c4d692955e",
+    "run-exact-GC-json": "223f4d9a7c4cb2931cf80e1b2b5fd47af73bb886e4e8274bbe6289f31a727f86",
+    "run-exact-GC-csv": "4b13b0277405df2c1d1baab4343f1caa7f861f1db3e370dd37739942e0ab3a0d",
     "run-sample-AT-table-0-1": "43c2ecfecb908d2cd501e81ea3d966f53c08edc03bfe81c4bea7926b60deec01",
     "run-sample-AT-table-42-100000": "ba49fb7723f20d7756525a9ca219afae98c511d06e26b677029d29640942b342",
     "run-sample-AT-table-max-12345": "e26d2521aae829e19518d637ffc46f16d1e5a1c9f83553ec83e3ff5208f57854",
@@ -41,11 +43,11 @@ GOLDEN = {
     "run-sample-GC-csv-max-12345": "74e00486335f8d8a63571dfe49fa39f32af6db288fc7086da5fecb65095f1bd9",
     "inspect-AT-I": "fc36db5b880fd0c3e3758975c8fa774699cf6f14e10858692cda86ef5cd527fc",
     "inspect-AT-Q": "d9d49ecd11f0a300fa401fbff25a268217edadf0619aea0187da095b77717b64",
-    "inspect-AT-O": "36afaaf240439091049b320f710f85be179be34c344e3868053e18bb7c35f5c7",
+    "inspect-AT-O": "7f7e2c2273092c8214293ae35a8b4d17599c5e306fbb9dea1048d10f3abcbbe7",
     "inspect-GC-I": "8e309718f5472f405a50d378778bcd4e4cb2c24e82fce962b89f40383fb86b64",
     "inspect-GC-Q": "9255d4c0f44e362d8bdb4e7aeeef04e2e58b91232aaa07a39451b3471eb83f73",
-    "inspect-GC-O": "db516bd16653608e4e1281bd1a219e9c7a9c491c4c7194c704c15da0515b13fd",
-    "verify": "226666a427a5d6931f803c850cf95fd594acd8f50aa3a727b7f920b54ee0821f",
+    "inspect-GC-O": "2c299fc71774c5070da67116e3b7cdd7ed8fa52a4dac6f1244a2da830afa4b5a",
+    "verify": "e4d30ea6ffb11986cc2c560ecd5955b4c31e6d7fdd4640926871b697b2036059",
     "verify-dump-reference": "feb37b40cbf3f23e1a8cff5347d722c86cd864ebdeda5f13c3d9df0c4d38ab22",
 }
 
@@ -66,10 +68,19 @@ def render(case: str) -> str:
     return cmd_run(req)
 
 
+def digest(case: str) -> str:
+    return hashlib.sha256(render(case).encode()).hexdigest()
+
+
 def test_golden_set_covers_every_frozen_output():
     assert len(GOLDEN) == 32
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_cli_output_bytes_are_frozen(case):
-    assert hashlib.sha256(render(case).encode()).hexdigest() == GOLDEN[case]
+    assert digest(case) == GOLDEN[case]
+
+
+if __name__ == "__main__":
+    for case in sorted(GOLDEN):
+        print(case, digest(case))

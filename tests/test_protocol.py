@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import _oracle as oracle
 from dnaswap.encodings import BaseCode, UnsupportedEncodingError, wc_initial_state
-from dnaswap.gates import BELL_LABELS, Gate, bell_basis, equality_entangler, pauli
+from dnaswap.gates import BELL_LABELS, BellLabel, Gate, bell_basis, equality_entangler, pauli
 from dnaswap.protocol import (
     DEFAULT_PHI,
     DEFAULT_THETA,
@@ -277,6 +277,66 @@ def test_swap_agrees_with_independent_enumeration(pair, at_ensemble, gc_ensemble
         assert np.allclose(br.final_state.amplitudes, d["state"], atol=1e-12)
         assert abs(br.third_pair[0] - d["a"]) <= 1e-12
         assert abs(br.third_pair[1] - d["b"]) <= 1e-12
+
+
+def random_unitary(seed: int) -> np.ndarray:
+    """A 4x4 unitary: the Q factor of a seeded complex Gaussian matrix."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    return q
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pair=st.sampled_from([(A, T), (G, C)]),
+    theta=FINITE,
+    phi=FINITE,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_swap_with_any_entangler_agrees_with_independent_enumeration(pair, theta, phi, seed):
+    cfg = ProtocolConfig(theta=theta, phi=phi)
+    v = random_unitary(seed)
+    state = assemble_pair(*pair, cfg)
+    ens = swap(state, cfg, v_gate=Gate("V_rand", v))
+    ref = {
+        (BellLabel(*d["raw34"]), BellLabel(*d["raw12"])): d
+        for d in oracle.run_swap(state.amplitudes, v_mat=v)
+    }
+    assert {(br.bell_34, br.bell_12) for br in ens.branches} == set(ref)
+    for br in ens.branches:
+        d = ref[(br.bell_34, br.bell_12)]
+        assert abs(br.probability - d["p"]) <= 1e-12
+        assert abs(br.third_pair[0] - d["a"]) <= 1e-12
+        assert abs(br.third_pair[1] - d["b"]) <= 1e-12
+        assert np.max(np.abs(br.final_state.amplitudes - d["state"])) <= 1e-12
+
+
+def test_dropped_mass_is_exactly_zero_when_nothing_is_pruned(at_ensemble, gc_ensemble):
+    for ens in (at_ensemble, gc_ensemble):
+        assert len(ens.branches) == 16
+        assert ens.dropped_mass == 0.0
+
+
+@pytest.mark.parametrize("threshold", [0.05, 0.1, 0.3])
+def test_dropped_mass_sums_the_pruned_trajectories(gc_state, threshold):
+    # G.C has P34 = 1/4 per outcome and conditional (1,2) probabilities of
+    # 0.065 to 0.435: 0.05 prunes nothing, 0.1 prunes (1,2) outcomes and 0.3
+    # prunes every (3,4) one.
+    ref = {(d["raw34"], d["raw12"]): d["p"] for d in oracle.run_swap(gc_state.amplitudes)}
+    p34 = {}
+    for (l34, _), p in ref.items():
+        p34[l34] = p34.get(l34, 0.0) + p
+    pruned = {
+        key for key, p in ref.items() if p34[key[0]] < threshold or p / p34[key[0]] < threshold
+    }
+    ens = swap(gc_state, ProtocolConfig(prune_threshold=threshold))
+    assert {
+        ((br.bell_34.j, br.bell_34.k), (br.bell_12.j, br.bell_12.k)) for br in ens.branches
+    } == set(ref) - pruned
+    assert ens.dropped_mass == pytest.approx(sum(ref[key] for key in pruned), abs=1e-15)
 
 
 def test_swap_branch_order_is_deterministic(at_ensemble):
