@@ -58,6 +58,8 @@ class RunRequest:
                 return "--shots is required in sample mode"
             if self.shots < 1:
                 return f"--shots must be >= 1, got {self.shots}"
+            if self.shots >= 2**63:
+                return f"--shots must be < 2**63, got {self.shots}"
         elif self.shots is not None:
             return "--shots is only valid in sample mode"
         if not 0 <= self.seed < 2**64:

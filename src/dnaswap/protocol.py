@@ -17,7 +17,9 @@ trajectory exactly with one contraction of the post-V register against the
 Bell basis on (1, 2) and (3, 4). Trajectories below the pruning threshold
 are dropped and ``dropped_mass`` is their summed probability. ``sample``
 re-draws the same trajectories stochastically from a counter-based seeded
-stream.
+stream. It reads the stream in fixed chunks of raw 53-bit words and looks
+outcomes up by exact integer thresholds, so its memory is O(chunk), not
+O(shots).
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ import numpy as np
 
 from .encodings import BaseCode, UnsupportedEncodingError, wc_initial_pattern
 from .gates import BELL_LABELS, BellLabel, Gate, bell_basis, equality_entangler
-from .statevec import StateVector, apply_unitary, permute_qubits, tensor
+from .statevec import NORM_ATOL, PRUNE_DEFAULT, StateVector, apply_unitary, permute_qubits, tensor
 
 DEFAULT_THETA = math.acos(math.sqrt(2.0) / math.sqrt(3.0))
 DEFAULT_PHI = math.acos(1.0 / math.sqrt(2.0))
@@ -39,7 +41,14 @@ DEFAULT_PHI = math.acos(1.0 / math.sqrt(2.0))
 INTERLEAVE = (1, 4, 2, 5, 3, 6)
 
 _MERGE_ATOL = 1e-10
+_MASS_ATOL = 1e-10
+_IMAG_ATOL = 1e-9
 _ZERO_SNAP = 1e-12
+
+# ``sample`` reads the stream this many shots at a time.
+_SAMPLE_CHUNK = 1 << 18
+# Generator.random keeps the top 53 bits of each 64-bit Philox word.
+_WORD_BITS = 53
 
 
 @dataclass(frozen=True)
@@ -53,7 +62,7 @@ class ProtocolConfig:
 
     theta: float = DEFAULT_THETA
     phi: float = DEFAULT_PHI
-    prune_threshold: float = 1e-14
+    prune_threshold: float = PRUNE_DEFAULT
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
@@ -117,7 +126,7 @@ class Ensemble:
         if len(self.branches) > 16:
             raise ValueError(f"at most 16 branches possible, got {len(self.branches)}")
         total = sum(b.probability for b in self.branches) + self.dropped_mass
-        if abs(total - 1.0) > 1e-10:
+        if abs(total - 1.0) > _MASS_ATOL:
             raise ValueError(f"branch probabilities + dropped mass must be 1, got {total}")
 
 
@@ -179,7 +188,7 @@ def build_recognition_unitary(cfg: ProtocolConfig | None = None) -> Gate:
     targets = recognition_targets(cfg)
     cols = list(targets.values())
     gram = np.array([[np.vdot(a, b) for b in cols] for a in cols])
-    if np.max(np.abs(gram - np.eye(4))) > 1e-12:
+    if np.max(np.abs(gram - np.eye(4))) > NORM_ATOL:
         raise ValueError("recognition targets are not orthonormal for these angles")
 
     mat = np.zeros((8, 8), dtype=complex)
@@ -307,7 +316,7 @@ def canonical_table(e: Ensemble) -> list[CanonicalRow]:
         else:
             phase = 1.0
         an, bn = a / phase, b / phase
-        if abs(an.imag) > 1e-9 or abs(bn.imag) > 1e-9:
+        if abs(an.imag) > _IMAG_ATOL or abs(bn.imag) > _IMAG_ATOL:
             raise ValueError("third-pair amplitudes have a non-real relative phase")
         af = 0.0 if abs(an.real) < _ZERO_SNAP else float(an.real)
         bf = 0.0 if abs(bn.real) < _ZERO_SNAP else float(bn.real)
@@ -327,6 +336,21 @@ def canonical_table(e: Ensemble) -> list[CanonicalRow]:
     return out
 
 
+def _word_thresholds(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse-CDF thresholds over the positive-probability outcomes only.
+
+    Returns the live outcome indices and, for each, the integer threshold
+    ceil(cdf * 2**53). A uniform u = k * 2**-53 satisfies u >= cdf[j] exactly
+    when k >= threshold[j] (scaling by 2**53 is exact), so
+    ``searchsorted(threshold, k, side="right")`` on 53-bit words equals
+    ``searchsorted(cdf, u, side="right")`` on the uniforms.
+    """
+    live = np.flatnonzero(probs > 0)
+    cdf = np.cumsum(probs[live] / probs[live].sum())
+    cdf[-1] = 1.0  # guard the float tail
+    return live, np.ceil(np.ldexp(cdf, _WORD_BITS)).astype(np.int64)
+
+
 def sample(
     pair_state: StateVector,
     cfg: ProtocolConfig | None = None,
@@ -339,10 +363,20 @@ def sample(
     uniforms (2i, 2i+1), so counts are reproducible for a fixed
     (seed, shots) no matter how evaluation is scheduled. Returns counts for
     every enumerated branch, keyed by raw (bell_34, bell_12) outcome.
+
+    The stream is read in chunks of ``_SAMPLE_CHUNK`` shots as raw 53-bit
+    words k (``Generator.random`` would return k * 2**-53), so memory is
+    O(chunk) whatever ``shots`` is. The (3,4) outcome is one search of the
+    first word against exact integer thresholds of the marginal; the (1,2)
+    outcome is one search of the second word against the chosen row's
+    conditional thresholds. ``shots`` must be below 2**63.
     """
     cfg = cfg or ProtocolConfig()
+    shots = operator.index(shots)
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
+    if shots >= 2**63:
+        raise ValueError(f"shots must be < 2**63 (counts are int64), got {shots}")
     seed = operator.index(seed)  # rejects 1.5 rather than truncating it
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must fit in 64 bits, got {seed}")
@@ -353,20 +387,30 @@ def sample(
     for br in ensemble.branches:
         joint[order[br.bell_34], order[br.bell_12]] = br.probability
 
-    def pick(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Inverse CDF over the positive-probability outcomes only."""
-        live = np.flatnonzero(probs > 0)
-        cdf = np.cumsum(probs[live] / probs[live].sum())
-        cdf[-1] = 1.0  # guard the float tail
-        return live[np.searchsorted(cdf, u, side="right")]
+    rows, row_t = _word_thresholds(joint.sum(axis=1))
+    # Row r's column thresholds are offset by r << 53, so one search of
+    # (r << 53) + k2 lands inside row r's block; cells[i] is the outcome
+    # (4 * i34 + i12) of the i-th threshold.
+    col_t, cells = [], []
+    for r, i34 in enumerate(rows):
+        cols, t = _word_thresholds(joint[i34])
+        col_t.append((r << _WORD_BITS) + t)
+        cells.append(4 * i34 + cols)
+    col_t, cells = np.concatenate(col_t), np.concatenate(cells)
 
-    uniforms = np.random.Generator(np.random.Philox(key=seed)).random((shots, 2))
-    idx34 = pick(joint.sum(axis=1), uniforms[:, 0])
-    idx12 = np.empty(shots, dtype=np.int64)
-    for i in np.unique(idx34):
-        mask = idx34 == i
-        idx12[mask] = pick(joint[i], uniforms[mask, 1])
-    counts = np.bincount(idx34 * 4 + idx12, minlength=16)
+    bitgen = np.random.Philox(key=seed)
+    hits = np.zeros(len(cells), dtype=np.int64)
+    for start in range(0, shots, _SAMPLE_CHUNK):
+        n = min(_SAMPLE_CHUNK, shots - start)
+        words = bitgen.random_raw(2 * n)
+        words >>= 64 - _WORD_BITS
+        k = words.view(np.int64).reshape(n, 2)
+        key = np.searchsorted(row_t, k[:, 0], side="right")
+        key <<= _WORD_BITS
+        key += k[:, 1]
+        hits += np.bincount(np.searchsorted(col_t, key, side="right"), minlength=len(cells))
+    counts = np.zeros(16, dtype=np.int64)
+    counts[cells] = hits
 
     return {
         (br.bell_34, br.bell_12): int(counts[order[br.bell_34] * 4 + order[br.bell_12]])

@@ -186,3 +186,36 @@ def canonical_rows(branches: list[dict]) -> dict[tuple[int, int], list[list[floa
     for rows in groups.values():
         rows.sort(key=lambda r: (-r[2], -abs(r[0])))
     return groups
+
+
+def sample_reference(joint: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """Counts of the whole-run sampler ``protocol.sample`` used to have.
+
+    ``joint[i34, i12]`` is the probability of the raw outcome pair in
+    ``BELL_LABELS`` order; returns the 16 counts indexed 4 * i34 + i12. It
+    draws every uniform at once and picks the (1,2) outcome row by row with
+    a boolean mask: O(shots) memory, kept as the reference the streaming
+    sampler must match count for count.
+    """
+    uniforms = np.random.Generator(np.random.Philox(key=seed)).random((shots, 2))
+    return counts_from_uniforms(joint, uniforms)
+
+
+def counts_from_uniforms(joint: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """``sample_reference`` on given uniforms, shot i reading row i."""
+    shots = len(uniforms)
+
+    def pick(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Inverse CDF over the positive-probability outcomes only."""
+        live = np.flatnonzero(probs > 0)
+        cdf = np.cumsum(probs[live] / probs[live].sum())
+        cdf[-1] = 1.0  # guard the float tail
+        return live[np.searchsorted(cdf, u, side="right")]
+
+    idx34 = pick(joint.sum(axis=1), uniforms[:, 0])
+    idx12 = np.empty(shots, dtype=np.int64)
+    for i in np.unique(idx34):
+        mask = idx34 == i
+        idx12[mask] = pick(joint[i], uniforms[mask, 1])
+    counts = np.bincount(idx34 * 4 + idx12, minlength=16)
+    return counts

@@ -125,6 +125,9 @@ def test_sample_different_seeds_differ(capsys):
         ["run", "--pair", "AT", "--mode", "sample"],  # shots missing
         ["run", "--pair", "AT", "--mode", "exact", "--shots", "10"],
         ["run", "--pair", "AT", "--mode", "sample", "--shots", "0"],
+        ["run", "--pair", "AT", "--mode", "sample", "--shots", str(2**63)],
+        ["run", "--pair", "AT", "--mode", "sample", "--shots", str(2**70)],
+        ["run", "--pair", "AT", "--mode", "sample", "--shots", "1.5"],
         ["run", "--pair", "AT", "--mode", "sample", "--shots", "10", "--seed", "-3"],
         ["run", "--pair", "AT", "--format", "yaml"],
         ["inspect", "--pair", "AT", "--stage", "X"],
@@ -142,6 +145,8 @@ def test_run_request_validation_messages():
     assert RunRequest(pair="AT", mode="sample").validate() is not None
     assert RunRequest(pair="AT", mode="exact", shots=4).validate() is not None
     assert RunRequest(pair="AT", seed=2**64).validate() is not None
+    assert RunRequest(pair="AT", mode="sample", shots=2**63).validate().startswith("--shots")
+    assert RunRequest(pair="AT", mode="sample", shots=2**63 - 1).validate() is None
     assert RunRequest(pair="AT").validate() is None
 
 

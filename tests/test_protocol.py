@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracle as oracle
+from dnaswap import protocol
 from dnaswap.encodings import BaseCode, UnsupportedEncodingError, wc_initial_state
 from dnaswap.gates import BELL_LABELS, BellLabel, Gate, bell_basis, equality_entangler, pauli
 from dnaswap.protocol import (
@@ -478,12 +480,155 @@ def test_sample_frequencies_approach_exact_probabilities(at_state, cfg):
 def test_sample_validates_arguments(at_state, cfg):
     with pytest.raises(ValueError, match="shots"):
         sample(at_state, cfg, shots=0, seed=1)
+    with pytest.raises(ValueError, match="shots"):
+        sample(at_state, cfg, shots=2**63, seed=1)
+    with pytest.raises(ValueError, match="shots"):
+        sample(at_state, cfg, shots=2**70, seed=1)
+    with pytest.raises(TypeError):
+        sample(at_state, cfg, shots=1.5, seed=1)
     with pytest.raises(ValueError, match="seed"):
         sample(at_state, cfg, shots=1, seed=-1)
     with pytest.raises(ValueError, match="seed"):
         sample(at_state, cfg, shots=1, seed=2**64)
     with pytest.raises(TypeError):
         sample(at_state, cfg, shots=1, seed=1.5)
+
+
+def joint_of(ens) -> np.ndarray:
+    joint = np.zeros((4, 4))
+    for br in ens.branches:
+        joint[BELL_LABELS.index(br.bell_34), BELL_LABELS.index(br.bell_12)] = br.probability
+    return joint
+
+
+def keyed_counts(ens, ref: np.ndarray) -> dict:
+    """The oracle's 16 counts keyed like ``sample``'s result."""
+    return {
+        (br.bell_34, br.bell_12): int(
+            ref[4 * BELL_LABELS.index(br.bell_34) + BELL_LABELS.index(br.bell_12)]
+        )
+        for br in ens.branches
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pair=st.sampled_from([(A, T), (G, C)]),
+    theta=FINITE,
+    phi=FINITE,
+    prune=st.sampled_from([1e-14, 0.05, 0.1, 0.2]),
+    seed=st.integers(0, 2**64 - 1),
+    chunk=st.integers(1, 64),
+    data=st.data(),
+)
+def test_streaming_sample_equals_the_whole_run_sampler(
+    pair, theta, phi, prune, seed, chunk, data
+):
+    # Pruning at 0.05-0.2 zeroes joint entries and whole (3,4) rows; a small
+    # chunk puts chunk boundaries and a short final chunk inside the run.
+    shots = data.draw(st.integers(1, 3 * chunk + 1), label="shots")
+    cfg = ProtocolConfig(theta=theta, phi=phi, prune_threshold=prune)
+    state = assemble_pair(*pair, cfg)
+    ens = swap(state, cfg)
+    ref = oracle.sample_reference(joint_of(ens), shots, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(protocol, "_SAMPLE_CHUNK", chunk)
+        counts = sample(state, cfg, shots=shots, seed=seed)
+    assert counts == keyed_counts(ens, ref)
+
+
+@pytest.mark.parametrize("pair", ["AT", "GC"])
+def test_streaming_sample_equals_the_whole_run_sampler_at_the_defaults(
+    at_state, gc_state, cfg, pair
+):
+    # One default-size chunk boundary; the golden sample digests stay
+    # inside the first chunk.
+    seed, shots = 2**64 - 1, protocol._SAMPLE_CHUNK + 12_345
+    state = at_state if pair == "AT" else gc_state
+    ens = swap(state, cfg)
+    ref = oracle.sample_reference(joint_of(ens), shots, seed)
+    assert sample(state, cfg, shots=shots, seed=seed) == keyed_counts(ens, ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    probs=st.lists(
+        st.one_of(
+            st.just(0.0),
+            st.sampled_from([0.5, 0.25, 1 / 3, 1e-300, 5e-324]),
+            st.floats(0.0, 1.0),
+        ),
+        min_size=1,
+        max_size=16,
+    ).filter(lambda p: sum(p) > 0)
+)
+def test_integer_thresholds_pick_what_the_float_cdf_picks(probs):
+    probs = np.array(probs)
+    live, thresholds = protocol._word_thresholds(probs)
+    np.testing.assert_array_equal(live, np.flatnonzero(probs > 0))
+    cdf = np.cumsum(probs[live] / probs[live].sum())
+    cdf[-1] = 1.0
+    k = np.concatenate([thresholds - 1, thresholds, thresholds + 1])
+    k = np.unique(np.clip(k, 0, 2**53 - 1))
+    np.testing.assert_array_equal(
+        np.searchsorted(thresholds, k, side="right"),
+        np.searchsorted(cdf, k * 2.0**-53, side="right"),
+    )
+
+
+def test_sample_splits_words_on_every_threshold_like_the_float_sampler(
+    gc_state, cfg, monkeypatch
+):
+    # Every (word, word) pair from {t - 1, t, t + 1} over all thresholds t
+    # hits each threshold of both searches, where a random stream almost
+    # never lands.
+    ens = swap(gc_state, cfg)
+    joint = joint_of(ens)
+    rows = [joint.sum(axis=1), *joint]
+    t = np.concatenate([protocol._word_thresholds(p)[1] for p in rows])
+    k = np.unique(np.clip(np.concatenate([t - 1, t, t + 1]), 0, 2**53 - 1))
+    words = np.stack(np.meshgrid(k, k), axis=-1).reshape(-1, 2)
+
+    class CraftedStream:
+        def __init__(self, key):
+            self.raw = words.ravel().astype(np.uint64) << np.uint64(11)
+
+        def random_raw(self, n):
+            out, self.raw = self.raw[:n].copy(), self.raw[n:]
+            return out
+
+    monkeypatch.setattr(protocol, "_SAMPLE_CHUNK", 1000)
+    monkeypatch.setattr(np.random, "Philox", CraftedStream)
+    counts = sample(gc_state, cfg, shots=len(words), seed=0)
+    assert counts == keyed_counts(ens, oracle.counts_from_uniforms(joint, words * 2.0**-53))
+
+
+@pytest.mark.parametrize("key", [0, 1, 42, 2**64 - 1])
+def test_raw_philox_words_are_the_generator_uniforms(key):
+    # sample reads words, the sampler it replaced read Generator.random; a
+    # numpy release that changes either mapping must fail here, not shift
+    # counts silently.
+    n = 1001
+    words = np.random.Philox(key=key).random_raw(n)
+    uniforms = np.random.Generator(np.random.Philox(key=key)).random(n)
+    np.testing.assert_array_equal((words >> 11) * 2.0**-53, uniforms)
+    bitgen = np.random.Philox(key=key)
+    chunked = np.concatenate([bitgen.random_raw(7), bitgen.random_raw(n - 7)])
+    np.testing.assert_array_equal(chunked, words)
+
+
+def test_sample_memory_does_not_grow_with_shots(at_state, cfg, monkeypatch):
+    monkeypatch.setattr(protocol, "_SAMPLE_CHUNK", 1024)
+    shots = 10**6
+    sample(at_state, cfg, shots=1, seed=5)  # first use imports numpy.random's helpers
+    tracemalloc.start()
+    try:
+        counts = sample(at_state, cfg, shots=shots, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(counts.values()) == shots
+    assert peak < 1 << 20
 
 
 # --- mutation sanity: a broken entangler destroys the reference ensemble ---
