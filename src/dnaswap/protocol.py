@@ -17,9 +17,10 @@ trajectory exactly with one contraction of the post-V register against the
 Bell basis on (1, 2) and (3, 4). Trajectories below the pruning threshold
 are dropped and ``dropped_mass`` is their summed probability. ``sample``
 re-draws the same trajectories stochastically from a counter-based seeded
-stream. It reads the stream in fixed chunks of raw 53-bit words and looks
-outcomes up by exact integer thresholds, so its memory is O(chunk), not
-O(shots).
+stream. It reads the stream in fixed chunks of raw 53-bit words and picks
+outcomes by exact integer thresholds, so its memory is O(chunk), not
+O(shots). A table over each word's top bits gives the outcome directly;
+``searchsorted`` runs only on the words in a bucket that holds a threshold.
 """
 from __future__ import annotations
 
@@ -49,6 +50,9 @@ _ZERO_SNAP = 1e-12
 _SAMPLE_CHUNK = 1 << 18
 # Generator.random keeps the top 53 bits of each 64-bit Philox word.
 _WORD_BITS = 53
+# ``sample`` looks most words up in a table indexed by their top bits.
+_BUCKET_BITS = 12
+_BUCKET_SHIFT = _WORD_BITS - _BUCKET_BITS
 
 
 @dataclass(frozen=True)
@@ -343,12 +347,28 @@ def _word_thresholds(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ceil(cdf * 2**53). A uniform u = k * 2**-53 satisfies u >= cdf[j] exactly
     when k >= threshold[j] (scaling by 2**53 is exact), so
     ``searchsorted(threshold, k, side="right")`` on 53-bit words equals
-    ``searchsorted(cdf, u, side="right")`` on the uniforms.
+    ``searchsorted(cdf, u, side="right")`` on the uniforms. A rounded cumsum
+    can pass 1 before its last entry; capping it at 1 keeps the thresholds
+    sorted and changes no pick, since no uniform reaches 1.
     """
     live = np.flatnonzero(probs > 0)
-    cdf = np.cumsum(probs[live] / probs[live].sum())
+    cdf = np.minimum(np.cumsum(probs[live] / probs[live].sum()), 1.0)
     cdf[-1] = 1.0  # guard the float tail
     return live, np.ceil(np.ldexp(cdf, _WORD_BITS)).astype(np.int64)
+
+
+def _guide(t: np.ndarray) -> np.ndarray:
+    """Guide table for ``searchsorted(t, k, side="right")`` on 53-bit words.
+
+    Entry h covers the words k with ``k >> _BUCKET_SHIFT == h``. It holds the
+    search result, which is the same for every word of the bucket when no
+    threshold falls in (first word, last word]; it holds -1 when one does,
+    and those words need the search itself (Chen & Asau, 1974).
+    """
+    first = np.arange(1 << _BUCKET_BITS, dtype=np.int64) << _BUCKET_SHIFT
+    lo = np.searchsorted(t, first, side="right")
+    hi = np.searchsorted(t, first + ((1 << _BUCKET_SHIFT) - 1), side="right")
+    return np.where(lo == hi, lo, -1)
 
 
 def sample(
@@ -366,10 +386,14 @@ def sample(
 
     The stream is read in chunks of ``_SAMPLE_CHUNK`` shots as raw 53-bit
     words k (``Generator.random`` would return k * 2**-53), so memory is
-    O(chunk) whatever ``shots`` is. The (3,4) outcome is one search of the
-    first word against exact integer thresholds of the marginal; the (1,2)
-    outcome is one search of the second word against the chosen row's
-    conditional thresholds. ``shots`` must be below 2**63.
+    O(chunk) whatever ``shots`` is. The (3,4) outcome ranks the first word
+    among exact integer thresholds of the marginal; the (1,2) outcome ranks
+    the second word among the chosen row's conditional thresholds. Both
+    ranks come from a table indexed by the word's top ``_BUCKET_BITS`` bits
+    (``_guide``); only words in a bucket that holds a threshold, about 0.1%
+    of them, are ranked by ``searchsorted``. ``shots`` must be below 2**63;
+    a ``ValueError`` names ``prune_threshold`` when it drops every
+    trajectory.
     """
     cfg = cfg or ProtocolConfig()
     shots = operator.index(shots)
@@ -382,6 +406,10 @@ def sample(
         raise ValueError(f"seed must fit in 64 bits, got {seed}")
 
     ensemble = swap(pair_state, cfg)
+    if not ensemble.branches:
+        raise ValueError(
+            f"prune_threshold={cfg.prune_threshold} drops every trajectory; nothing to sample"
+        )
     joint = np.zeros((4, 4))
     order = {label: i for i, label in enumerate(BELL_LABELS)}
     for br in ensemble.branches:
@@ -397,6 +425,10 @@ def sample(
         col_t.append((r << _WORD_BITS) + t)
         cells.append(4 * i34 + cols)
     col_t, cells = np.concatenate(col_t), np.concatenate(cells)
+    # g2 stacks one guide table per live row; row r's table ranks k2 among
+    # col_t - (r << 53), which is the rank of (r << 53) + k2 among col_t.
+    g1 = _guide(row_t)
+    g2 = np.concatenate([_guide(col_t - (r << _WORD_BITS)) for r in range(len(rows))])
 
     bitgen = np.random.Philox(key=seed)
     hits = np.zeros(len(cells), dtype=np.int64)
@@ -405,10 +437,15 @@ def sample(
         words = bitgen.random_raw(2 * n)
         words >>= 64 - _WORD_BITS
         k = words.view(np.int64).reshape(n, 2)
-        key = np.searchsorted(row_t, k[:, 0], side="right")
-        key <<= _WORD_BITS
-        key += k[:, 1]
-        hits += np.bincount(np.searchsorted(col_t, key, side="right"), minlength=len(cells))
+        row = g1[k[:, 0] >> _BUCKET_SHIFT]
+        miss = np.flatnonzero(row < 0)
+        row[miss] = np.searchsorted(row_t, k[miss, 0], side="right")
+        cell = g2[(row << _BUCKET_BITS) + (k[:, 1] >> _BUCKET_SHIFT)]
+        miss = np.flatnonzero(cell < 0)
+        cell[miss] = np.searchsorted(
+            col_t, (row[miss] << _WORD_BITS) + k[miss, 1], side="right"
+        )
+        hits += np.bincount(cell, minlength=len(cells))
     counts = np.zeros(16, dtype=np.int64)
     counts[cells] = hits
 

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _oracle as oracle
@@ -477,7 +477,7 @@ def test_sample_frequencies_approach_exact_probabilities(at_state, cfg):
         assert abs(count / shots - p) <= 3 * sigma
 
 
-def test_sample_validates_arguments(at_state, cfg):
+def test_sample_validates_arguments(at_state, cfg, monkeypatch):
     with pytest.raises(ValueError, match="shots"):
         sample(at_state, cfg, shots=0, seed=1)
     with pytest.raises(ValueError, match="shots"):
@@ -492,6 +492,19 @@ def test_sample_validates_arguments(at_state, cfg):
         sample(at_state, cfg, shots=1, seed=2**64)
     with pytest.raises(TypeError):
         sample(at_state, cfg, shots=1, seed=1.5)
+    # Every G.C (3,4) outcome has P = 1/4, so a 0.3 threshold drops them
+    # all; the error comes before any threshold or table is built.
+    pruned = ProtocolConfig(prune_threshold=0.3)
+    state = assemble_pair(G, C, pruned)
+    assert swap(state, pruned).branches == []
+
+    def no_tables(*args):
+        raise AssertionError("thresholds built for an empty ensemble")
+
+    monkeypatch.setattr(protocol, "_word_thresholds", no_tables)
+    monkeypatch.setattr(protocol, "_guide", no_tables)
+    with pytest.raises(ValueError, match="prune_threshold"):
+        sample(state, pruned, shots=10, seed=1)
 
 
 def joint_of(ens) -> np.ndarray:
@@ -550,22 +563,27 @@ def test_streaming_sample_equals_the_whole_run_sampler_at_the_defaults(
     assert sample(state, cfg, shots=shots, seed=seed) == keyed_counts(ens, ref)
 
 
+# Probability vectors with zeros, dyadic cdf values (thresholds on bucket
+# edges) and subnormals (thresholds that collide after ceil).
+PROBS = st.lists(
+    st.one_of(
+        st.just(0.0),
+        st.sampled_from([0.5, 0.25, 1 / 3, 1e-300, 5e-324]),
+        st.floats(0.0, 1.0),
+    ),
+    min_size=1,
+    max_size=16,
+).filter(lambda p: sum(p) > 0)
+
+
 @settings(max_examples=100, deadline=None)
-@given(
-    probs=st.lists(
-        st.one_of(
-            st.just(0.0),
-            st.sampled_from([0.5, 0.25, 1 / 3, 1e-300, 5e-324]),
-            st.floats(0.0, 1.0),
-        ),
-        min_size=1,
-        max_size=16,
-    ).filter(lambda p: sum(p) > 0)
-)
+@given(probs=PROBS)
+@example(probs=[0.5] * 6 + [0.25] + [0.5] * 5 + [0.25, 1e-300])
 def test_integer_thresholds_pick_what_the_float_cdf_picks(probs):
     probs = np.array(probs)
     live, thresholds = protocol._word_thresholds(probs)
     np.testing.assert_array_equal(live, np.flatnonzero(probs > 0))
+    assert np.all(np.diff(thresholds) >= 0)
     cdf = np.cumsum(probs[live] / probs[live].sum())
     cdf[-1] = 1.0
     k = np.concatenate([thresholds - 1, thresholds, thresholds + 1])
@@ -588,6 +606,14 @@ def test_sample_splits_words_on_every_threshold_like_the_float_sampler(
     t = np.concatenate([protocol._word_thresholds(p)[1] for p in rows])
     k = np.unique(np.clip(np.concatenate([t - 1, t, t + 1]), 0, 2**53 - 1))
     words = np.stack(np.meshgrid(k, k), axis=-1).reshape(-1, 2)
+    monkeypatch.setattr(protocol, "_SAMPLE_CHUNK", 1000)
+    assert sample_words(monkeypatch, gc_state, cfg, words) == keyed_counts(
+        ens, oracle.counts_from_uniforms(joint, words * 2.0**-53)
+    )
+
+
+def sample_words(monkeypatch, state, cfg, words: np.ndarray) -> dict:
+    """``sample`` with shot i reading the 53-bit words ``words[i]``."""
 
     class CraftedStream:
         def __init__(self, key):
@@ -597,10 +623,80 @@ def test_sample_splits_words_on_every_threshold_like_the_float_sampler(
             out, self.raw = self.raw[:n].copy(), self.raw[n:]
             return out
 
-    monkeypatch.setattr(protocol, "_SAMPLE_CHUNK", 1000)
     monkeypatch.setattr(np.random, "Philox", CraftedStream)
-    counts = sample(gc_state, cfg, shots=len(words), seed=0)
-    assert counts == keyed_counts(ens, oracle.counts_from_uniforms(joint, words * 2.0**-53))
+    return sample(state, cfg, shots=len(words), seed=0)
+
+
+def bucket_edges() -> np.ndarray:
+    """The first and the last 53-bit word of every guide-table bucket."""
+    first = np.arange(1 << protocol._BUCKET_BITS, dtype=np.int64) << protocol._BUCKET_SHIFT
+    return np.concatenate([first, first + (1 << protocol._BUCKET_SHIFT) - 1])
+
+
+@pytest.mark.parametrize("pair", ["AT", "GC"])
+def test_sample_reads_every_bucket_edge_like_the_float_sampler(
+    at_state, gc_state, cfg, pair, monkeypatch
+):
+    # Both words run through the first and last word of every bucket and
+    # through t - 1, t, t + 1 of every threshold t, so every bucket that
+    # holds a threshold is read along with its neighbours' edges. The first
+    # block pairs every word with another as (k1, k2); then, for each live
+    # (3,4) row, one first word in that row is paired with every k2.
+    state = at_state if pair == "AT" else gc_state
+    ens = swap(state, cfg)
+    joint = joint_of(ens)
+    rows, row_t = protocol._word_thresholds(joint.sum(axis=1))
+    t = np.concatenate([row_t, *(protocol._word_thresholds(joint[i])[1] for i in rows)])
+    k = np.concatenate([bucket_edges(), t - 1, t, t + 1])
+    k = np.unique(np.clip(k, 0, 2**53 - 1))
+    rank = np.searchsorted(row_t, k, side="right")
+    blocks = [np.stack([k, np.roll(k, len(k) // 2)], axis=1)]
+    for r in range(len(rows)):
+        k1 = k[rank == r][len(k[rank == r]) // 2]
+        blocks.append(np.stack([np.full_like(k, k1), k], axis=1))
+    assert len(blocks) > 2
+    monkeypatch.setattr(protocol, "_SAMPLE_CHUNK", 1000)
+    for words in blocks:
+        assert sample_words(monkeypatch, state, cfg, words) == keyed_counts(
+            ens, oracle.counts_from_uniforms(joint, words * 2.0**-53)
+        )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(PROBS, min_size=1, max_size=4),
+    row=st.integers(0, 3),
+    random_words=st.lists(st.integers(0, 2**53 - 1), max_size=64),
+)
+@example(rows=[[0.5, 1e-300, 0.5], [1 / 3, 1 / 3, 1 / 3]], row=1, random_words=[])
+# The rounded cumsum passes 1 before the 1e-300 tail: thresholds must stay sorted.
+@example(rows=[[0.5] * 6 + [0.25] + [0.5] * 5 + [0.25, 1e-300], [0.5]], row=1, random_words=[])
+# A threshold on the last word of bucket 4: it splits that bucket only.
+@example(rows=[[(5 * 2**41 - 1) / 2**53, 1 - (5 * 2**41 - 1) / 2**53]], row=0, random_words=[])
+def test_guide_table_ranks_words_like_searchsorted(rows, row, random_words):
+    # Stacked like sample's col_t, row r's block offset by r << 53.
+    r = row % len(rows)
+    stacked = np.concatenate(
+        [(i << 53) + protocol._word_thresholds(np.array(p))[1] for i, p in enumerate(rows)]
+    )
+    t = stacked - (r << 53)
+    g = protocol._guide(t)
+    assert g.shape == (1 << protocol._BUCKET_BITS,)
+
+    own = t[(t > 0) & (t <= 2**53)]
+    k = np.concatenate([own - 1, own, own + 1, bucket_edges(), random_words])
+    k = np.unique(np.clip(k, 0, 2**53 - 1)).astype(np.int64)
+    entry = g[k >> protocol._BUCKET_SHIFT]
+    rank = np.searchsorted(t, k, side="right")
+    np.testing.assert_array_equal(np.where(entry < 0, rank, entry), rank)
+
+    # -1 exactly in the buckets whose words a threshold splits: t in
+    # (first word, last word], so a threshold on a bucket's first word or
+    # at 2**53 splits none.
+    split = np.zeros(len(g), dtype=bool)
+    inside = t[(t >= 0) & (t < 2**53) & (t % (1 << protocol._BUCKET_SHIFT) != 0)]
+    split[inside >> protocol._BUCKET_SHIFT] = True
+    np.testing.assert_array_equal(g < 0, split)
 
 
 @pytest.mark.parametrize("key", [0, 1, 42, 2**64 - 1])
