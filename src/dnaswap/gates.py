@@ -43,6 +43,8 @@ class Gate:
             raise ValueError(f"gate matrix must be 2x2, 4x4, or 8x8, got {mat.shape}")
         if self.arity and self.arity != arity:
             raise ValueError(f"declared arity {self.arity} does not match matrix")
+        if not np.all(np.isfinite(mat)):
+            raise ValueError(f"gate {self.name!r} has a non-finite entry")
         dev = np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))
         if dev > UNITARY_ATOL:
             raise ValueError(f"gate {self.name!r} is not unitary (deviation {dev:.3e})")

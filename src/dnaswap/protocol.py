@@ -12,10 +12,13 @@ Pipeline for a template/incoming base pair:
    measurement on (3, 4); on outcome b00/b10, Pauli-X on qubits 4 and 5;
    a Bell measurement on (1, 2); on outcome b00/b10, Pauli-X on 2 and 5.
 
-S is a fixed linear instrument, so ``swap`` enumerates every measurement
-trajectory exactly with one contraction of the post-V register against the
-Bell basis on (1, 2) and (3, 4). Trajectories below the pruning threshold
-are dropped and ``dropped_mass`` is their summed probability. ``sample``
+S is a fixed linear instrument: a 64x64 matrix K, built once at import,
+that maps the register to the unnormalized (5, 6) residual of each of the
+16 (l34, l12) outcome pairs. ``swap`` enumerates every measurement
+trajectory exactly with one product ``K @ psi``. Trajectories of
+probability 0 or below the pruning threshold are dropped, and
+``dropped_mass`` is their summed probability. A kept branch holds its 2x2
+residual; its 6-qubit final state is built only when read. ``sample``
 re-draws the same trajectories stochastically from a counter-based seeded
 stream. It reads the stream in fixed chunks of raw 53-bit words and picks
 outcomes by exact integer thresholds, so its memory is O(chunk), not
@@ -32,7 +35,7 @@ import numpy as np
 
 from .encodings import BaseCode, UnsupportedEncodingError, wc_initial_pattern
 from .gates import BELL_LABELS, BellLabel, Gate, bell_basis, equality_entangler
-from .statevec import NORM_ATOL, PRUNE_DEFAULT, StateVector, apply_unitary, permute_qubits, tensor
+from .statevec import NORM_ATOL, PRUNE_DEFAULT, StateVector, _readonly, permute_qubits, tensor
 
 DEFAULT_THETA = math.acos(math.sqrt(2.0) / math.sqrt(3.0))
 DEFAULT_PHI = math.acos(1.0 / math.sqrt(2.0))
@@ -47,7 +50,7 @@ _IMAG_ATOL = 1e-9
 _ZERO_SNAP = 1e-12
 
 # ``sample`` reads the stream this many shots at a time.
-_SAMPLE_CHUNK = 1 << 18
+_SAMPLE_CHUNK = 1 << 16
 # Generator.random keeps the top 53 bits of each 64-bit Philox word.
 _WORD_BITS = 53
 # ``sample`` looks most words up in a table indexed by their top bits.
@@ -77,14 +80,15 @@ class ProtocolConfig:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OutcomeBranch:
     """One trajectory of the swap protocol.
 
     ``bell_34``/``bell_12`` are the raw measurement outcomes; the final
     state carries the corrected labels (k forced to 1 wherever a Pauli-X
-    pair was applied). ``third_pair`` holds the complex amplitudes (a, b)
-    of |01> and |10> on qubits (5, 6) of the final state.
+    pair was applied). ``residual`` is the read-only, normalized 2x2
+    amplitude array of qubits (5, 6) after the corrections, and
+    ``third_pair`` holds its amplitudes (a, b) of |01> and |10>.
     """
 
     bell_34: BellLabel
@@ -92,8 +96,18 @@ class OutcomeBranch:
     x45_applied: bool
     x25_applied: bool
     probability: float
-    final_state: StateVector
-    third_pair: tuple[complex, complex]
+    residual: np.ndarray
+
+    @property
+    def third_pair(self) -> tuple[complex, complex]:
+        return (complex(self.residual[0, 1]), complex(self.residual[1, 0]))
+
+    @property
+    def final_state(self) -> StateVector:
+        """The corrected register b_j1(1,2) (x) b_m1(3,4) (x) residual(5,6)."""
+        f12 = _BELL[BELL_LABELS.index(self.final_bell_12)]
+        f34 = _BELL[BELL_LABELS.index(self.final_bell_34)]
+        return StateVector(6, np.multiply.outer(np.multiply.outer(f12, f34), self.residual))
 
     @property
     def final_bell_34(self) -> BellLabel:
@@ -130,7 +144,7 @@ class Ensemble:
         if len(self.branches) > 16:
             raise ValueError(f"at most 16 branches possible, got {len(self.branches)}")
         total = sum(b.probability for b in self.branches) + self.dropped_mass
-        if abs(total - 1.0) > _MASS_ATOL:
+        if not abs(total - 1.0) <= _MASS_ATOL:
             raise ValueError(f"branch probabilities + dropped mass must be 1, got {total}")
 
 
@@ -229,6 +243,28 @@ def assemble_pair(
     return permute_qubits(product, INTERLEAVE)
 
 
+def _instrument(v: np.ndarray) -> np.ndarray:
+    """The swap as one (64, 64) matrix K, for the step-1 entangler ``v``.
+
+    Row 16*l34 + 4*l12 + 2*q5 + q6 of ``K @ psi`` is coeff[l34, l12, q5, q6]
+    = (<b_l12| on (1,2)) (<b_l34| on (3,4)) of V(3,5) psi: the 64 basis kets
+    go through V on (3, 5), then meet the conjugate Bell basis.
+    """
+    kets = np.eye(64, dtype=complex).reshape([2] * 6 + [64])
+    post_v = np.einsum("ceCE,abCdEfk->abcdefk", v.reshape(2, 2, 2, 2), kets)
+    bra = _BELL.conj()
+    return np.einsum("xab,ycd,abcdefk->yxefk", bra, bra, post_v).reshape(64, 64)
+
+
+# _BELL[i] is the 2x2 amplitude array of BELL_LABELS[i]; _K is the swap
+# instrument of the paper's entangler V, built once.
+_BELL = _readonly(np.array([b.amplitudes.reshape(2, 2) for b in bell_basis()]))
+_K = _readonly(_instrument(equality_entangler().matrix))
+# Outcome i = 4*i34 + i12 has X on qubit 5 exactly when one of its two
+# corrections fires (raw k = 0 on one pair only), which swaps its rows.
+_FLIP = np.array([(l34.k == 0) != (l12.k == 0) for l34 in BELL_LABELS for l12 in BELL_LABELS])
+
+
 def swap(
     pair_state: StateVector,
     cfg: ProtocolConfig | None = None,
@@ -237,58 +273,55 @@ def swap(
 ) -> Ensemble:
     """Run the five-step protocol with exact branch enumeration.
 
-    The protocol is a fixed linear instrument, so all 16 trajectories come
-    from one contraction of the post-V register with the Bell basis on
-    (1, 2) and (3, 4): ``coeff[l34, l12]`` is the unnormalized (5, 6)
-    residual of outcome pair (l34, l12). The X corrections on qubits 2 and 4
-    only relabel the measured pairs as b_j1; X on qubit 5 acts when exactly
-    one correction fires, which swaps the residual's rows.
+    The protocol is a fixed linear instrument K (``_instrument``), so all 16
+    trajectories come from one product ``K @ psi``: ``coeff[l34, l12]`` is
+    the unnormalized (5, 6) residual of outcome pair (l34, l12). The X
+    corrections on qubits 2 and 4 only relabel the measured pairs as b_j1;
+    X on qubit 5 acts when exactly one correction fires, which swaps the
+    residual's rows. K for the paper's V is built once at import.
 
     Branches are keyed by the raw (pre-correction) measurement outcomes, in
-    ``BELL_LABELS`` order. A (3,4) outcome below the pruning threshold is
-    dropped, and so is a (1,2) outcome whose conditional probability is;
-    ``dropped_mass`` is the summed probability of the dropped trajectories.
-    ``v_gate`` substitutes the step-1 entangler (the protocol family is not
-    unique; this is the extension hook).
+    ``BELL_LABELS`` order. A trajectory of probability 0 is never kept. A
+    (3,4) outcome below the pruning threshold is dropped, and so is a (1,2)
+    outcome whose conditional probability is; ``dropped_mass`` is the summed
+    probability of the dropped trajectories. ``v_gate`` substitutes the
+    step-1 entangler (the protocol family is not unique; this is the
+    extension hook) and costs one K build per call.
     """
     cfg = cfg or ProtocolConfig()
     if pair_state.num_qubits != 6:
         raise ValueError(f"swap needs a 6-qubit register, got {pair_state.num_qubits}")
-    v = v_gate if v_gate is not None else equality_entangler()
-    bell = np.array([b.amplitudes.reshape(2, 2) for b in bell_basis()])
+    if v_gate is None:
+        k = _K
+    elif v_gate.arity != 2:
+        raise ValueError(f"gate {v_gate.name} has arity {v_gate.arity}, the entangler needs 2")
+    else:
+        k = _instrument(v_gate.matrix)
 
-    t = apply_unitary(pair_state, v, (3, 5)).as_tensor()
-    # coeff[l34, l12, q5, q6] = (<b_l12| on (1,2)) (<b_l34| on (3,4)) t
-    coeff = np.einsum("xab,ycd,abcdef->yxef", bell.conj(), bell.conj(), t)
-    probs = np.sum(np.abs(coeff) ** 2, axis=(2, 3))
-    branches: list[OutcomeBranch] = []
-    dropped = 0.0
-    for i34, label34 in enumerate(BELL_LABELS):
-        p34 = probs[i34].sum()
-        for i12, label12 in enumerate(BELL_LABELS):
-            p = float(probs[i34, i12])
-            if p34 < cfg.prune_threshold or p / p34 < cfg.prune_threshold:
-                dropped += p
-                continue
-            x45, x25 = label34.k == 0, label12.k == 0
-            r = coeff[i34, i12] / math.sqrt(p)
-            if x45 != x25:
-                r = r[::-1]
-            f12 = bell[BELL_LABELS.index(BellLabel(label12.j, 1))]
-            f34 = bell[BELL_LABELS.index(BellLabel(label34.j, 1))]
-            final = np.multiply.outer(np.multiply.outer(f12, f34), r)
-            branches.append(
-                OutcomeBranch(
-                    bell_34=label34,
-                    bell_12=label12,
-                    x45_applied=x45,
-                    x25_applied=x25,
-                    probability=p,
-                    final_state=StateVector(6, final),
-                    third_pair=(complex(r[0, 1]), complex(r[1, 0])),
-                )
-            )
-    return Ensemble(pair=pair, branches=branches, dropped_mass=dropped)
+    coeff = (k @ pair_state.amplitudes).reshape(16, 2, 2)
+    probs = np.sum(np.abs(coeff) ** 2, axis=(1, 2))
+    p34 = np.repeat(probs.reshape(4, 4).sum(axis=1), 4)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        keep = (probs > 0) & (p34 >= cfg.prune_threshold) & (probs / p34 >= cfg.prune_threshold)
+        residual = coeff / np.sqrt(probs)[:, None, None]
+    residual[_FLIP] = residual[_FLIP, ::-1]
+    residual = _readonly(residual)
+    dev = np.abs(np.sqrt(np.sum(np.abs(residual[keep]) ** 2, axis=(1, 2))) - 1.0)
+    if not np.all(dev <= NORM_ATOL):
+        raise ValueError(f"branch residual not normalized: max |norm - 1| = {np.max(dev):.3e}")
+
+    branches = [
+        OutcomeBranch(
+            bell_34=BELL_LABELS[i >> 2],
+            bell_12=BELL_LABELS[i & 3],
+            x45_applied=BELL_LABELS[i >> 2].k == 0,
+            x25_applied=BELL_LABELS[i & 3].k == 0,
+            probability=float(probs[i]),
+            residual=residual[i],
+        )
+        for i in np.flatnonzero(keep)
+    ]
+    return Ensemble(pair=pair, branches=branches, dropped_mass=float(probs[~keep].sum()))
 
 
 def run_pair(

@@ -45,7 +45,8 @@ class StateVector:
                 f"{self.num_qubits} qubits, got {amps.size}"
             )
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_ATOL:
+        # Written so that NaN fails: every comparison with NaN is False.
+        if not abs(norm - 1.0) <= NORM_ATOL:
             raise ValueError(f"state not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
         self.amplitudes = _readonly(amps)
 
@@ -102,6 +103,8 @@ class DensityMatrix:
         mat = np.asarray(self.matrix, dtype=complex).copy()
         if mat.shape != (dim, dim):
             raise ValueError(f"expected {dim}x{dim} matrix, got {mat.shape}")
+        if not np.all(np.isfinite(mat)):
+            raise ValueError("density matrix has a non-finite entry")
         if np.max(np.abs(mat - mat.conj().T)) > NORM_ATOL:
             raise ValueError("density matrix is not Hermitian")
         if abs(np.trace(mat).real - 1.0) > NORM_ATOL or abs(np.trace(mat).imag) > NORM_ATOL:

@@ -67,6 +67,14 @@ def test_gate_unitarity_is_enforced():
         Gate("bad", np.array([[1, 0], [1, 1]], dtype=complex))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_gate_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        Gate("n", np.full((2, 2), bad))
+    with pytest.raises(ValueError, match="non-finite"):
+        Gate("n", np.diag([1.0, 1.0, 1.0, bad]))
+
+
 def test_all_protocol_gates_pass_unitarity():
     for g in (rotation(0.7), sp(1.3), hadamard(), pauli("X"), pauli("Z"), equality_entangler()):
         dev = np.max(np.abs(g.matrix.conj().T @ g.matrix - np.eye(2**g.arity)))

@@ -21,8 +21,8 @@ GOLDEN = {
     "run-exact-AT-json": "30e30426695edcb7b7157728a5b98836e8420da3f002193222dcaed7044fc075",
     "run-exact-AT-csv": "a6fd49e88afe69f2ddd4924b78a0d22020b5d3b873a4b64bd91a0e429b3f0fd0",
     "run-exact-GC-table": "c42119b27e0387dd9a53afd336b39136b89f5b95bdec4657083bd1c4d692955e",
-    "run-exact-GC-json": "223f4d9a7c4cb2931cf80e1b2b5fd47af73bb886e4e8274bbe6289f31a727f86",
-    "run-exact-GC-csv": "4b13b0277405df2c1d1baab4343f1caa7f861f1db3e370dd37739942e0ab3a0d",
+    "run-exact-GC-json": "9134bf3c82369dac4e7efa7975e47658aefdf3c02f371fa09dcfc13095cc81c6",
+    "run-exact-GC-csv": "e0a6111ecf0f948c834613df13eb8660e13bef55b61943551a46520240c06bf5",
     "run-sample-AT-table-0-1": "43c2ecfecb908d2cd501e81ea3d966f53c08edc03bfe81c4bea7926b60deec01",
     "run-sample-AT-table-42-100000": "ba49fb7723f20d7756525a9ca219afae98c511d06e26b677029d29640942b342",
     "run-sample-AT-table-max-12345": "e26d2521aae829e19518d637ffc46f16d1e5a1c9f83553ec83e3ff5208f57854",
@@ -46,8 +46,8 @@ GOLDEN = {
     "inspect-AT-O": "7f7e2c2273092c8214293ae35a8b4d17599c5e306fbb9dea1048d10f3abcbbe7",
     "inspect-GC-I": "8e309718f5472f405a50d378778bcd4e4cb2c24e82fce962b89f40383fb86b64",
     "inspect-GC-Q": "9255d4c0f44e362d8bdb4e7aeeef04e2e58b91232aaa07a39451b3471eb83f73",
-    "inspect-GC-O": "2c299fc71774c5070da67116e3b7cdd7ed8fa52a4dac6f1244a2da830afa4b5a",
-    "verify": "e4d30ea6ffb11986cc2c560ecd5955b4c31e6d7fdd4640926871b697b2036059",
+    "inspect-GC-O": "42bc3371dd41088e53adf2204a5bdd59a948c0e99b51f4413c73cfcce32ff3e3",
+    "verify": "0a7adb746a882737a1a28245a33011e2a74e4f77dccabe9344a667fb5ed44e8a",
     "verify-dump-reference": "feb37b40cbf3f23e1a8cff5347d722c86cd864ebdeda5f13c3d9df0c4d38ab22",
 }
 

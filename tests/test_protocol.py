@@ -347,6 +347,100 @@ def test_swap_branch_order_is_deterministic(at_ensemble):
     assert keys == sorted(keys)
 
 
+def test_zero_probability_trajectories_are_never_kept():
+    # At theta = phi = 0, 8 of the A.T and 12 of the G.C trajectories have
+    # P = 0 exactly; with pruning off they must neither be kept (their
+    # residual is 0/0) nor add to the dropped mass.
+    cfg = ProtocolConfig(theta=0.0, phi=0.0, prune_threshold=0.0)
+    for pair, live in (((A, T), 8), ((G, C), 4)):
+        ens = run_pair(*pair, cfg)
+        assert len(ens.branches) == live
+        assert all(br.probability > 0 for br in ens.branches)
+        assert ens.dropped_mass == 0.0
+        for row in canonical_table(ens):
+            assert math.isfinite(row.a) and math.isfinite(row.b)
+
+
+def test_swap_instrument_is_sparse_real_and_read_only():
+    k = protocol._K
+    assert k.shape == (64, 64)
+    assert not k.flags.writeable
+    assert np.all(k.imag == 0)
+    nonzero = np.abs(k[k != 0])
+    assert nonzero.size == 384
+    assert np.all(
+        np.isclose(nonzero, 0.5, rtol=0, atol=1e-15)
+        | np.isclose(nonzero, 1 / (2 * S2), rtol=0, atol=1e-15)
+    )
+
+
+@pytest.mark.parametrize("pair", [(A, T), (G, C)])
+def test_explicit_default_entangler_gives_a_bit_identical_ensemble(pair, cfg):
+    state = assemble_pair(*pair, cfg)
+    built, explicit = swap(state, cfg), swap(state, cfg, v_gate=equality_entangler())
+    assert built.dropped_mass == explicit.dropped_mass
+    assert len(built.branches) == len(explicit.branches) == 16
+    for x, y in zip(built.branches, explicit.branches):
+        assert (x.bell_34, x.bell_12, x.x45_applied, x.x25_applied, x.probability) == (
+            y.bell_34,
+            y.bell_12,
+            y.x45_applied,
+            y.x25_applied,
+            y.probability,
+        )
+        assert np.array_equal(x.residual, y.residual)
+
+
+def test_branch_residual_is_read_only(gc_ensemble):
+    for br in gc_ensemble.branches:
+        with pytest.raises(ValueError):
+            br.residual[0, 1] = 0.0
+        with pytest.raises(ValueError):
+            br.residual.setflags(write=True)
+
+
+def test_swap_rejects_an_entangler_of_the_wrong_arity(at_state, cfg):
+    with pytest.raises(ValueError, match="arity"):
+        swap(at_state, cfg, v_gate=pauli("X"))
+
+
+def test_swap_rejects_a_non_finite_instrument(at_state, cfg, monkeypatch):
+    k = np.array(protocol._K)
+    k[5] = np.nan  # outcome (b00, b01), q5 q6 = 01
+    monkeypatch.setattr(protocol, "_K", k)
+    with pytest.raises(ValueError, match="must be 1"):
+        swap(at_state, cfg)
+
+
+@pytest.mark.parametrize("theta, phi", [(DEFAULT_THETA, DEFAULT_PHI), (0.3, -1.1), (2.0, 0.7)])
+@pytest.mark.parametrize("pair", [(A, T), (G, C)])
+def test_swap_matches_the_step_by_step_statevec_path(pair, theta, phi):
+    # The protocol in its own order: V, measure (3,4), correct, measure
+    # (1,2), correct, one validated StateVector per step.
+    cfg = ProtocolConfig(theta=theta, phi=phi)
+    state = assemble_pair(*pair, cfg)
+    x, basis = pauli("X"), bell_basis()
+    stepped = {}
+    post_v = apply_unitary(state, equality_entangler(), (3, 5))
+    for br34 in measure_two_qubit(post_v, basis, (3, 4), cfg.prune_threshold):
+        label34 = BELL_LABELS[br34.outcome_label]
+        mid = br34.post_state
+        if label34.k == 0:
+            mid = apply_unitary(apply_unitary(mid, x, (4,)), x, (5,))
+        for br12 in measure_two_qubit(mid, basis, (1, 2), cfg.prune_threshold):
+            label12 = BELL_LABELS[br12.outcome_label]
+            final = br12.post_state
+            if label12.k == 0:
+                final = apply_unitary(apply_unitary(final, x, (2,)), x, (5,))
+            stepped[(label34, label12)] = (br34.probability * br12.probability, final)
+    ens = swap(state, cfg)
+    assert {(br.bell_34, br.bell_12) for br in ens.branches} == set(stepped)
+    for br in ens.branches:
+        p, final = stepped[(br.bell_34, br.bell_12)]
+        assert abs(br.probability - p) <= 1e-13
+        assert np.max(np.abs(br.final_state.amplitudes - final.amplitudes)) <= 1e-12
+
+
 def test_measuring_back_pair_first_gives_identical_ensemble(at_state, gc_state, cfg):
     # Steps 4-5 commute with steps 2-3: disjoint supports up to the X on
     # qubit 5, which is applied by both corrections.

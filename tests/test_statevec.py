@@ -38,6 +38,14 @@ def test_rejects_unnormalized_amplitudes():
         StateVector(1, [1.0, 1.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rejects_non_finite_amplitudes(bad):
+    with pytest.raises(ValueError, match="not normalized"):
+        StateVector(1, [bad, 0.0])
+    with pytest.raises(ValueError, match="not normalized"):
+        StateVector(2, [0.5, 0.5, 0.5, complex(0.5, bad)])
+
+
 def test_rejects_wrong_amplitude_count():
     with pytest.raises(ValueError, match="expected 4 amplitudes"):
         StateVector(2, [1.0, 0.0])
@@ -267,6 +275,14 @@ def test_reducing_to_all_qubits_gives_projector():
 def test_reduced_density_rejects_empty_subset():
     with pytest.raises(ValueError, match="non-empty"):
         reduced_density(basis_state("00"), ())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_density_matrix_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        DensityMatrix(1, np.diag([bad, 0.0]))
+    with pytest.raises(ValueError, match="non-finite"):
+        DensityMatrix(1, np.array([[0.5, bad], [bad, 0.5]]))
 
 
 def test_density_matrix_validation():
