@@ -32,13 +32,12 @@ from .protocol import (
     run_pair,
     sample,
 )
+from .statevec import ZERO_ATOL
 
 PAIRS = {
     "AT": (BaseCode("A"), BaseCode("T")),
     "GC": (BaseCode("G"), BaseCode("C")),
 }
-
-_AMP_TOL = 1e-12
 
 
 @dataclass
@@ -177,16 +176,8 @@ def cmd_verify(dump_reference: bool = False, v_gate: Gate | None = None) -> tupl
             {
                 "pair": pair,
                 "overall": report.overall,
-                "checks": [
-                    {
-                        "name": c.name,
-                        "expected": c.expected,
-                        "actual": c.actual,
-                        "tolerance": c.tolerance,
-                        "passed": c.passed,
-                    }
-                    for c in report.checks
-                ],
+                # Check's five fields, uncopied (asdict deep-copies every value).
+                "checks": [vars(c) for c in report.checks],
             }
         )
     doc = {"reference_version": reference.REFERENCE_VERSION, "overall": overall, "reports": reports}
@@ -198,7 +189,7 @@ def _state_entry(label: str, state) -> dict:
     amps = [
         {"ket": format(i, f"0{n}b"), "re": amp.real, "im": amp.imag}
         for i, amp in enumerate(state.amplitudes)
-        if abs(amp) > _AMP_TOL
+        if abs(amp) > ZERO_ATOL
     ]
     return {"label": label, "num_qubits": n, "amplitudes": amps}
 

@@ -8,7 +8,7 @@ The Bell labeling convention is frozen here and referenced everywhere else:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,20 +29,13 @@ class Gate:
 
     name: str
     matrix: np.ndarray
-    arity: int = 0
+    arity: int = field(init=False)
 
     def __post_init__(self) -> None:
         mat = np.asarray(self.matrix, dtype=complex).copy()
-        if mat.shape == (2, 2):
-            arity = 1
-        elif mat.shape == (4, 4):
-            arity = 2
-        elif mat.shape == (8, 8):
-            arity = 3
-        else:
+        arity = {(2, 2): 1, (4, 4): 2, (8, 8): 3}.get(mat.shape)
+        if arity is None:
             raise ValueError(f"gate matrix must be 2x2, 4x4, or 8x8, got {mat.shape}")
-        if self.arity and self.arity != arity:
-            raise ValueError(f"declared arity {self.arity} does not match matrix")
         if not np.all(np.isfinite(mat)):
             raise ValueError(f"gate {self.name!r} has a non-finite entry")
         dev = np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))

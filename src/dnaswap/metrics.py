@@ -12,10 +12,8 @@ from typing import Iterable
 import numpy as np
 
 from .protocol import CanonicalRow, Ensemble, canonical_table
-from .statevec import DensityMatrix, StateVector, reduced_density
+from .statevec import ZERO_ATOL, DensityMatrix, StateVector, reduced_density
 from . import reference
-
-_EIG_FLOOR = 1e-12
 
 _YY = np.array(
     [
@@ -35,14 +33,14 @@ def entanglement_entropy(s: StateVector, cut: Iterable[int]) -> float:
         raise ValueError("cut must be a non-empty strict subset of the qubits")
     rho = reduced_density(s, cut)
     eigs = np.linalg.eigvalsh(rho.matrix)
-    eigs = eigs[eigs > _EIG_FLOOR]
+    eigs = eigs[eigs > ZERO_ATOL]
     return float(-np.sum(eigs * np.log2(eigs)))
 
 
 def concurrence(rho: DensityMatrix) -> float:
     """Wootters concurrence of a 2-qubit density matrix, in [0, 1].
 
-    Eigenvalues of rho * rho_tilde below 1e-12 are treated as exact zeros;
+    Eigenvalues of rho * rho_tilde below ``ZERO_ATOL`` are treated as exact zeros;
     without the floor, solver noise on zero eigenvalues of pure-state
     inputs would leak into the square roots.
     """
@@ -51,13 +49,13 @@ def concurrence(rho: DensityMatrix) -> float:
     m = rho.matrix
     r = m @ _YY @ m.conj() @ _YY
     eigs = np.linalg.eigvals(r).real
-    eigs[eigs < _EIG_FLOOR] = 0.0
+    eigs[eigs < ZERO_ATOL] = 0.0
     lams = np.sqrt(eigs)
     lams[::-1].sort()
     return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))
 
 
-def hamming_support(s: StateVector, tol: float = 1e-12) -> set[int]:
+def hamming_support(s: StateVector, tol: float = ZERO_ATOL) -> set[int]:
     """Hamming weights of the basis kets carrying amplitude above ``tol``."""
     return {
         int(i).bit_count()

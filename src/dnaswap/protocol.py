@@ -5,9 +5,10 @@ Pipeline for a template/incoming base pair:
 1. Each base's 3-qubit pairing face is promoted from its initial basis ket
    to a tautomer superposition by the recognition unitary U. Only U's four
    columns at the initial kets matter, so recognition reads them directly.
-2. The two 3-qubit states are tensored and the register is interleaved so
-   that bonded atom pairs sit next to each other: template qubits land on
-   positions (1, 3, 5), incoming qubits on (2, 4, 6).
+2. The two 3-qubit states are laid side by side so that bonded atom pairs
+   sit next to each other: template qubits land on positions (1, 3, 5),
+   incoming qubits on (2, 4, 6). This is one fixed gather of the Kronecker
+   product of the two recognition targets.
 3. The swap protocol S runs: the entangler V on qubits (3, 5); a Bell
    measurement on (3, 4); on outcome b00/b10, Pauli-X on qubits 4 and 5;
    a Bell measurement on (1, 2); on outcome b00/b10, Pauli-X on 2 and 5.
@@ -35,7 +36,7 @@ import numpy as np
 
 from .encodings import BaseCode, UnsupportedEncodingError, wc_initial_pattern
 from .gates import BELL_LABELS, BellLabel, Gate, bell_basis, equality_entangler
-from .statevec import NORM_ATOL, PRUNE_DEFAULT, StateVector, _readonly, permute_qubits, tensor
+from .statevec import NORM_ATOL, PRUNE_DEFAULT, ZERO_ATOL, StateVector, _readonly
 
 DEFAULT_THETA = math.acos(math.sqrt(2.0) / math.sqrt(3.0))
 DEFAULT_PHI = math.acos(1.0 / math.sqrt(2.0))
@@ -43,11 +44,15 @@ DEFAULT_PHI = math.acos(1.0 / math.sqrt(2.0))
 # New position i carries old qubit INTERLEAVE[i-1]: template (1,2,3) to
 # odd positions, incoming (4,5,6) to even positions.
 INTERLEAVE = (1, 4, 2, 5, 3, 6)
+# Entry k of the interleaved register reads entry _INTERLEAVE_INDEX[k] of the
+# product |t1 t2 t3 i1 i2 i3>: ``permute_qubits(., INTERLEAVE)`` as a gather.
+_INTERLEAVE_INDEX = _readonly(
+    np.arange(64).reshape([2] * 6).transpose(np.subtract(INTERLEAVE, 1)).reshape(-1)
+)
 
 _MERGE_ATOL = 1e-10
 _MASS_ATOL = 1e-10
 _IMAG_ATOL = 1e-9
-_ZERO_SNAP = 1e-12
 
 # ``sample`` reads the stream this many shots at a time.
 _SAMPLE_CHUNK = 1 << 16
@@ -88,15 +93,23 @@ class OutcomeBranch:
     state carries the corrected labels (k forced to 1 wherever a Pauli-X
     pair was applied). ``residual`` is the read-only, normalized 2x2
     amplitude array of qubits (5, 6) after the corrections, and
-    ``third_pair`` holds its amplitudes (a, b) of |01> and |10>.
+    ``third_pair`` holds its amplitudes (a, b) of |01> and |10>. A Pauli-X
+    pair fires on a raw outcome with k = 0, so ``x45_applied`` and
+    ``x25_applied`` are read off the labels.
     """
 
     bell_34: BellLabel
     bell_12: BellLabel
-    x45_applied: bool
-    x25_applied: bool
     probability: float
     residual: np.ndarray
+
+    @property
+    def x45_applied(self) -> bool:
+        return self.bell_34.k == 0
+
+    @property
+    def x25_applied(self) -> bool:
+        return self.bell_12.k == 0
 
     @property
     def third_pair(self) -> tuple[complex, complex]:
@@ -238,9 +251,10 @@ def assemble_pair(
         )
     if (template.base, incoming.base) not in _SUPPORTED_PAIRS:
         raise ValueError(f"unsupported pairing {template}.{incoming}")
-    cfg = cfg or ProtocolConfig()
-    product = tensor(recognize(template, cfg), recognize(incoming, cfg))
-    return permute_qubits(product, INTERLEAVE)
+    targets = recognition_targets(cfg or ProtocolConfig())
+    x = targets[wc_initial_pattern(template).bits]
+    y = targets[wc_initial_pattern(incoming).bits]
+    return StateVector(6, np.kron(x, y)[_INTERLEAVE_INDEX])
 
 
 def _instrument(v: np.ndarray) -> np.ndarray:
@@ -314,8 +328,6 @@ def swap(
         OutcomeBranch(
             bell_34=BELL_LABELS[i >> 2],
             bell_12=BELL_LABELS[i & 3],
-            x45_applied=BELL_LABELS[i >> 2].k == 0,
-            x25_applied=BELL_LABELS[i & 3].k == 0,
             probability=float(probs[i]),
             residual=residual[i],
         )
@@ -346,17 +358,17 @@ def canonical_table(e: Ensemble) -> list[CanonicalRow]:
     grouped: dict[tuple[int, int], list[list[float]]] = {}
     for br in e.branches:
         a, b = br.third_pair
-        if abs(a) > _ZERO_SNAP:
+        if abs(a) > ZERO_ATOL:
             phase = a / abs(a)
-        elif abs(b) > _ZERO_SNAP:
+        elif abs(b) > ZERO_ATOL:
             phase = b / abs(b)
         else:
             phase = 1.0
         an, bn = a / phase, b / phase
         if abs(an.imag) > _IMAG_ATOL or abs(bn.imag) > _IMAG_ATOL:
             raise ValueError("third-pair amplitudes have a non-real relative phase")
-        af = 0.0 if abs(an.real) < _ZERO_SNAP else float(an.real)
-        bf = 0.0 if abs(bn.real) < _ZERO_SNAP else float(bn.real)
+        af = 0.0 if abs(an.real) < ZERO_ATOL else float(an.real)
+        bf = 0.0 if abs(bn.real) < ZERO_ATOL else float(bn.real)
         rows = grouped.setdefault(br.group, [])
         for row in rows:
             if abs(row[0] - af) <= _MERGE_ATOL and abs(row[1] - bf) <= _MERGE_ATOL:

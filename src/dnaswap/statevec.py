@@ -21,6 +21,10 @@ if TYPE_CHECKING:
 
 NORM_ATOL = 1e-12
 PRUNE_DEFAULT = 1e-14
+# An amplitude or eigenvalue within this of zero counts as zero.
+ZERO_ATOL = 1e-12
+# A density matrix may have eigenvalues down to -PSD_ATOL (solver noise).
+PSD_ATOL = 1e-10
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -109,7 +113,7 @@ class DensityMatrix:
             raise ValueError("density matrix is not Hermitian")
         if abs(np.trace(mat).real - 1.0) > NORM_ATOL or abs(np.trace(mat).imag) > NORM_ATOL:
             raise ValueError(f"trace must be 1, got {np.trace(mat)}")
-        if np.min(np.linalg.eigvalsh(mat)) < -1e-10:
+        if np.min(np.linalg.eigvalsh(mat)) < -PSD_ATOL:
             raise ValueError("density matrix has a negative eigenvalue")
         self.matrix = _readonly(mat)
 

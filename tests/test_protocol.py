@@ -11,11 +11,17 @@ from hypothesis import strategies as st
 
 import _oracle as oracle
 from dnaswap import protocol
-from dnaswap.encodings import BaseCode, UnsupportedEncodingError, wc_initial_state
+from dnaswap.encodings import (
+    BaseCode,
+    UnsupportedEncodingError,
+    wc_initial_pattern,
+    wc_initial_state,
+)
 from dnaswap.gates import BELL_LABELS, BellLabel, Gate, bell_basis, equality_entangler, pauli
 from dnaswap.protocol import (
     DEFAULT_PHI,
     DEFAULT_THETA,
+    INTERLEAVE,
     ProtocolConfig,
     assemble_pair,
     build_recognition_unitary,
@@ -26,7 +32,14 @@ from dnaswap.protocol import (
     sample,
     swap,
 )
-from dnaswap.statevec import apply_unitary, basis_state, measure_two_qubit
+from dnaswap.statevec import (
+    StateVector,
+    apply_unitary,
+    basis_state,
+    measure_two_qubit,
+    permute_qubits,
+    tensor,
+)
 
 A, T, G, C = (BaseCode(b) for b in "ATGC")
 S2, S3 = math.sqrt(2.0), math.sqrt(3.0)
@@ -214,6 +227,44 @@ def test_assemble_rejects_rare_tautomers(cfg):
 def test_assemble_accepts_both_orientations(cfg):
     assert assemble_pair(T, A, cfg).num_qubits == 6
     assert assemble_pair(C, G, cfg).num_qubits == 6
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    theta=st.floats(allow_nan=False, allow_infinity=False),
+    phi=st.floats(allow_nan=False, allow_infinity=False),
+    pair=st.sampled_from([(A, T), (T, A), (G, C), (C, G)]),
+)
+def test_assembly_is_the_interleaved_product_of_the_recognized_faces(theta, phi, pair):
+    cfg = ProtocolConfig(theta=theta, phi=phi)
+    template, incoming = pair
+    got = assemble_pair(template, incoming, cfg).amplitudes
+    product = tensor(recognize(template, cfg), recognize(incoming, cfg))
+    assert np.array_equal(got, permute_qubits(product, INTERLEAVE).amplitudes)
+    targets = recognition_targets(cfg)
+    x = targets[wc_initial_pattern(template).bits]
+    y = targets[wc_initial_pattern(incoming).bits]
+    assert np.array_equal(got, oracle.interleave(np.kron(x, y)))
+
+
+def test_run_pair_builds_one_state_and_reads_the_targets_once(monkeypatch):
+    calls = {"states": 0, "targets": 0}
+    post_init, targets = StateVector.__post_init__, protocol.recognition_targets
+
+    def counted_post_init(self):
+        calls["states"] += 1
+        post_init(self)
+
+    def counted_targets(cfg):
+        calls["targets"] += 1
+        return targets(cfg)
+
+    monkeypatch.setattr(StateVector, "__post_init__", counted_post_init)
+    monkeypatch.setattr(protocol, "recognition_targets", counted_targets)
+    for template, incoming in ((A, T), (G, C)):
+        calls.update(states=0, targets=0)
+        run_pair(template, incoming)
+        assert calls == {"states": 1, "targets": 1}
 
 
 # --- swap enumeration ---
