@@ -1,9 +1,11 @@
 """Command-line surface: run the protocol, verify, inspect, recognize.
 
 Exit codes are a stable contract: 0 success, 1 verification failure,
-2 usage or input error. JSON output is deterministic: keys sorted, floats
-quantized to 15 significant digits so that parse/re-serialize round-trips
-are byte-identical. CSV uses RFC-4180 line endings and quoting.
+2 usage or input error, 141 stdout closed by its reader before the output
+was written (128 + SIGPIPE, as a shell reports a tool that SIGPIPE ends).
+JSON output is deterministic: keys sorted, floats quantized to 15
+significant digits so that parse/re-serialize round-trips are
+byte-identical. CSV uses RFC-4180 line endings and quoting.
 """
 from __future__ import annotations
 
@@ -11,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -22,7 +25,6 @@ from .encodings import (
     recognition_matches,
     wc_initial_state,
 )
-from .gates import Gate
 from .metrics import verify_against_reference
 from .protocol import (
     Ensemble,
@@ -118,10 +120,10 @@ def _canonical_rows(e: Ensemble) -> list[list]:
     ]
 
 
-def cmd_run(req: RunRequest, v_gate: Gate | None = None) -> str:
+def cmd_run(req: RunRequest) -> str:
     template, incoming = PAIRS[req.pair]
     if req.mode == "exact":
-        ens = run_pair(template, incoming, v_gate=v_gate)
+        ens = run_pair(template, incoming)
         if req.fmt == "json":
             return to_json(ensemble_doc(req.pair, ens))
         rows = _canonical_rows(ens)
@@ -163,14 +165,14 @@ def cmd_run(req: RunRequest, v_gate: Gate | None = None) -> str:
     return "\n".join(lines)
 
 
-def cmd_verify(dump_reference: bool = False, v_gate: Gate | None = None) -> tuple[str, int]:
+def cmd_verify(dump_reference: bool = False) -> tuple[str, int]:
     if dump_reference:
         return to_json(reference.dump()), 0
     reports = []
     overall = True
     for pair in ("AT", "GC"):
         template, incoming = PAIRS[pair]
-        report = verify_against_reference(run_pair(template, incoming, v_gate=v_gate))
+        report = verify_against_reference(run_pair(template, incoming))
         overall = overall and report.overall
         reports.append(
             {
@@ -289,6 +291,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
+    code = 0
     if args.command == "run":
         req = RunRequest(pair=args.pair, mode=args.mode, shots=args.shots,
                          seed=args.seed, fmt=args.fmt)
@@ -296,24 +299,27 @@ def main(argv: list[str] | None = None) -> int:
         if problem is not None:
             print(f"error: {problem}", file=sys.stderr)
             return 2
-        print(cmd_run(req))
-        return 0
-
-    if args.command == "verify":
+        out = cmd_run(req)
+    elif args.command == "verify":
         out, code = cmd_verify(dump_reference=args.dump_reference)
-        print(out)
-        return code
-
-    if args.command == "inspect":
-        print(cmd_inspect(args.pair, args.stage))
-        return 0
-
-    # recognize
-    if len(args.pattern) != 2 or any(c not in "01" for c in args.pattern):
+    elif args.command == "inspect":
+        out = cmd_inspect(args.pair, args.stage)
+    elif len(args.pattern) != 2 or any(c not in "01" for c in args.pattern):
         print(f"error: --pattern must be 2 bits, got {args.pattern!r}", file=sys.stderr)
         return 2
-    print(cmd_recognize(args.pattern, args.tautomers))
-    return 0
+    else:
+        out = cmd_recognize(args.pattern, args.tautomers)
+    try:
+        print(out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone (``dnaswap verify | head -1``). Send what is still
+        # buffered to devnull so the interpreter's final flush stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
+    return code
 
 
 if __name__ == "__main__":

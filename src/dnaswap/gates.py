@@ -12,9 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .statevec import StateVector, _readonly
-
-UNITARY_ATOL = 1e-12
+from .statevec import NORM_ATOL, StateVector, _readonly
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -39,7 +37,7 @@ class Gate:
         if not np.all(np.isfinite(mat)):
             raise ValueError(f"gate {self.name!r} has a non-finite entry")
         dev = np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))
-        if dev > UNITARY_ATOL:
+        if dev > NORM_ATOL:
             raise ValueError(f"gate {self.name!r} is not unitary (deviation {dev:.3e})")
         self.arity = arity
         self.matrix = _readonly(mat)

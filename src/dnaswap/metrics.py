@@ -6,12 +6,12 @@ proton-count bookkeeping of the protocol assertable.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .protocol import CanonicalRow, Ensemble, canonical_table
+from .protocol import Ensemble, canonical_table
 from .statevec import ZERO_ATOL, DensityMatrix, StateVector, reduced_density
 from . import reference
 
@@ -78,77 +78,27 @@ class VerificationReport:
     """Comparison of one ensemble against the frozen reference tables."""
 
     pair: str
-    checks: list[Check] = field(default_factory=list)
+    checks: list[Check]
 
     @property
     def overall(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def add(self, name: str, expected, actual, tolerance: float, passed: bool) -> None:
-        self.checks.append(Check(name, expected, actual, tolerance, passed))
 
+def _passes(expected, actual, tolerance: float) -> bool:
+    """A missing value fails; each number must be within ``tolerance``.
 
-def _row_map(rows: list[CanonicalRow]) -> dict[tuple[tuple[int, int], int], CanonicalRow]:
-    return {(row.group, row.rank): row for row in rows}
-
-
-def _verify_at(report: VerificationReport, rows: list[CanonicalRow]) -> None:
-    report.add("row_count", 4, len(rows), 0.0, len(rows) == 4)
-    by_group = _row_map(rows)
-    for group in reference.GROUPS:
-        name = f"class[{group[0]}{group[1]}]"
-        row = by_group.get((group, 1))
-        p_ref = reference.AT_CLASS_P[group]
-        p_exact = reference.AT_CLASS_P_EXACT[group]
-        a_ref, b_ref = reference.AT_THIRD_PAIR
-        if row is None:
-            report.add(name, (a_ref, b_ref, p_ref), None, reference.COARSE_TOL, False)
-            report.add(name + ".exact_p", p_exact, None, reference.EXACT_TOL, False)
-            continue
-        ok = (
-            abs(row.a - a_ref) <= reference.COARSE_TOL
-            and abs(row.b - b_ref) <= reference.COARSE_TOL
-            and abs(row.probability - p_ref) <= reference.COARSE_TOL
-        )
-        report.add(name, (a_ref, b_ref, p_ref), (row.a, row.b, row.probability),
-                   reference.COARSE_TOL, ok)
-        ok_exact = abs(row.probability - p_exact) <= reference.EXACT_TOL
-        report.add(name + ".exact_p", p_exact, row.probability, reference.EXACT_TOL, ok_exact)
-
-
-def _verify_gc(report: VerificationReport, rows: list[CanonicalRow]) -> None:
-    report.add("row_count", 16, len(rows), 0.0, len(rows) == 16)
-    by_group = _row_map(rows)
-    total = 0.0
-    for group in reference.GROUPS:
-        group_rows = [r for r in rows if r.group == group]
-        group_p = sum(r.probability for r in group_rows)
-        total += group_p
-        report.add(
-            f"group_p_sum[{group[0]}{group[1]}]", 0.25, group_p,
-            reference.EXACT_TOL, abs(group_p - 0.25) <= reference.EXACT_TOL,
-        )
-        for rank, (a_ref, b_ref, p_ref) in enumerate(
-            reference.gc_normalized_rows(group), start=1
-        ):
-            name = f"row[{group[0]}{group[1]},l={rank}]"
-            row = by_group.get((group, rank))
-            if row is None:
-                report.add(name, (a_ref, b_ref, p_ref), None, reference.COARSE_TOL, False)
-                continue
-            ok = (
-                abs(row.a - a_ref) <= reference.COARSE_TOL
-                and abs(row.b - b_ref) <= reference.COARSE_TOL
-                and abs(row.probability - p_ref) <= reference.COARSE_TOL
-            )
-            report.add(name, (a_ref, b_ref, p_ref), (row.a, row.b, row.probability),
-                       reference.COARSE_TOL, ok)
-    report.add("total_p", 1.0, total, reference.EXACT_TOL,
-               abs(total - 1.0) <= reference.EXACT_TOL)
+    Written so that NaN fails: every comparison with NaN is False.
+    """
+    if actual is None:
+        return False
+    if not isinstance(expected, tuple):
+        expected, actual = (expected,), (actual,)
+    return all(abs(a - e) <= tolerance for e, a in zip(expected, actual, strict=True))
 
 
 def verify_against_reference(e: Ensemble) -> VerificationReport:
-    """Check an ensemble's canonical table against the frozen references."""
+    """Judge every check ``reference.expectations`` states by ``_passes``."""
     if e.pair is None:
         raise ValueError("ensemble carries no pair label")
     template, incoming = e.pair
@@ -157,10 +107,8 @@ def verify_against_reference(e: Ensemble) -> VerificationReport:
     key = template.base + incoming.base
     if key not in ("AT", "GC"):
         raise ValueError(f"no reference data for pair {template}.{incoming}")
-    rows = canonical_table(e)
-    report = VerificationReport(pair=key)
-    if key == "AT":
-        _verify_at(report, rows)
-    else:
-        _verify_gc(report, rows)
-    return report
+    checks = [
+        Check(name, expected, actual, tol, _passes(expected, actual, tol))
+        for name, expected, actual, tol in reference.expectations(key, canonical_table(e))
+    ]
+    return VerificationReport(pair=key, checks=checks)

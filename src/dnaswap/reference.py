@@ -10,6 +10,10 @@ happen after the same phase normalization that ``canonical_table`` applies
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING, Iterator, Sequence
+
+if TYPE_CHECKING:
+    from .protocol import CanonicalRow
 
 REFERENCE_VERSION = "1"
 
@@ -64,9 +68,34 @@ def _normalize(a: float, b: float) -> tuple[float, float]:
     return a, b
 
 
-def gc_normalized_rows(group: tuple[int, int]) -> list[tuple[float, float, float]]:
-    """Reference rows of one group after phase normalization."""
-    return [(*_normalize(a, b), p) for a, b, p in GC_TABLE[group]]
+def expectations(key: str, rows: Sequence[CanonicalRow]) -> Iterator[tuple]:
+    """Yield ``(name, expected, actual, tolerance)`` for every check of one pair.
+
+    ``rows`` is the pair's canonical table; a number or an ``(a, b, P)``
+    triple is checked against its reference, and ``actual`` is None where
+    the table has no row for a reference entry.
+    """
+    slots = {(r.group, r.rank): (r.a, r.b, r.probability) for r in rows}
+    if key == "AT":
+        yield "row_count", 4, len(rows), 0.0
+        for j, m in GROUPS:
+            row = slots.get(((j, m), 1))
+            yield f"class[{j}{m}]", (*AT_THIRD_PAIR, AT_CLASS_P[(j, m)]), row, COARSE_TOL
+            yield (f"class[{j}{m}].exact_p", AT_CLASS_P_EXACT[(j, m)],
+                   None if row is None else row[2], EXACT_TOL)
+    elif key == "GC":
+        yield "row_count", 16, len(rows), 0.0
+        total = 0.0
+        for j, m in GROUPS:
+            group_p = sum(r.probability for r in rows if r.group == (j, m))
+            total += group_p
+            yield f"group_p_sum[{j}{m}]", 0.25, group_p, EXACT_TOL
+            for rank, (a, b, p) in enumerate(GC_TABLE[(j, m)], start=1):
+                yield (f"row[{j}{m},l={rank}]", (*_normalize(a, b), p),
+                       slots.get(((j, m), rank)), COARSE_TOL)
+        yield "total_p", 1.0, total, EXACT_TOL
+    else:
+        raise ValueError(f"no reference data for pair {key!r}")
 
 
 def dump() -> dict:

@@ -25,6 +25,12 @@ PRUNE_DEFAULT = 1e-14
 ZERO_ATOL = 1e-12
 # A density matrix may have eigenvalues down to -PSD_ATOL (solver noise).
 PSD_ATOL = 1e-10
+# Canonical rows closer than MERGE_ATOL in a and b merge; branch probabilities
+# plus dropped mass must sum to 1 within MASS_ATOL.
+MERGE_ATOL = 1e-10
+MASS_ATOL = 1e-10
+# Phase-normalized third-pair amplitudes must be real within IMAG_ATOL.
+IMAG_ATOL = 1e-9
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -57,17 +63,6 @@ class StateVector:
     def as_tensor(self) -> np.ndarray:
         """View the amplitudes as an n-axis tensor, one axis per qubit."""
         return self.amplitudes.reshape([2] * self.num_qubits)
-
-    def amplitude(self, bits: str | Sequence[int]) -> complex:
-        """Amplitude of the basis ket given as a bitstring or bit sequence."""
-        if isinstance(bits, str):
-            bits = [int(c) for c in bits]
-        if len(bits) != self.num_qubits:
-            raise ValueError(f"expected {self.num_qubits} bits, got {len(bits)}")
-        idx = 0
-        for b in bits:
-            idx = (idx << 1) | (b & 1)
-        return complex(self.amplitudes[idx])
 
 
 def basis_state(bits: str | Sequence[int]) -> StateVector:

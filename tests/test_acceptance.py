@@ -37,6 +37,7 @@ from dnaswap.protocol import (
     sample,
     swap,
 )
+from dnaswap import protocol
 from dnaswap.cli import cmd_verify
 from dnaswap.statevec import (
     StateVector,
@@ -259,11 +260,12 @@ def test_criterion_9_property_suite(cfg):
     _passed(9, "unitarity, measurement completeness, permutation composition")
 
 
-def test_criterion_10_cli_verify_contract():
+def test_criterion_10_cli_verify_contract(monkeypatch):
     proc = subprocess.run(
         [sys.executable, "-m", "dnaswap", "verify"], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    _, code = cmd_verify(v_gate=Gate("V_id", np.eye(4, dtype=complex)))
+    monkeypatch.setattr(protocol, "_K", protocol._instrument(np.eye(4, dtype=complex)))
+    _, code = cmd_verify()
     assert code == 1
     _passed(10, "verify exits 0 on the reference build, 1 with a broken entangler")

@@ -5,12 +5,14 @@ import csv
 import io
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from dnaswap import protocol
 from dnaswap.cli import RunRequest, cmd_verify, main, to_json
-from dnaswap.gates import Gate
 
 
 def run_cli(capsys, argv: list[str]) -> tuple[int, str, str]:
@@ -164,8 +166,9 @@ def test_verify_passes_on_the_reference_build(capsys):
         assert {"name", "expected", "actual", "tolerance", "passed"} <= set(check)
 
 
-def test_verify_with_identity_entangler_fails():
-    out, code = cmd_verify(v_gate=Gate("V_id", np.eye(4, dtype=complex)))
+def test_verify_with_identity_entangler_fails(monkeypatch):
+    monkeypatch.setattr(protocol, "_K", protocol._instrument(np.eye(4, dtype=complex)))
+    out, code = cmd_verify()
     assert code == 1
     doc = json.loads(out)
     assert doc["overall"] is False
@@ -180,6 +183,18 @@ def test_verify_dump_reference(capsys):
     assert doc["version"]
     assert len(doc["gc"]["rows"]) == 16
     assert len(doc["at"]["classes"]) == 4
+
+
+def test_verify_into_a_closed_pipe_exits_141_quietly():
+    # ``dnaswap verify | head -1`` when head exits first: the reader's end is
+    # closed before the child writes. That is not a verification failure.
+    proc = subprocess.Popen([sys.executable, "-m", "dnaswap", "verify"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b"", err.decode()  # no BrokenPipeError traceback
 
 
 # --- inspect ---

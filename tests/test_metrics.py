@@ -10,6 +10,7 @@ import pytest
 from dnaswap.encodings import BaseCode
 from dnaswap.gates import BellLabel, bell_state
 from dnaswap.metrics import (
+    _passes,
     concurrence,
     entanglement_entropy,
     hamming_support,
@@ -158,6 +159,51 @@ def test_perturbed_probability_fails_with_named_check(gc_ensemble):
     failed = [c.name for c in report.checks if not c.passed]
     assert failed
     assert any(name.startswith("row[") for name in failed)
+
+
+def _without(ens, branches):
+    """The ensemble with ``branches`` removed and their mass moved to dropped_mass."""
+    lost = sum(b.probability for b in branches)
+    kept = [b for b in ens.branches if all(b is not x for x in branches)]
+    return replace(ens, branches=kept, dropped_mass=ens.dropped_mass + lost)
+
+
+def test_at_missing_class_fails_only_its_checks(at_ensemble):
+    report = verify_against_reference(
+        _without(at_ensemble, [b for b in at_ensemble.branches if b.group == (1, 1)])
+    )
+    assert [c.name for c in report.checks] == ["row_count"] + [
+        name for g in ("00", "01", "10", "11") for name in (f"class[{g}]", f"class[{g}].exact_p")
+    ]
+    failed = [c for c in report.checks if not c.passed]
+    assert [c.name for c in failed] == ["row_count", "class[11]", "class[11].exact_p"]
+    assert failed[1].actual is None and failed[2].actual is None
+
+
+def test_gc_missing_branch_fails_its_groups_last_row(gc_ensemble):
+    gone = gc_ensemble.branches[0]
+    report = verify_against_reference(_without(gc_ensemble, [gone]))
+    assert len(report.checks) == 22
+    j, m = gone.group
+    (last,) = [c for c in report.checks if c.name == f"row[{j}{m},l=4]"]
+    assert last.actual is None and not last.passed
+
+
+@pytest.mark.parametrize(
+    "expected, actual, tol, passed",
+    [
+        (4, 4, 0.0, True),
+        (0.25, 0.5, 0.25, True),  # exactly at the tolerance
+        ((0.0, 1.0, 0.5), (0.25, 0.75, 0.75), 0.25, True),
+        ((0.0, 1.0, 0.5), (0.25, 0.75, math.nextafter(0.75, 1.0)), 0.25, False),
+        (0.25, None, 0.25, False),
+        ((0.0, 1.0, 0.5), None, 0.25, False),
+        (0.25, math.nan, 0.25, False),
+        ((0.0, 1.0, 0.5), (0.0, math.nan, 0.5), 0.25, False),
+    ],
+)
+def test_pass_rule(expected, actual, tol, passed):
+    assert _passes(expected, actual, tol) is passed
 
 
 def test_verification_rejects_unlabeled_or_unknown_pairs(at_state, cfg):
