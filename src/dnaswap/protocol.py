@@ -36,8 +36,7 @@ import numpy as np
 
 from .encodings import BaseCode, UnsupportedEncodingError, wc_initial_pattern
 from .gates import BELL_LABELS, BellLabel, Gate, bell_basis, equality_entangler
-from .statevec import IMAG_ATOL, MASS_ATOL, MERGE_ATOL, NORM_ATOL, PRUNE_DEFAULT, ZERO_ATOL
-from .statevec import StateVector, _readonly
+from .statevec import NORM_ATOL, PRUNE_DEFAULT, ZERO_ATOL, StateVector, _readonly
 
 DEFAULT_THETA = math.acos(math.sqrt(2.0) / math.sqrt(3.0))
 DEFAULT_PHI = math.acos(1.0 / math.sqrt(2.0))
@@ -50,6 +49,10 @@ INTERLEAVE = (1, 4, 2, 5, 3, 6)
 _INTERLEAVE_INDEX = _readonly(
     np.arange(64).reshape([2] * 6).transpose(np.subtract(INTERLEAVE, 1)).reshape(-1)
 )
+
+_MERGE_ATOL = 1e-10
+_MASS_ATOL = 1e-10
+_IMAG_ATOL = 1e-9
 
 # ``sample`` reads the stream this many shots at a time.
 _SAMPLE_CHUNK = 1 << 16
@@ -154,7 +157,7 @@ class Ensemble:
         if len(self.branches) > 16:
             raise ValueError(f"at most 16 branches possible, got {len(self.branches)}")
         total = sum(b.probability for b in self.branches) + self.dropped_mass
-        if not abs(total - 1.0) <= MASS_ATOL:
+        if not abs(total - 1.0) <= _MASS_ATOL:
             raise ValueError(f"branch probabilities + dropped mass must be 1, got {total}")
 
 
@@ -337,12 +340,11 @@ def run_pair(
     template: BaseCode,
     incoming: BaseCode,
     cfg: ProtocolConfig | None = None,
-    v_gate: Gate | None = None,
 ) -> Ensemble:
     """Assemble a pair and run the swap, labeling the resulting ensemble."""
     cfg = cfg or ProtocolConfig()
     state = assemble_pair(template, incoming, cfg)
-    return swap(state, cfg, pair=(template, incoming), v_gate=v_gate)
+    return swap(state, cfg, pair=(template, incoming))
 
 
 def canonical_table(e: Ensemble) -> list[CanonicalRow]:
@@ -362,13 +364,13 @@ def canonical_table(e: Ensemble) -> list[CanonicalRow]:
         else:
             phase = 1.0
         an, bn = a / phase, b / phase
-        if abs(an.imag) > IMAG_ATOL or abs(bn.imag) > IMAG_ATOL:
+        if abs(an.imag) > _IMAG_ATOL or abs(bn.imag) > _IMAG_ATOL:
             raise ValueError("third-pair amplitudes have a non-real relative phase")
         af = 0.0 if abs(an.real) < ZERO_ATOL else float(an.real)
         bf = 0.0 if abs(bn.real) < ZERO_ATOL else float(bn.real)
         rows = grouped.setdefault(br.group, [])
         for row in rows:
-            if abs(row[0] - af) <= MERGE_ATOL and abs(row[1] - bf) <= MERGE_ATOL:
+            if abs(row[0] - af) <= _MERGE_ATOL and abs(row[1] - bf) <= _MERGE_ATOL:
                 row[2] += br.probability
                 break
         else:

@@ -25,12 +25,6 @@ PRUNE_DEFAULT = 1e-14
 ZERO_ATOL = 1e-12
 # A density matrix may have eigenvalues down to -PSD_ATOL (solver noise).
 PSD_ATOL = 1e-10
-# Canonical rows closer than MERGE_ATOL in a and b merge; branch probabilities
-# plus dropped mass must sum to 1 within MASS_ATOL.
-MERGE_ATOL = 1e-10
-MASS_ATOL = 1e-10
-# Phase-normalized third-pair amplitudes must be real within IMAG_ATOL.
-IMAG_ATOL = 1e-9
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
