@@ -28,7 +28,6 @@ from .encodings import (
 from .metrics import verify_against_reference
 from .protocol import (
     Ensemble,
-    ProtocolConfig,
     assemble_pair,
     canonical_table,
     run_pair,
@@ -138,8 +137,7 @@ def cmd_run(req: RunRequest) -> str:
         lines.append(f"dropped_mass {ens.dropped_mass:.3e}")
         return "\n".join(lines)
 
-    state = assemble_pair(template, incoming)
-    counts = sample(state, ProtocolConfig(), shots=req.shots, seed=req.seed)
+    counts = sample(run_pair(template, incoming), shots=req.shots, seed=req.seed)
     entries = [
         {"bell_34": l34.text, "bell_12": l12.text, "count": c}
         for (l34, l12), c in counts.items()

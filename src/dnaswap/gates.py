@@ -86,10 +86,6 @@ def sp(theta: float) -> Gate:
     return Gate(f"SP({theta:.6g})", np.array([[c, s], [s, -c]], dtype=complex))
 
 
-def hadamard() -> Gate:
-    return sp(math.pi / 4)
-
-
 def pauli(which: str) -> Gate:
     if which == "X":
         return Gate("X", np.array([[0, 1], [1, 0]], dtype=complex))

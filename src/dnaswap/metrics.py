@@ -55,12 +55,12 @@ def concurrence(rho: DensityMatrix) -> float:
     return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))
 
 
-def hamming_support(s: StateVector, tol: float = ZERO_ATOL) -> set[int]:
-    """Hamming weights of the basis kets carrying amplitude above ``tol``."""
+def hamming_support(s: StateVector) -> set[int]:
+    """Hamming weights of the basis kets carrying amplitude above ``ZERO_ATOL``."""
     return {
         int(i).bit_count()
         for i, amp in enumerate(s.amplitudes)
-        if abs(amp) > tol
+        if abs(amp) > ZERO_ATOL
     }
 
 

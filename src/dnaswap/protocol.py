@@ -17,12 +17,12 @@ S is a fixed linear instrument: a 64x64 matrix K, built once at import,
 that maps the register to the unnormalized (5, 6) residual of each of the
 16 (l34, l12) outcome pairs. ``swap`` enumerates every measurement
 trajectory exactly with one product ``K @ psi``. Trajectories of
-probability 0 or below the pruning threshold are dropped, and
-``dropped_mass`` is their summed probability. A kept branch holds its 2x2
-residual; its 6-qubit final state is built only when read. ``sample``
-re-draws the same trajectories stochastically from a counter-based seeded
-stream. It reads the stream in fixed chunks of raw 53-bit words and picks
-outcomes by exact integer thresholds, so its memory is O(chunk), not
+probability 0 or below ``PRUNE_DEFAULT`` are dropped, and ``dropped_mass``
+is their summed probability. A kept branch holds its 2x2 residual; its
+6-qubit final state is built only when read. ``sample`` draws the
+trajectories of an exact ensemble stochastically from a counter-based
+seeded stream. It reads the stream in fixed chunks of raw 53-bit words and
+picks outcomes by exact integer thresholds, so its memory is O(chunk), not
 O(shots). A table over each word's top bits gives the outcome directly;
 ``searchsorted`` runs only on the words in a bucket that holds a threshold.
 """
@@ -65,7 +65,7 @@ _BUCKET_SHIFT = _WORD_BITS - _BUCKET_BITS
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Angles and thresholds; the defaults reproduce the reference tables.
+    """Recognition angles; the defaults reproduce the reference tables.
 
     ``phi`` fixes the equal-superposition amplitudes of the two-component
     recognition targets and ``theta`` splits the three-component ones; both
@@ -74,15 +74,10 @@ class ProtocolConfig:
 
     theta: float = DEFAULT_THETA
     phi: float = DEFAULT_PHI
-    prune_threshold: float = PRUNE_DEFAULT
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
             raise ValueError("theta and phi must be finite")
-        if not (math.isfinite(self.prune_threshold) and self.prune_threshold >= 0):
-            raise ValueError(
-                f"prune_threshold must be finite and >= 0, got {self.prune_threshold}"
-            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,13 +276,11 @@ _FLIP = np.array([(l34.k == 0) != (l12.k == 0) for l34 in BELL_LABELS for l12 in
 
 def swap(
     pair_state: StateVector,
-    cfg: ProtocolConfig | None = None,
     pair: tuple[BaseCode, BaseCode] | None = None,
-    v_gate: Gate | None = None,
 ) -> Ensemble:
     """Run the five-step protocol with exact branch enumeration.
 
-    The protocol is a fixed linear instrument K (``_instrument``), so all 16
+    The protocol is a fixed linear instrument K (``_K``), so all 16
     trajectories come from one product ``K @ psi``: ``coeff[l34, l12]`` is
     the unnormalized (5, 6) residual of outcome pair (l34, l12). The X
     corrections on qubits 2 and 4 only relabel the measured pairs as b_j1;
@@ -296,27 +289,17 @@ def swap(
 
     Branches are keyed by the raw (pre-correction) measurement outcomes, in
     ``BELL_LABELS`` order. A trajectory of probability 0 is never kept. A
-    (3,4) outcome below the pruning threshold is dropped, and so is a (1,2)
+    (3,4) outcome below ``PRUNE_DEFAULT`` is dropped, and so is a (1,2)
     outcome whose conditional probability is; ``dropped_mass`` is the summed
-    probability of the dropped trajectories. ``v_gate`` substitutes the
-    step-1 entangler (the protocol family is not unique; this is the
-    extension hook) and costs one K build per call.
+    probability of the dropped trajectories.
     """
-    cfg = cfg or ProtocolConfig()
     if pair_state.num_qubits != 6:
         raise ValueError(f"swap needs a 6-qubit register, got {pair_state.num_qubits}")
-    if v_gate is None:
-        k = _K
-    elif v_gate.arity != 2:
-        raise ValueError(f"gate {v_gate.name} has arity {v_gate.arity}, the entangler needs 2")
-    else:
-        k = _instrument(v_gate.matrix)
-
-    coeff = (k @ pair_state.amplitudes).reshape(16, 2, 2)
+    coeff = (_K @ pair_state.amplitudes).reshape(16, 2, 2)
     probs = np.sum(np.abs(coeff) ** 2, axis=(1, 2))
     p34 = np.repeat(probs.reshape(4, 4).sum(axis=1), 4)
     with np.errstate(divide="ignore", invalid="ignore"):
-        keep = (probs > 0) & (p34 >= cfg.prune_threshold) & (probs / p34 >= cfg.prune_threshold)
+        keep = (probs > 0) & (p34 >= PRUNE_DEFAULT) & (probs / p34 >= PRUNE_DEFAULT)
         residual = coeff / np.sqrt(probs)[:, None, None]
     residual[_FLIP] = residual[_FLIP, ::-1]
     residual = _readonly(residual)
@@ -342,9 +325,7 @@ def run_pair(
     cfg: ProtocolConfig | None = None,
 ) -> Ensemble:
     """Assemble a pair and run the swap, labeling the resulting ensemble."""
-    cfg = cfg or ProtocolConfig()
-    state = assemble_pair(template, incoming, cfg)
-    return swap(state, cfg, pair=(template, incoming))
+    return swap(assemble_pair(template, incoming, cfg), pair=(template, incoming))
 
 
 def canonical_table(e: Ensemble) -> list[CanonicalRow]:
@@ -416,12 +397,11 @@ def _guide(t: np.ndarray) -> np.ndarray:
 
 
 def sample(
-    pair_state: StateVector,
-    cfg: ProtocolConfig | None = None,
+    ensemble: Ensemble,
     shots: int = 1,
     seed: int = 0,
 ) -> dict[tuple[BellLabel, BellLabel], int]:
-    """Stochastic trajectory sampling of the two Bell measurements.
+    """Stochastic trajectory sampling of an exact ensemble's Bell measurements.
 
     Uses the counter-based Philox stream keyed by ``seed``; shot i consumes
     uniforms (2i, 2i+1), so counts are reproducible for a fixed
@@ -435,11 +415,9 @@ def sample(
     the second word among the chosen row's conditional thresholds. Both
     ranks come from a table indexed by the word's top ``_BUCKET_BITS`` bits
     (``_guide``); only words in a bucket that holds a threshold, about 0.1%
-    of them, are ranked by ``searchsorted``. ``shots`` must be below 2**63;
-    a ``ValueError`` names ``prune_threshold`` when it drops every
-    trajectory.
+    of them, are ranked by ``searchsorted``. ``shots`` must be below 2**63,
+    and the ensemble must have a branch.
     """
-    cfg = cfg or ProtocolConfig()
     shots = operator.index(shots)
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
@@ -448,12 +426,8 @@ def sample(
     seed = operator.index(seed)  # rejects 1.5 rather than truncating it
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must fit in 64 bits, got {seed}")
-
-    ensemble = swap(pair_state, cfg)
     if not ensemble.branches:
-        raise ValueError(
-            f"prune_threshold={cfg.prune_threshold} drops every trajectory; nothing to sample"
-        )
+        raise ValueError("the ensemble has no branches; nothing to sample")
     joint = np.zeros((4, 4))
     order = {label: i for i, label in enumerate(BELL_LABELS)}
     for br in ensemble.branches:

@@ -76,14 +76,6 @@ def basis_state(bits: str | Sequence[int]) -> StateVector:
     return StateVector(n, amps)
 
 
-def from_amplitudes(amps: Iterable[complex]) -> StateVector:
-    """Build a state from raw amplitudes; the length fixes the qubit count."""
-    arr = np.asarray(list(amps), dtype=complex)
-    if arr.size == 0 or arr.size & (arr.size - 1):
-        raise ValueError(f"amplitude count {arr.size} is not a power of two")
-    return StateVector(arr.size.bit_length() - 1, arr)
-
-
 @dataclass(eq=False)
 class DensityMatrix:
     """Hermitian, unit-trace, positive semidefinite matrix on ``num_qubits``."""

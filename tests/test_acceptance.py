@@ -17,7 +17,6 @@ from dnaswap.gates import (
     Gate,
     bell_basis,
     equality_entangler,
-    hadamard,
     pauli,
     rotation,
     sp,
@@ -138,12 +137,12 @@ def test_criterion_4_gc_canonical_table(gc_ensemble):
     _passed(4, "16 G.C rows match reference |a|, |b|, P at 0.01; sums exact at 1e-10")
 
 
-def test_criterion_5_proton_conservation(at_state, gc_state, cfg):
+def test_criterion_5_proton_conservation(at_state, gc_state):
     assert hamming_support(at_state) == {3}
     assert hamming_support(gc_state) == {3}
     weight_broken_intermediates = 0
     for state in (at_state, gc_state):
-        ens = swap(state, cfg)
+        ens = swap(state)
         for br in ens.branches:
             assert hamming_support(br.final_state) == {3}
         stage1 = apply_unitary(state, equality_entangler(), (3, 5))
@@ -199,7 +198,7 @@ def test_criterion_7_completion_independence():
                     for b in (template, incoming)
                 ]
                 states.append(permute_qubits(tensor(*faces), INTERLEAVE))
-                tables.append(canonical_table(swap(states[-1], cfg)))
+                tables.append(canonical_table(swap(states[-1])))
             assert np.array_equal(states[0].amplitudes, states[1].amplitudes)
             assert np.array_equal(
                 states[0].amplitudes, assemble_pair(template, incoming, cfg).amplitudes
@@ -210,10 +209,10 @@ def test_criterion_7_completion_independence():
     _passed(7, "two orthonormal completions of U give bit-identical canonical tables")
 
 
-def test_criterion_8_sampling_consistency(at_state, at_ensemble, cfg):
+def test_criterion_8_sampling_consistency(at_ensemble):
     shots, seed = 100_000, 42
-    counts = sample(at_state, cfg, shots=shots, seed=seed)
-    assert sample(at_state, cfg, shots=shots, seed=seed) == counts
+    counts = sample(at_ensemble, shots=shots, seed=seed)
+    assert sample(at_ensemble, shots=shots, seed=seed) == counts
     assert sum(counts.values()) == shots
     exact = {(br.bell_34, br.bell_12): br.probability for br in at_ensemble.branches}
     for key, count in counts.items():
@@ -233,7 +232,7 @@ def test_criterion_8_sampling_consistency(at_state, at_ensemble, cfg):
 
 
 def test_criterion_9_property_suite(cfg):
-    constructed = [hadamard(), pauli("X"), pauli("Z"), equality_entangler(),
+    constructed = [sp(math.pi / 4), pauli("X"), pauli("Z"), equality_entangler(),
                    build_recognition_unitary(cfg)]
     constructed += [rotation(t) for t in np.linspace(-3, 3, 7)]
     constructed += [sp(t) for t in np.linspace(-3, 3, 7)]

@@ -7,12 +7,16 @@ import json
 import math
 import subprocess
 import sys
+from decimal import ROUND_HALF_EVEN, Decimal
 
+import mpmath
 import numpy as np
 import pytest
 
 from dnaswap import protocol
-from dnaswap.cli import RunRequest, cmd_verify, main, to_json
+from dnaswap.cli import PAIRS, RunRequest, cmd_verify, main, to_json
+from dnaswap.encodings import wc_initial_pattern
+from dnaswap.gates import BELL_LABELS
 
 
 def run_cli(capsys, argv: list[str]) -> tuple[int, str, str]:
@@ -56,6 +60,81 @@ def test_exact_json_probabilities_carry_full_precision(capsys):
 def test_json_round_trips_byte_identically(capsys):
     _, out, _ = run_cli(capsys, ["run", "--pair", "GC", "--mode", "exact", "--format", "json"])
     assert to_json(json.loads(out)) == out.rstrip("\n")
+
+
+def exact_branches(pair: str) -> dict[int, tuple]:
+    """(P, residual) of every raw outcome 4 * i34 + i12, at the working precision.
+
+    The residual lists the normalized (5, 6) amplitudes before the
+    corrections, at index 2 * q5 + q6. The default angles are the same
+    floats the CLI uses, taken exactly; K's entries are the exact values 0,
+    +-1/2 and +-1/(2 sqrt 2) that
+    ``test_swap_instrument_is_sparse_real_and_read_only`` pins.
+    """
+    theta, phi = mpmath.mpf(protocol.DEFAULT_THETA), mpmath.mpf(protocol.DEFAULT_PHI)
+    ct, st, cp, sp = mpmath.cos(theta), mpmath.sin(theta), mpmath.cos(phi), mpmath.sin(phi)
+    targets = {
+        (1, 0, 1): {0b011: cp, 0b101: -sp},
+        (0, 1, 0): {0b010: cp, 0b100: sp},
+        (0, 1, 1): {0b011: ct * sp, 0b101: ct * cp, 0b110: st},
+        (1, 0, 0): {0b100: ct * cp, 0b010: -ct * sp, 0b001: st},
+    }
+    x, y = (targets[wc_initial_pattern(b).bits] for b in PAIRS[pair])
+    product = [x.get(i >> 3, 0) * y.get(i & 7, 0) for i in range(64)]
+    psi = [product[i] for i in protocol._INTERLEAVE_INDEX]
+    half, quarter_root2 = mpmath.mpf(1) / 2, 1 / (2 * mpmath.sqrt(2))
+    coeff = []
+    for row in protocol._K.real:
+        total = mpmath.mpf(0)
+        for k, amp in zip(row, psi):
+            if k:
+                exact_k = half if abs(abs(k) - 0.5) < 1e-15 else quarter_root2
+                total += exact_k * amp if k > 0 else -exact_k * amp
+        coeff.append(total)
+    out = {}
+    for i in range(16):
+        c = coeff[4 * i : 4 * i + 4]
+        norm = mpmath.sqrt(sum(v * v for v in c))
+        out[i] = (norm * norm, [v / norm for v in c])
+    return out
+
+
+def off_by_units(printed: Decimal, exact) -> Decimal:
+    """|printed - r| in units of r's 15th significant digit, r = exact to 15 digits."""
+    if exact == 0:
+        return Decimal(0) if printed == 0 else Decimal("Infinity")
+    value = Decimal(mpmath.nstr(exact, 40, min_fixed=1, max_fixed=0))
+    r = value.quantize(Decimal(1).scaleb(value.adjusted() - 14), ROUND_HALF_EVEN)
+    return abs(printed - r) / Decimal(1).scaleb(r.adjusted() - 14)
+
+
+@pytest.mark.parametrize("pair", ["AT", "GC"])
+def test_exact_json_floats_are_within_one_unit_of_the_15_digit_rounding(capsys, pair):
+    # The float pipeline holds values to about 1e-16, so a printed 15th digit
+    # may be one off the correctly rounded one, but never more.
+    _, out, _ = run_cli(capsys, ["run", "--pair", pair, "--format", "json"])
+    doc = json.loads(out, parse_float=Decimal)
+    assert off_by_units(doc["dropped_mass"], 0) == 0
+    with mpmath.workdps(40):
+        exact = exact_branches(pair)
+        order = {label.text: i for i, label in enumerate(BELL_LABELS)}
+        for br in doc["branches"]:
+            # Raw k is 0 exactly where a correction fired; X on qubit 5 acts
+            # when one of the two did, and swaps the residual's rows.
+            i34 = order[br["bell_34"]] - ("x45" in br["corrections"])
+            i12 = order[br["bell_12"]] - ("x25" in br["corrections"])
+            p, res = exact[4 * i34 + i12]
+            # a = <01|, b = <10|; a row swap reads them from |11> and |00>.
+            a, b = (res[3], res[0]) if len(br["corrections"]) == 1 else (res[1], res[2])
+            tp = br["third_pair"]
+            for printed, value in (
+                (br["probability"], p),
+                (tp["a_re"], a),
+                (tp["b_re"], b),
+                (tp["a_im"], 0),
+                (tp["b_im"], 0),
+            ):
+                assert off_by_units(printed, value) <= 1, (br, printed, value)
 
 
 def test_exact_csv_has_frozen_columns_and_crlf(capsys):

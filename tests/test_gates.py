@@ -13,7 +13,6 @@ from dnaswap.gates import (
     bell_basis,
     bell_state,
     equality_entangler,
-    hadamard,
     pauli,
     rotation,
     sp,
@@ -43,7 +42,6 @@ def test_rotation_rejects_non_finite_angle():
 def test_sp_quarter_turn_is_hadamard():
     h = 1 / S2
     assert np.allclose(sp(math.pi / 4).matrix, [[h, h], [h, -h]], atol=1e-15)
-    assert np.allclose(hadamard().matrix, sp(math.pi / 4).matrix)
 
 
 def test_sp_at_zero_is_pauli_z():
@@ -76,7 +74,7 @@ def test_gate_rejects_non_finite_entries(bad):
 
 
 def test_all_protocol_gates_pass_unitarity():
-    for g in (rotation(0.7), sp(1.3), hadamard(), pauli("X"), pauli("Z"), equality_entangler()):
+    for g in (rotation(0.7), sp(1.3), sp(math.pi / 4), pauli("X"), pauli("Z"), equality_entangler()):
         dev = np.max(np.abs(g.matrix.conj().T @ g.matrix - np.eye(2**g.arity)))
         assert dev <= 1e-12
 

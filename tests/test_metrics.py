@@ -17,14 +17,14 @@ from dnaswap.metrics import (
     verify_against_reference,
 )
 from dnaswap.protocol import Ensemble, recognize, run_pair, swap
-from dnaswap.statevec import basis_state, from_amplitudes, reduced_density, tensor
+from dnaswap.statevec import StateVector, basis_state, reduced_density, tensor
 
 RNG = np.random.default_rng(424243)
 
 
 def random_state(n: int):
     amps = RNG.normal(size=2**n) + 1j * RNG.normal(size=2**n)
-    return from_amplitudes(amps / np.linalg.norm(amps))
+    return StateVector(n, amps / np.linalg.norm(amps))
 
 
 def binary_entropy(p: float) -> float:
@@ -94,7 +94,7 @@ def test_concurrence_of_single_proton_superposition_family():
     a, b = a / norm, b / norm
     amps = np.zeros(4, dtype=complex)
     amps[0b01], amps[0b10] = a, b
-    rho = reduced_density(from_amplitudes(amps), (1, 2))
+    rho = reduced_density(StateVector(2, amps), (1, 2))
     assert concurrence(rho) == pytest.approx(2 * abs(a) * abs(b), abs=1e-12)
     assert concurrence(rho) == pytest.approx(0.877, abs=1e-3)
 
@@ -208,7 +208,7 @@ def test_pass_rule(expected, actual, tol, passed):
 
 def test_verification_rejects_unlabeled_or_unknown_pairs(at_state, cfg):
     with pytest.raises(ValueError, match="no pair label"):
-        verify_against_reference(swap(at_state, cfg))
+        verify_against_reference(swap(at_state))
     unknown = run_pair(BaseCode("T"), BaseCode("A"), cfg)
     with pytest.raises(ValueError, match="no reference data"):
         verify_against_reference(unknown)

@@ -1,12 +1,13 @@
 """Recognition unitary, pair assembly, swap enumeration, canonical tables."""
 from __future__ import annotations
 
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import _oracle as oracle
@@ -17,7 +18,7 @@ from dnaswap.encodings import (
     wc_initial_pattern,
     wc_initial_state,
 )
-from dnaswap.gates import BELL_LABELS, BellLabel, Gate, bell_basis, equality_entangler, pauli
+from dnaswap.gates import BELL_LABELS, BellLabel, bell_basis, equality_entangler, pauli
 from dnaswap.protocol import (
     DEFAULT_PHI,
     DEFAULT_THETA,
@@ -33,6 +34,7 @@ from dnaswap.protocol import (
     swap,
 )
 from dnaswap.statevec import (
+    PRUNE_DEFAULT,
     StateVector,
     apply_unitary,
     basis_state,
@@ -175,15 +177,12 @@ def test_config_rejects_non_finite_angles():
     for bad in (
         {"theta": float("inf")},
         {"phi": float("nan")},
-        {"prune_threshold": -1e-14},
-        {"prune_threshold": float("nan")},
-        {"prune_threshold": float("inf")},
     ):
         with pytest.raises(ValueError):
             ProtocolConfig(**bad)
     with pytest.raises(TypeError):
         ProtocolConfig(bell_convention="b00=(00+11)/sqrt2")
-    assert ProtocolConfig(prune_threshold=0.0).prune_threshold == 0.0
+    assert [f.name for f in dataclasses.fields(ProtocolConfig)] == ["theta", "phi"]
 
 
 # --- pair assembly ---
@@ -270,9 +269,9 @@ def test_run_pair_builds_one_state_and_reads_the_targets_once(monkeypatch):
 # --- swap enumeration ---
 
 
-def test_swap_rejects_wrong_register_size(cfg):
+def test_swap_rejects_wrong_register_size():
     with pytest.raises(ValueError, match="6-qubit"):
-        swap(basis_state("000"), cfg)
+        swap(basis_state("000"))
 
 
 def test_at_branch_probabilities_match_exact_pattern(at_ensemble):
@@ -350,10 +349,11 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
     seed=st.integers(0, 2**32 - 1),
 )
 def test_swap_with_any_entangler_agrees_with_independent_enumeration(pair, theta, phi, seed):
-    cfg = ProtocolConfig(theta=theta, phi=phi)
     v = random_unitary(seed)
-    state = assemble_pair(*pair, cfg)
-    ens = swap(state, cfg, v_gate=Gate("V_rand", v))
+    state = assemble_pair(*pair, ProtocolConfig(theta=theta, phi=phi))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(protocol, "_K", protocol._instrument(v))
+        ens = swap(state)
     ref = {
         (BellLabel(*d["raw34"]), BellLabel(*d["raw12"])): d
         for d in oracle.run_swap(state.amplitudes, v_mat=v)
@@ -373,8 +373,12 @@ def test_dropped_mass_is_exactly_zero_when_nothing_is_pruned(at_ensemble, gc_ens
         assert ens.dropped_mass == 0.0
 
 
+def raw_keys(ens) -> set:
+    return {((br.bell_34.j, br.bell_34.k), (br.bell_12.j, br.bell_12.k)) for br in ens.branches}
+
+
 @pytest.mark.parametrize("threshold", [0.05, 0.1, 0.3])
-def test_dropped_mass_sums_the_pruned_trajectories(gc_state, threshold):
+def test_dropped_mass_sums_the_pruned_trajectories(gc_state, threshold, monkeypatch):
     # G.C has P34 = 1/4 per outcome and conditional (1,2) probabilities of
     # 0.065 to 0.435: 0.05 prunes nothing, 0.1 prunes (1,2) outcomes and 0.3
     # prunes every (3,4) one.
@@ -385,11 +389,27 @@ def test_dropped_mass_sums_the_pruned_trajectories(gc_state, threshold):
     pruned = {
         key for key, p in ref.items() if p34[key[0]] < threshold or p / p34[key[0]] < threshold
     }
-    ens = swap(gc_state, ProtocolConfig(prune_threshold=threshold))
-    assert {
-        ((br.bell_34.j, br.bell_34.k), (br.bell_12.j, br.bell_12.k)) for br in ens.branches
-    } == set(ref) - pruned
+    monkeypatch.setattr(protocol, "PRUNE_DEFAULT", threshold)
+    ens = swap(gc_state)
+    assert raw_keys(ens) == set(ref) - pruned
     assert ens.dropped_mass == pytest.approx(sum(ref[key] for key in pruned), abs=1e-15)
+
+
+@pytest.mark.parametrize("pair", [(A, T), (G, C)])
+def test_swap_prunes_trajectories_below_the_constant_threshold(pair):
+    # At theta = phi = 0 some trajectories have P = 0; a 1e-9 admixture
+    # lifts them to about 1e-17, below PRUNE_DEFAULT = 1e-14, while the
+    # live ones stay near their unperturbed 1/16 to 1/4. The oracle prunes
+    # at 1e-14 on its own.
+    base = assemble_pair(*pair, ProtocolConfig(theta=0.0, phi=0.0)).amplitudes
+    noise = np.random.default_rng(3).normal(size=(64, 2)) @ [1, 1j]
+    amps = base + 1e-9 * noise
+    state = StateVector(6, amps / np.linalg.norm(amps))
+    live = {(d["raw34"], d["raw12"]) for d in oracle.run_swap(state.amplitudes)}
+    ens = swap(state)
+    assert 0 < len(ens.branches) < 16
+    assert raw_keys(ens) == live
+    assert 0 < ens.dropped_mass < 16 * PRUNE_DEFAULT
 
 
 def test_swap_branch_order_is_deterministic(at_ensemble):
@@ -398,11 +418,12 @@ def test_swap_branch_order_is_deterministic(at_ensemble):
     assert keys == sorted(keys)
 
 
-def test_zero_probability_trajectories_are_never_kept():
+def test_zero_probability_trajectories_are_never_kept(monkeypatch):
     # At theta = phi = 0, 8 of the A.T and 12 of the G.C trajectories have
     # P = 0 exactly; with pruning off they must neither be kept (their
     # residual is 0/0) nor add to the dropped mass.
-    cfg = ProtocolConfig(theta=0.0, phi=0.0, prune_threshold=0.0)
+    monkeypatch.setattr(protocol, "PRUNE_DEFAULT", 0.0)
+    cfg = ProtocolConfig(theta=0.0, phi=0.0)
     for pair, live in (((A, T), 8), ((G, C), 4)):
         ens = run_pair(*pair, cfg)
         assert len(ens.branches) == live
@@ -426,9 +447,11 @@ def test_swap_instrument_is_sparse_real_and_read_only():
 
 
 @pytest.mark.parametrize("pair", [(A, T), (G, C)])
-def test_explicit_default_entangler_gives_a_bit_identical_ensemble(pair, cfg):
+def test_explicit_default_entangler_gives_a_bit_identical_ensemble(pair, cfg, monkeypatch):
     state = assemble_pair(*pair, cfg)
-    built, explicit = swap(state, cfg), swap(state, cfg, v_gate=equality_entangler())
+    built = swap(state)
+    monkeypatch.setattr(protocol, "_K", protocol._instrument(equality_entangler().matrix))
+    explicit = swap(state)
     assert built.dropped_mass == explicit.dropped_mass
     assert len(built.branches) == len(explicit.branches) == 16
     for x, y in zip(built.branches, explicit.branches):
@@ -450,17 +473,12 @@ def test_branch_residual_is_read_only(gc_ensemble):
             br.residual.setflags(write=True)
 
 
-def test_swap_rejects_an_entangler_of_the_wrong_arity(at_state, cfg):
-    with pytest.raises(ValueError, match="arity"):
-        swap(at_state, cfg, v_gate=pauli("X"))
-
-
-def test_swap_rejects_a_non_finite_instrument(at_state, cfg, monkeypatch):
+def test_swap_rejects_a_non_finite_instrument(at_state, monkeypatch):
     k = np.array(protocol._K)
     k[5] = np.nan  # outcome (b00, b01), q5 q6 = 01
     monkeypatch.setattr(protocol, "_K", k)
     with pytest.raises(ValueError, match="must be 1"):
-        swap(at_state, cfg)
+        swap(at_state)
 
 
 @pytest.mark.parametrize("theta, phi", [(DEFAULT_THETA, DEFAULT_PHI), (0.3, -1.1), (2.0, 0.7)])
@@ -473,18 +491,18 @@ def test_swap_matches_the_step_by_step_statevec_path(pair, theta, phi):
     x, basis = pauli("X"), bell_basis()
     stepped = {}
     post_v = apply_unitary(state, equality_entangler(), (3, 5))
-    for br34 in measure_two_qubit(post_v, basis, (3, 4), cfg.prune_threshold):
+    for br34 in measure_two_qubit(post_v, basis, (3, 4)):
         label34 = BELL_LABELS[br34.outcome_label]
         mid = br34.post_state
         if label34.k == 0:
             mid = apply_unitary(apply_unitary(mid, x, (4,)), x, (5,))
-        for br12 in measure_two_qubit(mid, basis, (1, 2), cfg.prune_threshold):
+        for br12 in measure_two_qubit(mid, basis, (1, 2)):
             label12 = BELL_LABELS[br12.outcome_label]
             final = br12.post_state
             if label12.k == 0:
                 final = apply_unitary(apply_unitary(final, x, (2,)), x, (5,))
             stepped[(label34, label12)] = (br34.probability * br12.probability, final)
-    ens = swap(state, cfg)
+    ens = swap(state)
     assert {(br.bell_34, br.bell_12) for br in ens.branches} == set(stepped)
     for br in ens.branches:
         p, final = stepped[(br.bell_34, br.bell_12)]
@@ -492,7 +510,7 @@ def test_swap_matches_the_step_by_step_statevec_path(pair, theta, phi):
         assert np.max(np.abs(br.final_state.amplitudes - final.amplitudes)) <= 1e-12
 
 
-def test_measuring_back_pair_first_gives_identical_ensemble(at_state, gc_state, cfg):
+def test_measuring_back_pair_first_gives_identical_ensemble(at_state, gc_state):
     # Steps 4-5 commute with steps 2-3: disjoint supports up to the X on
     # qubit 5, which is applied by both corrections.
     x = pauli("X")
@@ -500,12 +518,12 @@ def test_measuring_back_pair_first_gives_identical_ensemble(at_state, gc_state, 
     for state in (at_state, gc_state):
         reordered = {}
         stage1 = apply_unitary(state, equality_entangler(), (3, 5))
-        for br12 in measure_two_qubit(stage1, basis, (1, 2), cfg.prune_threshold):
+        for br12 in measure_two_qubit(stage1, basis, (1, 2)):
             label12 = BELL_LABELS[br12.outcome_label]
             mid = br12.post_state
             if label12.k == 0:
                 mid = apply_unitary(apply_unitary(mid, x, (2,)), x, (5,))
-            for br34 in measure_two_qubit(mid, basis, (3, 4), cfg.prune_threshold):
+            for br34 in measure_two_qubit(mid, basis, (3, 4)):
                 label34 = BELL_LABELS[br34.outcome_label]
                 final = br34.post_state
                 if label34.k == 0:
@@ -514,7 +532,7 @@ def test_measuring_back_pair_first_gives_identical_ensemble(at_state, gc_state, 
                     br12.probability * br34.probability,
                     final,
                 )
-        ens = swap(state, cfg)
+        ens = swap(state)
         assert len(ens.branches) == len(reordered)
         for br in ens.branches:
             p, final = reordered[(br.bell_34, br.bell_12)]
@@ -600,21 +618,21 @@ def test_at_classes_merge_four_raw_branches_each(at_ensemble):
 # --- sampling ---
 
 
-def test_sample_is_deterministic(at_state, cfg):
-    c1 = sample(at_state, cfg, shots=2000, seed=123)
-    c2 = sample(at_state, cfg, shots=2000, seed=123)
+def test_sample_is_deterministic(at_ensemble):
+    c1 = sample(at_ensemble, shots=2000, seed=123)
+    c2 = sample(at_ensemble, shots=2000, seed=123)
     assert c1 == c2
 
 
-def test_sample_single_shot_lands_on_a_live_branch(at_state, cfg):
-    counts = sample(at_state, cfg, shots=1, seed=7)
+def test_sample_single_shot_lands_on_a_live_branch(at_ensemble):
+    counts = sample(at_ensemble, shots=1, seed=7)
     assert sum(counts.values()) == 1
     assert len(counts) == 16
 
 
-def test_sample_frequencies_approach_exact_probabilities(at_state, cfg):
+def test_sample_frequencies_approach_exact_probabilities(at_ensemble):
     shots = 20000
-    counts = sample(at_state, cfg, shots=shots, seed=99)
+    counts = sample(at_ensemble, shots=shots, seed=99)
     assert sum(counts.values()) == shots
     for (l34, l12), count in counts.items():
         p = expected_at_probability(l34, l12)
@@ -622,34 +640,34 @@ def test_sample_frequencies_approach_exact_probabilities(at_state, cfg):
         assert abs(count / shots - p) <= 3 * sigma
 
 
-def test_sample_validates_arguments(at_state, cfg, monkeypatch):
+def test_sample_validates_arguments(at_ensemble):
     with pytest.raises(ValueError, match="shots"):
-        sample(at_state, cfg, shots=0, seed=1)
+        sample(at_ensemble, shots=0, seed=1)
     with pytest.raises(ValueError, match="shots"):
-        sample(at_state, cfg, shots=2**63, seed=1)
+        sample(at_ensemble, shots=2**63, seed=1)
     with pytest.raises(ValueError, match="shots"):
-        sample(at_state, cfg, shots=2**70, seed=1)
+        sample(at_ensemble, shots=2**70, seed=1)
     with pytest.raises(TypeError):
-        sample(at_state, cfg, shots=1.5, seed=1)
+        sample(at_ensemble, shots=1.5, seed=1)
     with pytest.raises(ValueError, match="seed"):
-        sample(at_state, cfg, shots=1, seed=-1)
+        sample(at_ensemble, shots=1, seed=-1)
     with pytest.raises(ValueError, match="seed"):
-        sample(at_state, cfg, shots=1, seed=2**64)
+        sample(at_ensemble, shots=1, seed=2**64)
     with pytest.raises(TypeError):
-        sample(at_state, cfg, shots=1, seed=1.5)
-    # Every G.C (3,4) outcome has P = 1/4, so a 0.3 threshold drops them
-    # all; the error comes before any threshold or table is built.
-    pruned = ProtocolConfig(prune_threshold=0.3)
-    state = assemble_pair(G, C, pruned)
-    assert swap(state, pruned).branches == []
+        sample(at_ensemble, shots=1, seed=1.5)
+
+
+def test_sample_rejects_an_ensemble_with_no_branches(gc_ensemble, monkeypatch):
+    # The error comes before any threshold or table is built.
+    empty = dataclasses.replace(gc_ensemble, branches=[], dropped_mass=1.0)
 
     def no_tables(*args):
         raise AssertionError("thresholds built for an empty ensemble")
 
     monkeypatch.setattr(protocol, "_word_thresholds", no_tables)
     monkeypatch.setattr(protocol, "_guide", no_tables)
-    with pytest.raises(ValueError, match="prune_threshold"):
-        sample(state, pruned, shots=10, seed=1)
+    with pytest.raises(ValueError, match="no branches"):
+        sample(empty, shots=10, seed=1)
 
 
 def joint_of(ens) -> np.ndarray:
@@ -674,38 +692,46 @@ def keyed_counts(ens, ref: np.ndarray) -> dict:
     pair=st.sampled_from([(A, T), (G, C)]),
     theta=FINITE,
     phi=FINITE,
-    prune=st.sampled_from([1e-14, 0.05, 0.1, 0.2]),
+    dead_rows=st.sets(st.integers(0, 3), max_size=3),
+    dead_cells=st.sets(st.integers(0, 15), max_size=12),
     seed=st.integers(0, 2**64 - 1),
     chunk=st.integers(1, 64),
     data=st.data(),
 )
 def test_streaming_sample_equals_the_whole_run_sampler(
-    pair, theta, phi, prune, seed, chunk, data
+    pair, theta, phi, dead_rows, dead_cells, seed, chunk, data
 ):
-    # Pruning at 0.05-0.2 zeroes joint entries and whole (3,4) rows; a small
-    # chunk puts chunk boundaries and a short final chunk inside the run.
+    # Dropping branches by hand zeroes joint entries and whole (3,4) rows; a
+    # small chunk puts chunk boundaries and a short final chunk inside the run.
     shots = data.draw(st.integers(1, 3 * chunk + 1), label="shots")
-    cfg = ProtocolConfig(theta=theta, phi=phi, prune_threshold=prune)
-    state = assemble_pair(*pair, cfg)
-    ens = swap(state, cfg)
+    ens = run_pair(*pair, ProtocolConfig(theta=theta, phi=phi))
+    order = {label: i for i, label in enumerate(BELL_LABELS)}
+    kept = [
+        br
+        for br in ens.branches
+        if order[br.bell_34] not in dead_rows
+        and 4 * order[br.bell_34] + order[br.bell_12] not in dead_cells
+    ]
+    assume(kept)
+    dropped = sum(br.probability for br in ens.branches if br not in kept)
+    ens = dataclasses.replace(ens, branches=kept, dropped_mass=ens.dropped_mass + dropped)
     ref = oracle.sample_reference(joint_of(ens), shots, seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(protocol, "_SAMPLE_CHUNK", chunk)
-        counts = sample(state, cfg, shots=shots, seed=seed)
+        counts = sample(ens, shots=shots, seed=seed)
     assert counts == keyed_counts(ens, ref)
 
 
 @pytest.mark.parametrize("pair", ["AT", "GC"])
 def test_streaming_sample_equals_the_whole_run_sampler_at_the_defaults(
-    at_state, gc_state, cfg, pair
+    at_ensemble, gc_ensemble, pair
 ):
     # One default-size chunk boundary; the golden sample digests stay
     # inside the first chunk.
     seed, shots = 2**64 - 1, protocol._SAMPLE_CHUNK + 12_345
-    state = at_state if pair == "AT" else gc_state
-    ens = swap(state, cfg)
+    ens = at_ensemble if pair == "AT" else gc_ensemble
     ref = oracle.sample_reference(joint_of(ens), shots, seed)
-    assert sample(state, cfg, shots=shots, seed=seed) == keyed_counts(ens, ref)
+    assert sample(ens, shots=shots, seed=seed) == keyed_counts(ens, ref)
 
 
 # Probability vectors with zeros, dyadic cdf values (thresholds on bucket
@@ -740,24 +766,24 @@ def test_integer_thresholds_pick_what_the_float_cdf_picks(probs):
 
 
 def test_sample_splits_words_on_every_threshold_like_the_float_sampler(
-    gc_state, cfg, monkeypatch
+    gc_ensemble, monkeypatch
 ):
     # Every (word, word) pair from {t - 1, t, t + 1} over all thresholds t
     # hits each threshold of both searches, where a random stream almost
     # never lands.
-    ens = swap(gc_state, cfg)
+    ens = gc_ensemble
     joint = joint_of(ens)
     rows = [joint.sum(axis=1), *joint]
     t = np.concatenate([protocol._word_thresholds(p)[1] for p in rows])
     k = np.unique(np.clip(np.concatenate([t - 1, t, t + 1]), 0, 2**53 - 1))
     words = np.stack(np.meshgrid(k, k), axis=-1).reshape(-1, 2)
     monkeypatch.setattr(protocol, "_SAMPLE_CHUNK", 1000)
-    assert sample_words(monkeypatch, gc_state, cfg, words) == keyed_counts(
+    assert sample_words(monkeypatch, ens, words) == keyed_counts(
         ens, oracle.counts_from_uniforms(joint, words * 2.0**-53)
     )
 
 
-def sample_words(monkeypatch, state, cfg, words: np.ndarray) -> dict:
+def sample_words(monkeypatch, ens, words: np.ndarray) -> dict:
     """``sample`` with shot i reading the 53-bit words ``words[i]``."""
 
     class CraftedStream:
@@ -769,7 +795,7 @@ def sample_words(monkeypatch, state, cfg, words: np.ndarray) -> dict:
             return out
 
     monkeypatch.setattr(np.random, "Philox", CraftedStream)
-    return sample(state, cfg, shots=len(words), seed=0)
+    return sample(ens, shots=len(words), seed=0)
 
 
 def bucket_edges() -> np.ndarray:
@@ -780,15 +806,14 @@ def bucket_edges() -> np.ndarray:
 
 @pytest.mark.parametrize("pair", ["AT", "GC"])
 def test_sample_reads_every_bucket_edge_like_the_float_sampler(
-    at_state, gc_state, cfg, pair, monkeypatch
+    at_ensemble, gc_ensemble, pair, monkeypatch
 ):
     # Both words run through the first and last word of every bucket and
     # through t - 1, t, t + 1 of every threshold t, so every bucket that
     # holds a threshold is read along with its neighbours' edges. The first
     # block pairs every word with another as (k1, k2); then, for each live
     # (3,4) row, one first word in that row is paired with every k2.
-    state = at_state if pair == "AT" else gc_state
-    ens = swap(state, cfg)
+    ens = at_ensemble if pair == "AT" else gc_ensemble
     joint = joint_of(ens)
     rows, row_t = protocol._word_thresholds(joint.sum(axis=1))
     t = np.concatenate([row_t, *(protocol._word_thresholds(joint[i])[1] for i in rows)])
@@ -802,7 +827,7 @@ def test_sample_reads_every_bucket_edge_like_the_float_sampler(
     assert len(blocks) > 2
     monkeypatch.setattr(protocol, "_SAMPLE_CHUNK", 1000)
     for words in blocks:
-        assert sample_words(monkeypatch, state, cfg, words) == keyed_counts(
+        assert sample_words(monkeypatch, ens, words) == keyed_counts(
             ens, oracle.counts_from_uniforms(joint, words * 2.0**-53)
         )
 
@@ -858,13 +883,13 @@ def test_raw_philox_words_are_the_generator_uniforms(key):
     np.testing.assert_array_equal(chunked, words)
 
 
-def test_sample_memory_does_not_grow_with_shots(at_state, cfg, monkeypatch):
+def test_sample_memory_does_not_grow_with_shots(at_ensemble, monkeypatch):
     monkeypatch.setattr(protocol, "_SAMPLE_CHUNK", 1024)
     shots = 10**6
-    sample(at_state, cfg, shots=1, seed=5)  # first use imports numpy.random's helpers
+    sample(at_ensemble, shots=1, seed=5)  # first use imports numpy.random's helpers
     tracemalloc.start()
     try:
-        counts = sample(at_state, cfg, shots=shots, seed=5)
+        counts = sample(at_ensemble, shots=shots, seed=5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -875,8 +900,9 @@ def test_sample_memory_does_not_grow_with_shots(at_state, cfg, monkeypatch):
 # --- mutation sanity: a broken entangler destroys the reference ensemble ---
 
 
-def test_identity_entangler_degenerates_the_at_ensemble(at_state, cfg):
-    broken = swap(at_state, cfg, v_gate=Gate("V_id", np.eye(4, dtype=complex)))
+def test_identity_entangler_degenerates_the_at_ensemble(at_state, monkeypatch):
+    monkeypatch.setattr(protocol, "_K", protocol._instrument(np.eye(4, dtype=complex)))
+    broken = swap(at_state)
     rows = canonical_table(broken)
     groups = {row.group for row in rows}
     assert groups == {(0, 1), (1, 0)}

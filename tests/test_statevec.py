@@ -1,8 +1,6 @@
 """State-vector core: construction, tensor, permutation, gates, measurement."""
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -15,7 +13,6 @@ from dnaswap.statevec import (
     apply_unitary,
     basis_state,
     compose_perms,
-    from_amplitudes,
     measure_two_qubit,
     permute_qubits,
     reduced_density,
@@ -49,16 +46,6 @@ def test_rejects_non_finite_amplitudes(bad):
 def test_rejects_wrong_amplitude_count():
     with pytest.raises(ValueError, match="expected 4 amplitudes"):
         StateVector(2, [1.0, 0.0])
-
-
-def test_from_amplitudes_takes_the_qubit_count_from_the_length():
-    assert from_amplitudes([0.0, 1.0]).num_qubits == 1
-    assert from_amplitudes([0.5] * 4).num_qubits == 2
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # no log2(0) RuntimeWarning on the way
-        for bad in ([], [1.0, 0.0, 0.0], [1.0]):
-            with pytest.raises(ValueError):
-                from_amplitudes(bad)
 
 
 def test_rejects_nonpositive_qubit_count():
@@ -248,7 +235,7 @@ def test_pruning_threshold_drops_tiny_branches():
         np.sqrt(1 - delta) * bell_state(BellLabel(0, 0)).amplitudes
         + np.sqrt(delta) * bell_state(BellLabel(0, 1)).amplitudes
     )
-    branches = measure_two_qubit(from_amplitudes(amps), bell_basis(), (1, 2), prune_threshold=1e-10)
+    branches = measure_two_qubit(StateVector(2, amps), bell_basis(), (1, 2), prune_threshold=1e-10)
     assert [b.outcome_label for b in branches] == [0]
     assert branches[0].probability == pytest.approx(1.0, abs=2e-11)
 
