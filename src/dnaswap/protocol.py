@@ -22,14 +22,19 @@ is their summed probability. A kept branch holds its 2x2 residual; its
 6-qubit final state is built only when read. ``sample`` draws the
 trajectories of an exact ensemble stochastically from a counter-based
 seeded stream. It reads the stream in fixed chunks of raw 53-bit words and
-picks outcomes by exact integer thresholds, so its memory is O(chunk), not
-O(shots). A table over each word's top bits gives the outcome directly;
-``searchsorted`` runs only on the words in a bucket that holds a threshold.
+picks outcomes by exact integer thresholds. The shots split into contiguous
+spans on at most two threads, each of which jumps to its first shot with
+``Philox.advance``, so memory is O(workers x chunk), not O(shots), and the
+counts are the same for every worker count and chunk size. A table over
+each word's top bits gives the outcome directly; ``searchsorted`` runs only
+on the words in a bucket that holds a threshold.
 """
 from __future__ import annotations
 
 import math
 import operator
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,8 +59,12 @@ _MERGE_ATOL = 1e-10
 _MASS_ATOL = 1e-10
 _IMAG_ATOL = 1e-9
 
-# ``sample`` reads the stream this many shots at a time.
-_SAMPLE_CHUNK = 1 << 16
+# ``sample`` reads the stream this many shots at a time, on each of at most
+# _SAMPLE_WORKERS threads: one per CPU this process may use, up to two.
+_SAMPLE_CHUNK = 1 << 15
+_SAMPLE_WORKERS = min(
+    2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
 # Generator.random keeps the top 53 bits of each 64-bit Philox word.
 _WORD_BITS = 53
 # ``sample`` looks most words up in a table indexed by their top bits.
@@ -409,14 +418,20 @@ def sample(
     every enumerated branch, keyed by raw (bell_34, bell_12) outcome.
 
     The stream is read in chunks of ``_SAMPLE_CHUNK`` shots as raw 53-bit
-    words k (``Generator.random`` would return k * 2**-53), so memory is
-    O(chunk) whatever ``shots`` is. The (3,4) outcome ranks the first word
-    among exact integer thresholds of the marginal; the (1,2) outcome ranks
-    the second word among the chosen row's conditional thresholds. Both
-    ranks come from a table indexed by the word's top ``_BUCKET_BITS`` bits
-    (``_guide``); only words in a bucket that holds a threshold, about 0.1%
-    of them, are ranked by ``searchsorted``. ``shots`` must be below 2**63,
-    and the ensemble must have a branch.
+    words k (``Generator.random`` would return k * 2**-53). The chunks split
+    into ``_SAMPLE_WORKERS`` (at most two) contiguous spans: the calling
+    thread counts the first and a helper thread the other, and each span's
+    own Philox jumps to its first shot with ``advance``. A run of one chunk
+    starts no thread. Memory is O(workers x chunk) whatever ``shots`` is,
+    and the counts do not depend on the worker count or the chunk size.
+
+    The (3,4) outcome ranks the first word among exact integer thresholds
+    of the marginal; the (1,2) outcome ranks the second word among the
+    chosen row's conditional thresholds. Both ranks come from a table
+    indexed by the word's top ``_BUCKET_BITS`` bits (``_guide``); only words
+    in a bucket that holds a threshold, about 0.1% of them, are ranked by
+    ``searchsorted``. ``shots`` must be below 2**63, and the ensemble must
+    have a branch.
     """
     shots = operator.index(shots)
     if shots < 1:
@@ -448,22 +463,52 @@ def sample(
     g1 = _guide(row_t)
     g2 = np.concatenate([_guide(col_t - (r << _WORD_BITS)) for r in range(len(rows))])
 
-    bitgen = np.random.Philox(key=seed)
-    hits = np.zeros(len(cells), dtype=np.int64)
-    for start in range(0, shots, _SAMPLE_CHUNK):
-        n = min(_SAMPLE_CHUNK, shots - start)
-        words = bitgen.random_raw(2 * n)
-        words >>= 64 - _WORD_BITS
-        k = words.view(np.int64).reshape(n, 2)
-        row = g1[k[:, 0] >> _BUCKET_SHIFT]
-        miss = np.flatnonzero(row < 0)
-        row[miss] = np.searchsorted(row_t, k[miss, 0], side="right")
-        cell = g2[(row << _BUCKET_BITS) + (k[:, 1] >> _BUCKET_SHIFT)]
-        miss = np.flatnonzero(cell < 0)
-        cell[miss] = np.searchsorted(
-            col_t, (row[miss] << _WORD_BITS) + k[miss, 1], side="right"
-        )
-        hits += np.bincount(cell, minlength=len(cells))
+    def count(start: int, stop: int) -> np.ndarray:
+        # Shot i reads words 2i and 2i + 1; advance(d) skips 4d words.
+        bitgen = np.random.Philox(key=seed)
+        bitgen.advance(start // 2)
+        if start % 2:
+            bitgen.random_raw(2)
+        hits = np.zeros(len(cells), dtype=np.int64)
+        for lo in range(start, stop, _SAMPLE_CHUNK):
+            n = min(_SAMPLE_CHUNK, stop - lo)
+            words = bitgen.random_raw(2 * n)
+            words >>= 64 - _WORD_BITS
+            k = words.view(np.int64).reshape(n, 2)
+            row = g1[k[:, 0] >> _BUCKET_SHIFT]
+            miss = np.flatnonzero(row < 0)
+            row[miss] = np.searchsorted(row_t, k[miss, 0], side="right")
+            cell = g2[(row << _BUCKET_BITS) + (k[:, 1] >> _BUCKET_SHIFT)]
+            miss = np.flatnonzero(cell < 0)
+            cell[miss] = np.searchsorted(
+                col_t, (row[miss] << _WORD_BITS) + k[miss, 1], side="right"
+            )
+            hits += np.bincount(cell, minlength=len(cells))
+        return hits
+
+    # Contiguous spans cut at chunk boundaries: the caller counts the first,
+    # one helper thread each of the others.
+    chunks = -(-shots // _SAMPLE_CHUNK)
+    spans = min(_SAMPLE_WORKERS, chunks)
+    cuts = [min(shots, chunks * w // spans * _SAMPLE_CHUNK) for w in range(spans + 1)]
+    found: list = [None] * spans
+
+    def run(w: int) -> None:
+        try:
+            found[w] = count(cuts[w], cuts[w + 1])
+        except BaseException as exc:  # re-raised on the calling thread
+            found[w] = exc
+
+    helpers = [threading.Thread(target=run, args=(w,)) for w in range(1, spans)]
+    for t in helpers:
+        t.start()
+    run(0)
+    for t in helpers:
+        t.join()
+    for part in found:
+        if isinstance(part, BaseException):
+            raise part
+    hits = sum(found)
     counts = np.zeros(16, dtype=np.int64)
     counts[cells] = hits
 

@@ -159,11 +159,10 @@ def measure_two_qubit(
     s: StateVector,
     basis: Sequence[StateVector],
     pair: tuple[int, int],
-    prune_threshold: float = PRUNE_DEFAULT,
 ) -> list[MeasurementBranch]:
     """Projective measurement of a qubit pair in a 4-state orthonormal basis.
 
-    Returns every branch with probability >= ``prune_threshold``; the
+    Returns every branch with probability >= ``PRUNE_DEFAULT``; the
     measured pair is left collapsed onto the outcome basis state. Dropped
     mass is recoverable as 1 - sum of returned probabilities.
     """
@@ -186,7 +185,7 @@ def measure_two_qubit(
         bmat = bstate.amplitudes.reshape(2, 2)
         coeff = np.tensordot(bmat.conj(), t, axes=([0, 1], [i - 1, j - 1]))
         prob = float(np.sum(np.abs(coeff) ** 2))
-        if prob < prune_threshold:
+        if prob < PRUNE_DEFAULT:
             continue
         post = np.multiply.outer(bmat, coeff)
         post = np.moveaxis(post, [0, 1], [i - 1, j - 1]) / np.sqrt(prob)

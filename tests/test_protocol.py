@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -696,13 +698,15 @@ def keyed_counts(ens, ref: np.ndarray) -> dict:
     dead_cells=st.sets(st.integers(0, 15), max_size=12),
     seed=st.integers(0, 2**64 - 1),
     chunk=st.integers(1, 64),
+    workers=st.integers(1, 3),
     data=st.data(),
 )
 def test_streaming_sample_equals_the_whole_run_sampler(
-    pair, theta, phi, dead_rows, dead_cells, seed, chunk, data
+    pair, theta, phi, dead_rows, dead_cells, seed, chunk, workers, data
 ):
     # Dropping branches by hand zeroes joint entries and whole (3,4) rows; a
-    # small chunk puts chunk boundaries and a short final chunk inside the run.
+    # small chunk puts chunk boundaries and a short final chunk inside the
+    # run, and an odd one starts a worker's span at an odd shot.
     shots = data.draw(st.integers(1, 3 * chunk + 1), label="shots")
     ens = run_pair(*pair, ProtocolConfig(theta=theta, phi=phi))
     order = {label: i for i, label in enumerate(BELL_LABELS)}
@@ -718,6 +722,7 @@ def test_streaming_sample_equals_the_whole_run_sampler(
     ref = oracle.sample_reference(joint_of(ens), shots, seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(protocol, "_SAMPLE_CHUNK", chunk)
+        mp.setattr(protocol, "_SAMPLE_WORKERS", workers)
         counts = sample(ens, shots=shots, seed=seed)
     assert counts == keyed_counts(ens, ref)
 
@@ -726,8 +731,8 @@ def test_streaming_sample_equals_the_whole_run_sampler(
 def test_streaming_sample_equals_the_whole_run_sampler_at_the_defaults(
     at_ensemble, gc_ensemble, pair
 ):
-    # One default-size chunk boundary; the golden sample digests stay
-    # inside the first chunk.
+    # One default-size chunk boundary, which is also the cut between two
+    # workers' spans when the process may use two CPUs.
     seed, shots = 2**64 - 1, protocol._SAMPLE_CHUNK + 12_345
     ens = at_ensemble if pair == "AT" else gc_ensemble
     ref = oracle.sample_reference(joint_of(ens), shots, seed)
@@ -777,7 +782,9 @@ def test_sample_splits_words_on_every_threshold_like_the_float_sampler(
     t = np.concatenate([protocol._word_thresholds(p)[1] for p in rows])
     k = np.unique(np.clip(np.concatenate([t - 1, t, t + 1]), 0, 2**53 - 1))
     words = np.stack(np.meshgrid(k, k), axis=-1).reshape(-1, 2)
-    monkeypatch.setattr(protocol, "_SAMPLE_CHUNK", 1000)
+    # 529 shots in chunks of 101: the second worker's span starts at shot 303.
+    monkeypatch.setattr(protocol, "_SAMPLE_CHUNK", 101)
+    monkeypatch.setattr(protocol, "_SAMPLE_WORKERS", 2)
     assert sample_words(monkeypatch, ens, words) == keyed_counts(
         ens, oracle.counts_from_uniforms(joint, words * 2.0**-53)
     )
@@ -793,6 +800,9 @@ def sample_words(monkeypatch, ens, words: np.ndarray) -> dict:
         def random_raw(self, n):
             out, self.raw = self.raw[:n].copy(), self.raw[n:]
             return out
+
+        def advance(self, d):
+            self.raw = self.raw[4 * d :]  # what Philox.advance skips
 
     monkeypatch.setattr(np.random, "Philox", CraftedStream)
     return sample(ens, shots=len(words), seed=0)
@@ -826,6 +836,7 @@ def test_sample_reads_every_bucket_edge_like_the_float_sampler(
         blocks.append(np.stack([np.full_like(k, k1), k], axis=1))
     assert len(blocks) > 2
     monkeypatch.setattr(protocol, "_SAMPLE_CHUNK", 1000)
+    monkeypatch.setattr(protocol, "_SAMPLE_WORKERS", 2)
     for words in blocks:
         assert sample_words(monkeypatch, ens, words) == keyed_counts(
             ens, oracle.counts_from_uniforms(joint, words * 2.0**-53)
@@ -883,8 +894,22 @@ def test_raw_philox_words_are_the_generator_uniforms(key):
     np.testing.assert_array_equal(chunked, words)
 
 
+@pytest.mark.parametrize("key", [0, 1, 42, 2**64 - 1])
+@pytest.mark.parametrize("d", [1, 2, 7, 50])
+def test_philox_advance_skips_four_words_per_step(key, d):
+    # sample starts each worker's span with advance; a numpy release that
+    # changes what it skips must fail here, not shift counts silently.
+    n = 101
+    words = np.random.Philox(key=key).random_raw(4 * d + n)
+    bitgen = np.random.Philox(key=key)
+    bitgen.advance(d)
+    np.testing.assert_array_equal(bitgen.random_raw(n), words[4 * d :])
+
+
 def test_sample_memory_does_not_grow_with_shots(at_ensemble, monkeypatch):
+    # tracemalloc sees the helper thread's chunks too.
     monkeypatch.setattr(protocol, "_SAMPLE_CHUNK", 1024)
+    monkeypatch.setattr(protocol, "_SAMPLE_WORKERS", 2)
     shots = 10**6
     sample(at_ensemble, shots=1, seed=5)  # first use imports numpy.random's helpers
     tracemalloc.start()
@@ -895,6 +920,60 @@ def test_sample_memory_does_not_grow_with_shots(at_ensemble, monkeypatch):
         tracemalloc.stop()
     assert sum(counts.values()) == shots
     assert peak < 1 << 20
+
+
+def test_sample_counts_hold_with_more_workers_than_cores(gc_ensemble, monkeypatch):
+    # A short switch interval interleaves the helpers' chunks as finely as
+    # the interpreter allows; an odd chunk starts spans at odd shots.
+    seed, shots = 42, 10_007
+    ref = oracle.sample_reference(joint_of(gc_ensemble), shots, seed)
+    monkeypatch.setattr(protocol, "_SAMPLE_CHUNK", 97)
+    monkeypatch.setattr(protocol, "_SAMPLE_WORKERS", 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        counts = sample(gc_ensemble, shots=shots, seed=seed)
+    finally:
+        sys.setswitchinterval(interval)
+    assert counts == keyed_counts(gc_ensemble, ref)
+
+
+def test_sample_starts_a_helper_thread_only_past_one_chunk(at_ensemble, monkeypatch):
+    started = []
+
+    class CountedThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(protocol, "_SAMPLE_CHUNK", 100)
+    monkeypatch.setattr(protocol, "_SAMPLE_WORKERS", 2)
+    monkeypatch.setattr(threading, "Thread", CountedThread)
+    sample(at_ensemble, shots=100, seed=1)
+    assert started == []
+    sample(at_ensemble, shots=101, seed=1)
+    assert len(started) == 1
+
+
+def test_sample_reraises_a_helper_thread_error(at_ensemble, monkeypatch):
+    philox = np.random.Philox
+
+    class FailsPastShotZero:
+        def __init__(self, key):
+            self.bitgen = philox(key=key)
+
+        def advance(self, d):
+            if d:
+                raise RuntimeError("helper span failed")
+
+        def random_raw(self, n):
+            return self.bitgen.random_raw(n)
+
+    monkeypatch.setattr(protocol, "_SAMPLE_CHUNK", 100)
+    monkeypatch.setattr(protocol, "_SAMPLE_WORKERS", 2)
+    monkeypatch.setattr(np.random, "Philox", FailsPastShotZero)
+    with pytest.raises(RuntimeError, match="helper span failed"):
+        sample(at_ensemble, shots=1000, seed=1)
 
 
 # --- mutation sanity: a broken entangler destroys the reference ensemble ---

@@ -8,6 +8,7 @@ from dnaswap.encodings import BaseCode
 from dnaswap.gates import bell_basis, bell_state, BellLabel, equality_entangler, pauli, sp
 from dnaswap.protocol import recognize
 from dnaswap.statevec import (
+    PRUNE_DEFAULT,
     DensityMatrix,
     StateVector,
     apply_unitary,
@@ -230,14 +231,14 @@ def test_measurement_rejects_degenerate_pair():
 
 
 def test_pruning_threshold_drops_tiny_branches():
-    delta = 1e-11
+    delta = PRUNE_DEFAULT / 10
     amps = (
         np.sqrt(1 - delta) * bell_state(BellLabel(0, 0)).amplitudes
         + np.sqrt(delta) * bell_state(BellLabel(0, 1)).amplitudes
     )
-    branches = measure_two_qubit(StateVector(2, amps), bell_basis(), (1, 2), prune_threshold=1e-10)
+    branches = measure_two_qubit(StateVector(2, amps), bell_basis(), (1, 2))
     assert [b.outcome_label for b in branches] == [0]
-    assert branches[0].probability == pytest.approx(1.0, abs=2e-11)
+    assert branches[0].probability == pytest.approx(1.0, abs=2 * delta)
 
 
 # --- reduced density matrices ---
