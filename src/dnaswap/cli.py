@@ -3,9 +3,10 @@
 Exit codes are a stable contract: 0 success, 1 verification failure,
 2 usage or input error, 141 stdout closed by its reader before the output
 was written (128 + SIGPIPE, as a shell reports a tool that SIGPIPE ends).
-JSON output is deterministic: keys sorted, floats quantized to 15
-significant digits so that parse/re-serialize round-trips are
-byte-identical. CSV uses RFC-4180 line endings and quoting.
+JSON is written in one pass: the bytes of ``json.dumps(doc, sort_keys=True,
+indent=2)`` (so ASCII-escaped) with every float quantized to 15 significant
+digits, so parse/re-serialize round-trips are byte-identical. CSV uses
+RFC-4180 line endings and quoting.
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from . import reference
 from .encodings import (
@@ -67,20 +69,34 @@ class RunRequest:
         return None
 
 
-def _quantize(obj):
-    if isinstance(obj, bool):
-        return obj
+def _encode(obj, indent: str) -> str:
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
     if isinstance(obj, float):
-        return float(f"{obj:.15g}")
+        text = f"{obj:.15g}"
+        if "e" in text or "n" in text:  # exponent form, inf or nan
+            return json.dumps(float(text))
+        # Positional, so normal: repr prints these same digits, with ".0" when whole.
+        return text if "." in text else text + ".0"
+    inner = indent + "  "
     if isinstance(obj, dict):
-        return {k: _quantize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_quantize(v) for v in obj]
-    return obj
+        items = [f"{encode_basestring_ascii(k)}: {_encode(obj[k], inner)}" for k in sorted(obj)]
+    elif isinstance(obj, (list, tuple)):
+        items = [_encode(v, inner) for v in obj]
+    elif obj is None:
+        return "null"
+    elif isinstance(obj, bool):
+        return "true" if obj else "false"
+    elif isinstance(obj, int):
+        return int.__repr__(obj)
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    ends, sep = "{}" if isinstance(obj, dict) else "[]", ",\n" + inner
+    return f"{ends[0]}\n{inner}{sep.join(items)}\n{indent}{ends[1]}" if items else ends
 
 
 def to_json(doc: dict) -> str:
-    return json.dumps(_quantize(doc), sort_keys=True, indent=2)
+    return _encode(doc, "")
 
 
 def _csv(header: list[str], rows: list[list]) -> str:

@@ -256,9 +256,8 @@ def assemble_pair(
     if (template.base, incoming.base) not in _SUPPORTED_PAIRS:
         raise ValueError(f"unsupported pairing {template}.{incoming}")
     targets = recognition_targets(cfg or ProtocolConfig())
-    x = targets[wc_initial_pattern(template).bits]
-    y = targets[wc_initial_pattern(incoming).bits]
-    return StateVector(6, np.kron(x, y)[_INTERLEAVE_INDEX])
+    x, y = (targets[wc_initial_pattern(b).bits] for b in (template, incoming))
+    return StateVector(6, np.multiply.outer(x, y).reshape(-1)[_INTERLEAVE_INDEX])
 
 
 def _instrument(v: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ Bell labeling, the V construction, and the recognition-target definitions.
 """
 from __future__ import annotations
 
+import json
 from functools import reduce
 from itertools import product
 
@@ -219,3 +220,20 @@ def counts_from_uniforms(joint: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
         idx12[mask] = pick(joint[i], uniforms[mask, 1])
     counts = np.bincount(idx34 * 4 + idx12, minlength=16)
     return counts
+
+
+def _quantize(obj):
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, float):
+        return float(f"{obj:.15g}")
+    if isinstance(obj, dict):
+        return {k: _quantize(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_quantize(v) for v in obj]
+    return obj
+
+
+def to_json(doc: dict) -> str:
+    """The CLI's JSON as ``json.dumps`` writes it: the reference for ``cli.to_json``."""
+    return json.dumps(_quantize(doc), sort_keys=True, indent=2)

@@ -12,7 +12,10 @@ from decimal import ROUND_HALF_EVEN, Decimal
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import _oracle as oracle
 from dnaswap import protocol
 from dnaswap.cli import PAIRS, RunRequest, cmd_verify, main, to_json
 from dnaswap.encodings import wc_initial_pattern
@@ -137,6 +140,54 @@ def test_exact_json_floats_are_within_one_unit_of_the_15_digit_rounding(capsys, 
                 assert off_by_units(printed, value) <= 1, (br, printed, value)
 
 
+def exact_canonical_rows(pair: str) -> list[list]:
+    """[group, a, b, P] of every canonical row, at the working precision.
+
+    The branches of ``exact_branches`` are phase-normalized as
+    ``canonical_table`` does (a real and >= 0, else b) and merged where their
+    group and normalized (a, b) coincide; P sums the merged branches.
+    """
+    rows: list[list] = []
+    for index, (p, res) in exact_branches(pair).items():
+        if p == 0:
+            continue
+        l34, l12 = BELL_LABELS[index // 4], BELL_LABELS[index % 4]
+        # A correction fires on k = 0; X on qubit 5 acts when one of the two did.
+        a, b = (res[3], res[0]) if (l34.k == 0) != (l12.k == 0) else (res[1], res[2])
+        sign = mpmath.sign(a) or mpmath.sign(b)
+        group, a, b = f"{l12.j}{l34.j}", a * sign, b * sign
+        for row in rows:
+            if row[0] == group and abs(row[1] - a) < 1e-30 and abs(row[2] - b) < 1e-30:
+                row[3] += p
+                break
+        else:
+            rows.append([group, a, b, p])
+    return rows
+
+
+@pytest.mark.parametrize("pair", ["AT", "GC"])
+def test_inspect_outcome_rows_are_within_one_unit_of_the_15_digit_rounding(capsys, pair):
+    _, out, _ = run_cli(capsys, ["inspect", "--pair", pair, "--stage", "O"])
+    doc = json.loads(out, parse_float=Decimal)["ensemble"]
+    assert off_by_units(doc["dropped_mass"], 0) == 0
+    with mpmath.workdps(40):
+        exact = exact_canonical_rows(pair)
+        assert len(doc["rows"]) == len(exact)
+        matched = set()
+        for row in doc["rows"]:
+            # The exact row this one prints: same group, nearest (a, b).
+            i = min(
+                (i for i, r in enumerate(exact) if r[0] == row["group"]),
+                key=lambda i: abs(exact[i][1] - mpmath.mpf(str(row["a"])))
+                + abs(exact[i][2] - mpmath.mpf(str(row["b"]))),
+            )
+            matched.add(i)
+            _, a, b, p = exact[i]
+            for printed, value in ((row["a"], a), (row["b"], b), (row["p"], p)):
+                assert off_by_units(printed, value) <= 1, (row, printed, value)
+        assert len(matched) == len(exact)
+
+
 def test_exact_csv_has_frozen_columns_and_crlf(capsys):
     code, out, _ = run_cli(capsys, ["run", "--pair", "GC", "--mode", "exact", "--format", "csv"])
     assert code == 0
@@ -160,6 +211,50 @@ def test_exact_output_is_reproducible(capsys):
     _, first, _ = run_cli(capsys, ["run", "--pair", "GC", "--mode", "exact", "--format", "json"])
     _, second, _ = run_cli(capsys, ["run", "--pair", "GC", "--mode", "exact", "--format", "json"])
     assert first == second
+
+
+# --- the JSON writer ---
+
+FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e15, 1e16, math.inf, -math.inf, math.nan]
+    ),
+    st.floats(min_value=0.0, max_value=2.2250738585072014e-308),  # subnormals
+    st.floats(min_value=1e15, max_value=1e16, exclude_max=True),
+    st.floats(min_value=1e16, allow_infinity=False),
+    st.floats(min_value=-1e16, max_value=-1e15),
+    st.floats(allow_nan=False).map(np.float64),
+)
+INTS = (
+    st.integers()
+    | st.integers(min_value=2**53, max_value=2**80)
+    | st.integers(min_value=-(2**80), max_value=-(2**53))
+)
+# Quotes, a backslash, control characters and non-ASCII characters.
+TEXT = st.text() | st.text(alphabet='"\\\x00\x1f\x7f/\u00e9\u2028\U0001f600ab')
+SCALARS = FLOATS | INTS | TEXT | st.booleans() | st.none()
+DOCS = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(TEXT, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=st.dictionaries(TEXT, DOCS, max_size=5))
+def test_to_json_writes_the_bytes_of_the_json_dumps_oracle(doc):
+    assert to_json(doc) == oracle.to_json(doc)
+
+
+def test_to_json_rejects_a_value_json_cannot_encode():
+    doc = {"branches": [{"corrections": {"x45"}}]}
+    with pytest.raises(TypeError, match="set"):
+        to_json(doc)
+    with pytest.raises(TypeError, match="set"):
+        oracle.to_json(doc)
 
 
 # --- run, sample mode ---

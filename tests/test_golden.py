@@ -12,7 +12,7 @@ import hashlib
 
 import pytest
 
-from dnaswap.cli import RunRequest, cmd_inspect, cmd_run, cmd_verify
+from dnaswap.cli import RunRequest, cmd_inspect, cmd_recognize, cmd_run, cmd_verify
 
 SEED_MAX = 2**64 - 1
 
@@ -47,6 +47,10 @@ GOLDEN = {
     "inspect-GC-I": "8e309718f5472f405a50d378778bcd4e4cb2c24e82fce962b89f40383fb86b64",
     "inspect-GC-Q": "9255d4c0f44e362d8bdb4e7aeeef04e2e58b91232aaa07a39451b3471eb83f73",
     "inspect-GC-O": "42bc3371dd41088e53adf2204a5bdd59a948c0e99b51f4413c73cfcce32ff3e3",
+    "recognize-01": "757e10b89ccccf4f698765078cc4389ab81790c9b09dc6ce819b5eb675edfc74",
+    "recognize-01-tautomers": "ba661810d2327dfc23cf14ffc3126cdd3bd1b7cd455ed138dc848c540194a065",
+    "recognize-10": "cd6818bef243bc9b183a54b8584e0c6af34ab6e31d393bc4d6c5eaf2ecb47174",
+    "recognize-10-tautomers": "90a4e2bd9b0a5a6600dda273fb76c8397f3dce0bf2a4eb21cff59deaaf8a846b",
     "verify": "0a7adb746a882737a1a28245a33011e2a74e4f77dccabe9344a667fb5ed44e8a",
     "verify-dump-reference": "feb37b40cbf3f23e1a8cff5347d722c86cd864ebdeda5f13c3d9df0c4d38ab22",
 }
@@ -59,6 +63,8 @@ def render(case: str) -> str:
         return cmd_verify(dump_reference=len(parts) > 1)[0]
     if parts[0] == "inspect":
         return cmd_inspect(parts[1], parts[2])
+    if parts[0] == "recognize":
+        return cmd_recognize(parts[1], tautomers=len(parts) > 2)
     _, mode, pair, fmt, *sampling = parts
     req = RunRequest(pair=pair, mode=mode, fmt=fmt)
     if sampling:
@@ -73,7 +79,7 @@ def digest(case: str) -> str:
 
 
 def test_golden_set_covers_every_frozen_output():
-    assert len(GOLDEN) == 32
+    assert len(GOLDEN) == 36
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
