@@ -41,6 +41,9 @@ PAIRS = {
     "AT": (BaseCode("A"), BaseCode("T")),
     "GC": (BaseCode("G"), BaseCode("C")),
 }
+MODES = ("exact", "sample")
+FORMATS = ("json", "csv", "table")
+STAGES = ("I", "Q", "O")
 
 
 @dataclass
@@ -52,9 +55,13 @@ class RunRequest:
     fmt: str = "table"
 
     def validate(self) -> str | None:
-        """Return an error message for invalid cross-field combinations."""
+        """Return an error message for an invalid field or field combination."""
         if self.pair not in PAIRS:
             return f"pair must be one of {sorted(PAIRS)}, got {self.pair!r}"
+        if self.mode not in MODES:
+            return f"mode must be one of {list(MODES)}, got {self.mode!r}"
+        if self.fmt not in FORMATS:
+            return f"format must be one of {list(FORMATS)}, got {self.fmt!r}"
         if self.mode == "sample":
             if self.shots is None:
                 return "--shots is required in sample mode"
@@ -211,6 +218,8 @@ def _state_entry(label: str, state) -> dict:
 
 
 def cmd_inspect(pair: str, stage: str) -> str:
+    if stage not in STAGES:
+        raise ValueError(f"stage must be one of {list(STAGES)}, got {stage!r}")
     template, incoming = PAIRS[pair]
     if stage == "I":
         doc = {
@@ -273,10 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run the pairing protocol for one base pair")
     p_run.add_argument("--pair", required=True, choices=sorted(PAIRS))
-    p_run.add_argument("--mode", choices=["exact", "sample"], default="exact")
+    p_run.add_argument("--mode", choices=MODES, default="exact")
     p_run.add_argument("--shots", type=int, default=None, help="sample mode only")
     p_run.add_argument("--seed", type=int, default=0, help="64-bit sampling seed")
-    p_run.add_argument("--format", dest="fmt", choices=["json", "csv", "table"], default="table")
+    p_run.add_argument("--format", dest="fmt", choices=FORMATS, default="table")
 
     p_verify = sub.add_parser("verify", help="check protocol output against the reference tables")
     p_verify.add_argument(
@@ -286,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inspect = sub.add_parser("inspect", help="print protocol states at a chosen stage")
     p_inspect.add_argument("--pair", required=True, choices=sorted(PAIRS))
     p_inspect.add_argument(
-        "--stage", required=True, choices=["I", "Q", "O"],
+        "--stage", required=True, choices=STAGES,
         help="I: initial kets, Q: assembled superposition, O: outcome ensemble",
     )
 

@@ -8,7 +8,7 @@ Pipeline for a template/incoming base pair:
 2. The two 3-qubit states are laid side by side so that bonded atom pairs
    sit next to each other: template qubits land on positions (1, 3, 5),
    incoming qubits on (2, 4, 6). This is one fixed gather of the Kronecker
-   product of the two recognition targets.
+   product of the two columns of U.
 3. The swap protocol S runs: the entangler V on qubits (3, 5); a Bell
    measurement on (3, 4); on outcome b00/b10, Pauli-X on qubits 4 and 5;
    a Bell measurement on (1, 2); on outcome b00/b10, Pauli-X on 2 and 5.
@@ -76,9 +76,9 @@ _BUCKET_SHIFT = _WORD_BITS - _BUCKET_BITS
 class ProtocolConfig:
     """Recognition angles; the defaults reproduce the reference tables.
 
-    ``phi`` fixes the equal-superposition amplitudes of the two-component
-    recognition targets and ``theta`` splits the three-component ones; both
-    are absorbed into the recognition unitary's target states.
+    ``phi`` fixes the amplitudes of the two-component recognized states (A,
+    T) and ``theta`` splits the three-component ones (G, C); both enter only
+    through the recognition unitary's columns.
     """
 
     theta: float = DEFAULT_THETA
@@ -187,57 +187,47 @@ class CanonicalRow:
             raise ValueError("rank is 1-based")
 
 
-def recognition_targets(cfg: ProtocolConfig) -> dict[tuple[int, ...], np.ndarray]:
-    """Target states of the recognition unitary on the four initial kets.
+def _recognition_matrix(cfg: ProtocolConfig) -> np.ndarray:
+    """U as a real orthogonal 8x8 matrix, block-diagonal in Hamming weight.
 
-    The angle parametrization keeps the four targets orthonormal for every
-    finite (theta, phi); the defaults give the equal-amplitude states.
+    A tautomer moves a proton, so U keeps the weight: |000> and |111> are
+    fixed, columns 101 (A), 010 (T), 011 (G) and 100 (C) are the initial
+    kets' tautomer superpositions, and the free column of each weight block
+    (001, 110) is the cross product of the block's two pinned columns.
     """
     ct, st = math.cos(cfg.theta), math.sin(cfg.theta)
     cp, sp_ = math.cos(cfg.phi), math.sin(cfg.phi)
+    # One row per line: output kets 000 ... 111; columns are input kets. Complex:
+    # a real product in assembly would sign the state's zero imaginary parts otherwise.
+    return np.array(
+        (
+            1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+            0.0, ct, 0.0, 0.0, st, 0.0, 0.0, 0.0,
+            0.0, sp_ * st, cp, 0.0, -ct * sp_, 0.0, 0.0, 0.0,
+            0.0, 0.0, 0.0, ct * sp_, 0.0, cp, -sp_ * st, 0.0,
+            0.0, -cp * st, sp_, 0.0, ct * cp, 0.0, 0.0, 0.0,
+            0.0, 0.0, 0.0, ct * cp, 0.0, -sp_, -cp * st, 0.0,
+            0.0, 0.0, 0.0, st, 0.0, 0.0, ct, 0.0,
+            0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0,
+        ),
+        dtype=complex,
+    ).reshape(8, 8)
 
-    def vec(terms: dict[str, float]) -> np.ndarray:
-        out = np.zeros(8, dtype=complex)
-        for bits, amp in terms.items():
-            out[int(bits, 2)] = amp
-        return out
 
-    return {
-        (1, 0, 1): vec({"011": cp, "101": -sp_}),
-        (0, 1, 0): vec({"010": cp, "100": sp_}),
-        (0, 1, 1): vec({"011": ct * sp_, "101": ct * cp, "110": st}),
-        (1, 0, 0): vec({"100": ct * cp, "010": -ct * sp_, "001": st}),
-    }
+def _column(b: BaseCode) -> int:
+    """Index of U's column at a base's initial pairing-face ket."""
+    q1, q2, q3 = wc_initial_pattern(b).bits
+    return 4 * q1 + 2 * q2 + q3
 
 
 def build_recognition_unitary(cfg: ProtocolConfig | None = None) -> Gate:
-    """The 3-qubit recognition unitary U.
-
-    U is pinned by its action on the four initial kets; the remaining four
-    columns are an orthonormal basis of the null space of the pinned ones
-    (the trailing left singular vectors of the pinned 8x4 block). The
-    protocol never reads them: ``recognize`` takes the pinned column
-    straight from ``recognition_targets``.
-    """
-    cfg = cfg or ProtocolConfig()
-    targets = recognition_targets(cfg)
-    cols = list(targets.values())
-    gram = np.array([[np.vdot(a, b) for b in cols] for a in cols])
-    if np.max(np.abs(gram - np.eye(4))) > NORM_ATOL:
-        raise ValueError("recognition targets are not orthonormal for these angles")
-
-    mat = np.zeros((8, 8), dtype=complex)
-    pinned = [int("".join(map(str, bits)), 2) for bits in targets]
-    mat[:, pinned] = np.column_stack(cols)
-    free = [i for i in range(8) if i not in pinned]
-    mat[:, free] = np.linalg.svd(mat[:, pinned])[0][:, 4:]
-    return Gate("U", mat)
+    """The 3-qubit recognition unitary U (see ``_recognition_matrix``)."""
+    return Gate("U", _recognition_matrix(cfg or ProtocolConfig()))
 
 
 def recognize(b: BaseCode, cfg: ProtocolConfig | None = None) -> StateVector:
     """A base's post-recognition pairing face: U's column at its initial ket."""
-    cfg = cfg or ProtocolConfig()
-    return StateVector(3, recognition_targets(cfg)[wc_initial_pattern(b).bits])
+    return StateVector(3, _recognition_matrix(cfg or ProtocolConfig())[:, _column(b)])
 
 
 _SUPPORTED_PAIRS = {("A", "T"), ("T", "A"), ("G", "C"), ("C", "G")}
@@ -255,8 +245,8 @@ def assemble_pair(
         )
     if (template.base, incoming.base) not in _SUPPORTED_PAIRS:
         raise ValueError(f"unsupported pairing {template}.{incoming}")
-    targets = recognition_targets(cfg or ProtocolConfig())
-    x, y = (targets[wc_initial_pattern(b).bits] for b in (template, incoming))
+    u = _recognition_matrix(cfg or ProtocolConfig())
+    x, y = u[:, _column(template)], u[:, _column(incoming)]
     return StateVector(6, np.multiply.outer(x, y).reshape(-1)[_INTERLEAVE_INDEX])
 
 

@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from dnaswap.encodings import BaseCode, wc_initial_state
+from dnaswap.encodings import BaseCode, wc_initial_pattern, wc_initial_state
 from dnaswap.gates import (
     BELL_LABELS,
     Gate,
@@ -30,7 +30,6 @@ from dnaswap.protocol import (
     assemble_pair,
     build_recognition_unitary,
     canonical_table,
-    recognition_targets,
     recognize,
     run_pair,
     sample,
@@ -183,7 +182,7 @@ def test_criterion_7_completion_independence():
     mix, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
     for theta, phi in ((DEFAULT_THETA, DEFAULT_PHI), (0.3, 0.9), (math.pi / 2 + 1e-6, DEFAULT_PHI)):
         cfg = ProtocolConfig(theta=theta, phi=phi)
-        pinned = [int("".join(map(str, bits)), 2) for bits in recognition_targets(cfg)]
+        pinned = [int(wc_initial_pattern(BaseCode(b)).text, 2) for b in "ATGC"]
         free = [i for i in range(8) if i not in pinned]
         u_lib = build_recognition_unitary(cfg)
         mixed = u_lib.matrix.copy()

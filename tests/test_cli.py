@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import _oracle as oracle
 from dnaswap import protocol
-from dnaswap.cli import PAIRS, RunRequest, cmd_verify, main, to_json
+from dnaswap.cli import PAIRS, RunRequest, cmd_inspect, cmd_verify, main, to_json
 from dnaswap.encodings import wc_initial_pattern
 from dnaswap.gates import BELL_LABELS
 
@@ -167,25 +167,33 @@ def exact_canonical_rows(pair: str) -> list[list]:
 
 @pytest.mark.parametrize("pair", ["AT", "GC"])
 def test_inspect_outcome_rows_are_within_one_unit_of_the_15_digit_rounding(capsys, pair):
+    # Two prints of the canonical rows: ``inspect --stage O`` (JSON) and
+    # ``run --format csv`` (``.15g`` text).
     _, out, _ = run_cli(capsys, ["inspect", "--pair", pair, "--stage", "O"])
     doc = json.loads(out, parse_float=Decimal)["ensemble"]
     assert off_by_units(doc["dropped_mass"], 0) == 0
+    _, out, _ = run_cli(capsys, ["run", "--pair", pair, "--format", "csv"])
+    csv_rows = [
+        {"group": j + m, "a": Decimal(a), "b": Decimal(b), "p": Decimal(p)}
+        for j, m, _, a, b, p in [r for r in csv.reader(io.StringIO(out)) if r][1:]
+    ]
     with mpmath.workdps(40):
         exact = exact_canonical_rows(pair)
-        assert len(doc["rows"]) == len(exact)
-        matched = set()
-        for row in doc["rows"]:
-            # The exact row this one prints: same group, nearest (a, b).
-            i = min(
-                (i for i, r in enumerate(exact) if r[0] == row["group"]),
-                key=lambda i: abs(exact[i][1] - mpmath.mpf(str(row["a"])))
-                + abs(exact[i][2] - mpmath.mpf(str(row["b"]))),
-            )
-            matched.add(i)
-            _, a, b, p = exact[i]
-            for printed, value in ((row["a"], a), (row["b"], b), (row["p"], p)):
-                assert off_by_units(printed, value) <= 1, (row, printed, value)
-        assert len(matched) == len(exact)
+        for rows in (doc["rows"], csv_rows):
+            assert len(rows) == len(exact)
+            matched = set()
+            for row in rows:
+                # The exact row this one prints: same group, nearest (a, b).
+                i = min(
+                    (i for i, r in enumerate(exact) if r[0] == row["group"]),
+                    key=lambda i: abs(exact[i][1] - mpmath.mpf(str(row["a"])))
+                    + abs(exact[i][2] - mpmath.mpf(str(row["b"]))),
+                )
+                matched.add(i)
+                _, a, b, p = exact[i]
+                for printed, value in ((row["a"], a), (row["b"], b), (row["p"], p)):
+                    assert off_by_units(printed, value) <= 1, (row, printed, value)
+            assert len(matched) == len(exact)
 
 
 def test_exact_csv_has_frozen_columns_and_crlf(capsys):
@@ -324,6 +332,9 @@ def test_run_request_validation_messages():
     assert RunRequest(pair="AT", mode="sample", shots=2**63).validate().startswith("--shots")
     assert RunRequest(pair="AT", mode="sample", shots=2**63 - 1).validate() is None
     assert RunRequest(pair="AT").validate() is None
+    # Programmatic callers get the parser's choices too.
+    assert RunRequest(pair="AT", mode="Sample").validate().startswith("mode")
+    assert RunRequest(pair="AT", fmt="xml").validate().startswith("format")
 
 
 # --- verify ---
@@ -371,6 +382,20 @@ def test_verify_into_a_closed_pipe_exits_141_quietly():
     assert err == b"", err.decode()  # no BrokenPipeError traceback
 
 
+def test_cli_import_loads_no_sympy_scipy_or_mpmath():
+    # The package computes with numpy alone; sympy, scipy and mpmath are for
+    # tests and offline derivations, never a runtime dependency.
+    probe = (
+        "import json, sys, dnaswap.cli; "
+        "print(json.dumps(sorted({m.split('.')[0] for m in sys.modules})))"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    loaded = set(json.loads(out.stdout))
+    assert "dnaswap" in loaded
+    assert not loaded & {"sympy", "scipy", "mpmath"}
+
+
 # --- inspect ---
 
 
@@ -404,6 +429,9 @@ def test_inspect_outcome_stage(capsys):
     rows = doc["ensemble"]["rows"]
     assert len(rows) == 4
     assert {row["group"] for row in rows} == {"00", "01", "10", "11"}
+    # A programmatic caller gets the parser's stages too, not stage O.
+    with pytest.raises(ValueError, match="stage must be one of"):
+        cmd_inspect("AT", "X")
 
 
 # --- recognize ---

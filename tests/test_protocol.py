@@ -30,7 +30,6 @@ from dnaswap.protocol import (
     build_recognition_unitary,
     canonical_table,
     recognize,
-    recognition_targets,
     run_pair,
     sample,
     swap,
@@ -142,25 +141,50 @@ def test_recognition_reads_the_pinned_columns_of_a_unitary_u(theta, phi):
         assert np.array_equal(column, recognize(code, cfg).amplitudes), code
 
 
+WEIGHT = np.array([bin(i).count("1") for i in range(8)])
+# U's four columns at the initial kets, in A, T, G, C order.
+PINNED = [int(wc_initial_pattern(code).text, 2) for code in (A, T, G, C)]
+
+
+def pinned_columns(cfg: ProtocolConfig) -> dict[int, np.ndarray]:
+    u = build_recognition_unitary(cfg).matrix
+    return {k: u[:, k] for k in PINNED}
+
+
+@settings(max_examples=200, deadline=None)
+@given(theta=ANGLES, phi=ANGLES)
+def test_recognition_unitary_conserves_weight_and_is_orthogonal(theta, phi):
+    # A tautomer moves a proton, never adds or removes one: U maps each ket
+    # only onto kets of its own Hamming weight.
+    u = build_recognition_unitary(ProtocolConfig(theta=theta, phi=phi)).matrix
+    assert np.all(u[WEIGHT[:, None] != WEIGHT[None, :]] == 0)
+    assert np.all(u.imag == 0)
+    assert np.max(np.abs(u.real.T @ u.real - np.eye(8))) <= 1e-12
+
+
+def test_recognition_unitary_matches_the_oracle_at_the_default_angles(cfg):
+    assert np.max(np.abs(build_recognition_unitary(cfg).matrix - oracle.build_u())) <= 1e-15
+
+
 def test_recognition_targets_stay_orthonormal_off_default_angles():
     rng = np.random.default_rng(7)
     for _ in range(10):
         cfg = ProtocolConfig(theta=rng.uniform(-3, 3), phi=rng.uniform(-3, 3))
-        cols = list(recognition_targets(cfg).values())
+        cols = list(pinned_columns(cfg).values())
         gram = np.array([[np.vdot(x, y) for y in cols] for x in cols])
         assert np.max(np.abs(gram - np.eye(4))) <= 1e-12
 
 
 def test_recognition_target_amplitude_pattern_off_default():
     cfg = ProtocolConfig(theta=0.3, phi=0.9)
-    targets = recognition_targets(cfg)
+    targets = pinned_columns(cfg)
     ct, st = math.cos(0.3), math.sin(0.3)
     cp, sp_ = math.cos(0.9), math.sin(0.9)
-    g_row = targets[(0, 1, 1)]
+    g_row = targets[0b011]
     assert g_row[0b011] == pytest.approx(ct * sp_, abs=1e-15)
     assert g_row[0b101] == pytest.approx(ct * cp, abs=1e-15)
     assert g_row[0b110] == pytest.approx(st, abs=1e-15)
-    a_row = targets[(1, 0, 1)]
+    a_row = targets[0b101]
     assert a_row[0b011] == pytest.approx(cp, abs=1e-15)
     assert a_row[0b101] == pytest.approx(-sp_, abs=1e-15)
 
@@ -242,26 +266,26 @@ def test_assembly_is_the_interleaved_product_of_the_recognized_faces(theta, phi,
     got = assemble_pair(template, incoming, cfg).amplitudes
     product = tensor(recognize(template, cfg), recognize(incoming, cfg))
     assert np.array_equal(got, permute_qubits(product, INTERLEAVE).amplitudes)
-    targets = recognition_targets(cfg)
-    x = targets[wc_initial_pattern(template).bits]
-    y = targets[wc_initial_pattern(incoming).bits]
+    u = build_recognition_unitary(cfg).matrix
+    x = u[:, int(wc_initial_pattern(template).text, 2)]
+    y = u[:, int(wc_initial_pattern(incoming).text, 2)]
     assert np.array_equal(got, oracle.interleave(np.kron(x, y)))
 
 
 def test_run_pair_builds_one_state_and_reads_the_targets_once(monkeypatch):
     calls = {"states": 0, "targets": 0}
-    post_init, targets = StateVector.__post_init__, protocol.recognition_targets
+    post_init, matrix = StateVector.__post_init__, protocol._recognition_matrix
 
     def counted_post_init(self):
         calls["states"] += 1
         post_init(self)
 
-    def counted_targets(cfg):
+    def counted_matrix(cfg):
         calls["targets"] += 1
-        return targets(cfg)
+        return matrix(cfg)
 
     monkeypatch.setattr(StateVector, "__post_init__", counted_post_init)
-    monkeypatch.setattr(protocol, "recognition_targets", counted_targets)
+    monkeypatch.setattr(protocol, "_recognition_matrix", counted_matrix)
     for template, incoming in ((A, T), (G, C)):
         calls.update(states=0, targets=0)
         run_pair(template, incoming)
