@@ -143,6 +143,9 @@ def _canonical_rows(e: Ensemble) -> list[list]:
 
 
 def cmd_run(req: RunRequest) -> str:
+    problem = req.validate()
+    if problem is not None:
+        raise ValueError(problem)
     template, incoming = PAIRS[req.pair]
     if req.mode == "exact":
         ens = run_pair(template, incoming)
@@ -218,6 +221,9 @@ def _state_entry(label: str, state) -> dict:
 
 
 def cmd_inspect(pair: str, stage: str) -> str:
+    problem = RunRequest(pair=pair).validate()  # run's pair check
+    if problem is not None:
+        raise ValueError(problem)
     if stage not in STAGES:
         raise ValueError(f"stage must be one of {list(STAGES)}, got {stage!r}")
     template, incoming = PAIRS[pair]

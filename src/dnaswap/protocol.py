@@ -18,8 +18,9 @@ that maps the register to the unnormalized (5, 6) residual of each of the
 16 (l34, l12) outcome pairs. ``swap`` enumerates every measurement
 trajectory exactly with one product ``K @ psi``. Trajectories of
 probability 0 or below ``PRUNE_DEFAULT`` are dropped, and ``dropped_mass``
-is their summed probability. A kept branch holds its 2x2 residual; its
-6-qubit final state is built only when read. ``sample`` draws the
+is their summed probability. The ensemble holds the 16 probabilities,
+residuals and a keep mask as arrays; its ``OutcomeBranch`` views, and a
+branch's 6-qubit final state, are built only when read. ``sample`` draws the
 trajectories of an exact ensemble stochastically from a counter-based
 seeded stream. It reads the stream in fixed chunks of raw 53-bit words and
 picks outcomes by exact integer thresholds. The shots split into contiguous
@@ -36,6 +37,7 @@ import operator
 import os
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -151,18 +153,45 @@ class OutcomeBranch:
 
 @dataclass(eq=False)
 class Ensemble:
-    """Exact outcome distribution of one swap run."""
+    """Exact outcome distribution of one swap run, held as arrays.
+
+    Index i of each array is the raw outcome 4 * i34 + i12 in
+    ``BELL_LABELS`` order. ``probabilities`` (16,) are the trajectory
+    probabilities, ``residuals`` (16, 2, 2) the corrected, normalized (5, 6)
+    amplitudes, and ``keep`` (16,) marks the enumerated branches; a residual
+    is meaningful only where ``keep`` is set. ``dropped_mass`` is the summed
+    probability of the outcomes ``keep`` leaves out.
+    """
 
     pair: tuple[BaseCode, BaseCode] | None
-    branches: list[OutcomeBranch]
+    probabilities: np.ndarray
+    residuals: np.ndarray
+    keep: np.ndarray
     dropped_mass: float
 
     def __post_init__(self) -> None:
-        if len(self.branches) > 16:
-            raise ValueError(f"at most 16 branches possible, got {len(self.branches)}")
-        total = sum(b.probability for b in self.branches) + self.dropped_mass
+        shapes = (self.probabilities.shape, self.residuals.shape, self.keep.shape)
+        if shapes != ((16,), (16, 2, 2), (16,)) or self.keep.dtype != bool:
+            raise ValueError(
+                "ensemble arrays must have shapes (16,), (16, 2, 2), (16,) and a boolean"
+                f" keep mask, got {shapes} and a {self.keep.dtype} mask"
+            )
+        total = sum(self.probabilities[self.keep].tolist()) + self.dropped_mass
         if not abs(total - 1.0) <= _MASS_ATOL:
             raise ValueError(f"branch probabilities + dropped mass must be 1, got {total}")
+
+    @cached_property
+    def branches(self) -> list[OutcomeBranch]:
+        """The kept trajectories as ``OutcomeBranch`` views, in outcome order."""
+        return [
+            OutcomeBranch(
+                bell_34=BELL_LABELS[i >> 2],
+                bell_12=BELL_LABELS[i & 3],
+                probability=float(self.probabilities[i]),
+                residual=self.residuals[i],
+            )
+            for i in np.flatnonzero(self.keep)
+        ]
 
 
 @dataclass(frozen=True)
@@ -270,6 +299,8 @@ _K = _readonly(_instrument(equality_entangler().matrix))
 # Outcome i = 4*i34 + i12 has X on qubit 5 exactly when one of its two
 # corrections fires (raw k = 0 on one pair only), which swaps its rows.
 _FLIP = np.array([(l34.k == 0) != (l12.k == 0) for l34 in BELL_LABELS for l12 in BELL_LABELS])
+# (j, m) group of outcome i: first bits of its (1,2) and (3,4) labels.
+_GROUP = tuple((l12.j, l34.j) for l34 in BELL_LABELS for l12 in BELL_LABELS)
 
 
 def swap(
@@ -285,11 +316,13 @@ def swap(
     X on qubit 5 acts when exactly one correction fires, which swaps the
     residual's rows. K for the paper's V is built once at import.
 
-    Branches are keyed by the raw (pre-correction) measurement outcomes, in
-    ``BELL_LABELS`` order. A trajectory of probability 0 is never kept. A
-    (3,4) outcome below ``PRUNE_DEFAULT`` is dropped, and so is a (1,2)
-    outcome whose conditional probability is; ``dropped_mass`` is the summed
-    probability of the dropped trajectories.
+    The ensemble holds these arrays as computed: outcome i = 4*i34 + i12
+    indexes the raw (pre-correction) measurement outcomes in ``BELL_LABELS``
+    order, and its ``OutcomeBranch`` views are built only when
+    ``Ensemble.branches`` is read. A trajectory of probability 0 is never
+    kept. A (3,4) outcome below ``PRUNE_DEFAULT`` is dropped, and so is a
+    (1,2) outcome whose conditional probability is; ``dropped_mass`` is the
+    summed probability of the dropped trajectories.
     """
     if pair_state.num_qubits != 6:
         raise ValueError(f"swap needs a 6-qubit register, got {pair_state.num_qubits}")
@@ -304,17 +337,13 @@ def swap(
     dev = np.abs(np.sqrt(np.sum(np.abs(residual[keep]) ** 2, axis=(1, 2))) - 1.0)
     if not np.all(dev <= NORM_ATOL):
         raise ValueError(f"branch residual not normalized: max |norm - 1| = {np.max(dev):.3e}")
-
-    branches = [
-        OutcomeBranch(
-            bell_34=BELL_LABELS[i >> 2],
-            bell_12=BELL_LABELS[i & 3],
-            probability=float(probs[i]),
-            residual=residual[i],
-        )
-        for i in np.flatnonzero(keep)
-    ]
-    return Ensemble(pair=pair, branches=branches, dropped_mass=float(probs[~keep].sum()))
+    return Ensemble(
+        pair=pair,
+        probabilities=_readonly(probs),
+        residuals=residual,
+        keep=_readonly(keep),
+        dropped_mass=float(probs[~keep].sum()),
+    )
 
 
 def run_pair(
@@ -327,15 +356,21 @@ def run_pair(
 
 
 def canonical_table(e: Ensemble) -> list[CanonicalRow]:
-    """Group, phase-normalize, merge, and rank the ensemble's branches.
+    """Group, phase-normalize, merge, and rank the ensemble's kept outcomes.
 
-    Branches whose corrected final states coincide (same group and same
+    Outcomes whose corrected final states coincide (same group and same
     normalized third-pair amplitudes within 1e-10) merge into one row with
-    summed probability.
+    summed probability. The arrays are read once as Python numbers: over 16
+    entries, element-wise numpy costs more per call than this loop.
     """
+    keep = e.keep.tolist()
+    third = e.residuals[:, (0, 1), (1, 0)].tolist()
+    probs = e.probabilities.tolist()
     grouped: dict[tuple[int, int], list[list[float]]] = {}
-    for br in e.branches:
-        a, b = br.third_pair
+    for i in range(16):
+        if not keep[i]:
+            continue
+        a, b = third[i]
         if abs(a) > ZERO_ATOL:
             phase = a / abs(a)
         elif abs(b) > ZERO_ATOL:
@@ -347,13 +382,13 @@ def canonical_table(e: Ensemble) -> list[CanonicalRow]:
             raise ValueError("third-pair amplitudes have a non-real relative phase")
         af = 0.0 if abs(an.real) < ZERO_ATOL else float(an.real)
         bf = 0.0 if abs(bn.real) < ZERO_ATOL else float(bn.real)
-        rows = grouped.setdefault(br.group, [])
+        rows = grouped.setdefault(_GROUP[i], [])
         for row in rows:
             if abs(row[0] - af) <= _MERGE_ATOL and abs(row[1] - bf) <= _MERGE_ATOL:
-                row[2] += br.probability
+                row[2] += probs[i]
                 break
         else:
-            rows.append([af, bf, br.probability])
+            rows.append([af, bf, probs[i]])
 
     out: list[CanonicalRow] = []
     for group in sorted(grouped):
@@ -430,12 +465,10 @@ def sample(
     seed = operator.index(seed)  # rejects 1.5 rather than truncating it
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must fit in 64 bits, got {seed}")
-    if not ensemble.branches:
+    keep = ensemble.keep
+    if not keep.any():
         raise ValueError("the ensemble has no branches; nothing to sample")
-    joint = np.zeros((4, 4))
-    order = {label: i for i, label in enumerate(BELL_LABELS)}
-    for br in ensemble.branches:
-        joint[order[br.bell_34], order[br.bell_12]] = br.probability
+    joint = np.where(keep, ensemble.probabilities, 0.0).reshape(4, 4)
 
     rows, row_t = _word_thresholds(joint.sum(axis=1))
     # Row r's column thresholds are offset by r << 53, so one search of
@@ -500,8 +533,6 @@ def sample(
     hits = sum(found)
     counts = np.zeros(16, dtype=np.int64)
     counts[cells] = hits
-
     return {
-        (br.bell_34, br.bell_12): int(counts[order[br.bell_34] * 4 + order[br.bell_12]])
-        for br in ensemble.branches
+        (BELL_LABELS[i >> 2], BELL_LABELS[i & 3]): int(counts[i]) for i in np.flatnonzero(keep)
     }

@@ -5,6 +5,11 @@ matrices assembled by Kronecker products - deliberately a different code
 path from the package (which uses axis contractions), so agreement is a
 meaningful check. Shares only the public conventions: qubit 1 = MSB, the
 Bell labeling, the V construction, and the recognition-target definitions.
+
+The one exception is ``branch_swap``/``branch_table`` at the end: a frozen
+copy of the package's own swap and canonical table from when the ensemble
+was a list of ``OutcomeBranch`` objects. The array ensemble must reproduce
+it bit for bit, errors included.
 """
 from __future__ import annotations
 
@@ -237,3 +242,88 @@ def _quantize(obj):
 def to_json(doc: dict) -> str:
     """The CLI's JSON as ``json.dumps`` writes it: the reference for ``cli.to_json``."""
     return json.dumps(_quantize(doc), sort_keys=True, indent=2)
+
+
+# --- The per-branch ensemble, kept verbatim as the bit-level reference ---
+
+
+def branch_swap(pair_state, pair=None):
+    """``protocol.swap`` as it built 16 ``OutcomeBranch`` objects one by one.
+
+    Returns ``(branches, dropped_mass)`` and raises what it raised, the list
+    ensemble's own checks included. It reads ``protocol._K`` when called, so
+    a patched instrument reaches it too.
+    """
+    from dnaswap import protocol
+    from dnaswap.gates import BELL_LABELS
+    from dnaswap.protocol import _FLIP, _MASS_ATOL, OutcomeBranch
+    from dnaswap.statevec import NORM_ATOL, PRUNE_DEFAULT, _readonly
+
+    _K = protocol._K
+    if pair_state.num_qubits != 6:
+        raise ValueError(f"swap needs a 6-qubit register, got {pair_state.num_qubits}")
+    coeff = (_K @ pair_state.amplitudes).reshape(16, 2, 2)
+    probs = np.sum(np.abs(coeff) ** 2, axis=(1, 2))
+    p34 = np.repeat(probs.reshape(4, 4).sum(axis=1), 4)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        keep = (probs > 0) & (p34 >= PRUNE_DEFAULT) & (probs / p34 >= PRUNE_DEFAULT)
+        residual = coeff / np.sqrt(probs)[:, None, None]
+    residual[_FLIP] = residual[_FLIP, ::-1]
+    residual = _readonly(residual)
+    dev = np.abs(np.sqrt(np.sum(np.abs(residual[keep]) ** 2, axis=(1, 2))) - 1.0)
+    if not np.all(dev <= NORM_ATOL):
+        raise ValueError(f"branch residual not normalized: max |norm - 1| = {np.max(dev):.3e}")
+
+    branches = [
+        OutcomeBranch(
+            bell_34=BELL_LABELS[i >> 2],
+            bell_12=BELL_LABELS[i & 3],
+            probability=float(probs[i]),
+            residual=residual[i],
+        )
+        for i in np.flatnonzero(keep)
+    ]
+    dropped_mass = float(probs[~keep].sum())
+
+    # The list ensemble's __post_init__.
+    if len(branches) > 16:
+        raise ValueError(f"at most 16 branches possible, got {len(branches)}")
+    total = sum(b.probability for b in branches) + dropped_mass
+    if not abs(total - 1.0) <= _MASS_ATOL:
+        raise ValueError(f"branch probabilities + dropped mass must be 1, got {total}")
+    return branches, dropped_mass
+
+
+def branch_table(branches):
+    """``protocol.canonical_table``'s loop over a list of ``OutcomeBranch``."""
+    from dnaswap.protocol import _IMAG_ATOL, _MERGE_ATOL, CanonicalRow
+    from dnaswap.statevec import ZERO_ATOL
+
+    grouped: dict[tuple[int, int], list[list[float]]] = {}
+    for br in branches:
+        a, b = br.third_pair
+        if abs(a) > ZERO_ATOL:
+            phase = a / abs(a)
+        elif abs(b) > ZERO_ATOL:
+            phase = b / abs(b)
+        else:
+            phase = 1.0
+        an, bn = a / phase, b / phase
+        if abs(an.imag) > _IMAG_ATOL or abs(bn.imag) > _IMAG_ATOL:
+            raise ValueError("third-pair amplitudes have a non-real relative phase")
+        af = 0.0 if abs(an.real) < ZERO_ATOL else float(an.real)
+        bf = 0.0 if abs(bn.real) < ZERO_ATOL else float(bn.real)
+        rows = grouped.setdefault(br.group, [])
+        for row in rows:
+            if abs(row[0] - af) <= _MERGE_ATOL and abs(row[1] - bf) <= _MERGE_ATOL:
+                row[2] += br.probability
+                break
+        else:
+            rows.append([af, bf, br.probability])
+
+    out: list[CanonicalRow] = []
+    for group in sorted(grouped):
+        rows = sorted(grouped[group], key=lambda r: (-r[2], -abs(r[0])))
+        for rank, (a, b, p) in enumerate(rows, start=1):
+            out.append(CanonicalRow(group=group, rank=rank, a=a, b=b, probability=p))
+    return out

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import _oracle as oracle
 from dnaswap import protocol
-from dnaswap.cli import PAIRS, RunRequest, cmd_inspect, cmd_verify, main, to_json
+from dnaswap.cli import PAIRS, RunRequest, cmd_inspect, cmd_run, cmd_verify, main, to_json
 from dnaswap.encodings import wc_initial_pattern
 from dnaswap.gates import BELL_LABELS
 
@@ -165,6 +165,14 @@ def exact_canonical_rows(pair: str) -> list[list]:
     return rows
 
 
+def nearest_exact_row(exact: list[list], group: str, a, b) -> int:
+    """Index of the exact row a printed row shows: same group, nearest (a, b)."""
+    return min(
+        (i for i, r in enumerate(exact) if r[0] == group),
+        key=lambda i: abs(exact[i][1] - mpmath.mpf(str(a))) + abs(exact[i][2] - mpmath.mpf(str(b))),
+    )
+
+
 @pytest.mark.parametrize("pair", ["AT", "GC"])
 def test_inspect_outcome_rows_are_within_one_unit_of_the_15_digit_rounding(capsys, pair):
     # Two prints of the canonical rows: ``inspect --stage O`` (JSON) and
@@ -183,17 +191,69 @@ def test_inspect_outcome_rows_are_within_one_unit_of_the_15_digit_rounding(capsy
             assert len(rows) == len(exact)
             matched = set()
             for row in rows:
-                # The exact row this one prints: same group, nearest (a, b).
-                i = min(
-                    (i for i, r in enumerate(exact) if r[0] == row["group"]),
-                    key=lambda i: abs(exact[i][1] - mpmath.mpf(str(row["a"])))
-                    + abs(exact[i][2] - mpmath.mpf(str(row["b"]))),
-                )
+                i = nearest_exact_row(exact, row["group"], row["a"], row["b"])
                 matched.add(i)
                 _, a, b, p = exact[i]
                 for printed, value in ((row["a"], a), (row["b"], b), (row["p"], p)):
                     assert off_by_units(printed, value) <= 1, (row, printed, value)
             assert len(matched) == len(exact)
+
+
+def units_off(printed: Decimal, exact, places: int) -> Decimal:
+    """|printed - exact| in units of the printed last digit, ``places`` decimals."""
+    value = Decimal(mpmath.nstr(exact, 40, min_fixed=1, max_fixed=0))
+    return abs(printed - value).scaleb(places)
+
+
+@pytest.mark.parametrize("pair", ["AT", "GC"])
+def test_table_rows_are_within_half_a_unit_of_their_last_digit(capsys, pair):
+    # ``run --format table`` prints a and b to 6 decimals and P to 12. Each
+    # is the correct rounding of the exact value, so within half a unit.
+    _, out, _ = run_cli(capsys, ["run", "--pair", pair, "--format", "table"])
+    lines = out.splitlines()
+    assert lines[-1] == "dropped_mass 0.000e+00"
+    with mpmath.workdps(40):
+        exact = exact_canonical_rows(pair)
+        rows = [line.split() for line in lines[1:-1]]
+        assert len(rows) == len(exact)
+        matched = set()
+        for group, _, a, b, p in rows:
+            i = nearest_exact_row(exact, group, a, b)
+            matched.add(i)
+            _, ea, eb, ep = exact[i]
+            for printed, value, places in ((a, ea, 6), (b, eb, 6), (p, ep, 12)):
+                assert units_off(Decimal(printed), value, places) <= Decimal("0.5"), (
+                    group, printed, value,
+                )
+        assert len(matched) == len(exact)
+
+
+def test_verify_actual_values_are_within_one_unit_of_the_15_digit_rounding():
+    # Every ``actual`` that verify prints: row counts exactly, (a, b, P) rows,
+    # exact class probabilities, and the group and total sums of P.
+    out, code = cmd_verify()
+    assert code == 0
+    doc = json.loads(out, parse_float=Decimal)
+    with mpmath.workdps(40):
+        for report in doc["reports"]:
+            exact = exact_canonical_rows(report["pair"])
+            for check in report["checks"]:
+                name, actual = check["name"], check["actual"]
+                group = name[name.index("[") + 1 :][:2] if "[" in name else None
+                rows = [r for r in exact if group is None or r[0] == group]
+                if name == "row_count":
+                    assert actual == len(exact)
+                    pairs = []
+                elif isinstance(actual, list):  # an (a, b, P) row
+                    _, a, b, p = exact[nearest_exact_row(exact, group, actual[0], actual[1])]
+                    pairs = list(zip(actual, (a, b, p)))
+                elif name.endswith(".exact_p"):
+                    ((_, _, _, p),) = rows
+                    pairs = [(actual, p)]
+                else:  # group_p_sum[jm] and total_p
+                    pairs = [(actual, sum(r[3] for r in rows))]
+                for printed, value in pairs:
+                    assert off_by_units(printed, value) <= 1, (name, printed, value)
 
 
 def test_exact_csv_has_frozen_columns_and_crlf(capsys):
@@ -335,6 +395,32 @@ def test_run_request_validation_messages():
     # Programmatic callers get the parser's choices too.
     assert RunRequest(pair="AT", mode="Sample").validate().startswith("mode")
     assert RunRequest(pair="AT", fmt="xml").validate().startswith("format")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: cmd_run(RunRequest(pair="XY")), RunRequest(pair="XY").validate()),
+        (lambda: cmd_inspect("XY", "O"), RunRequest(pair="XY").validate()),
+        (
+            lambda: cmd_run(RunRequest(pair="AT", mode="Sample")),
+            RunRequest(pair="AT", mode="Sample").validate(),
+        ),
+        (
+            lambda: cmd_run(RunRequest(pair="AT", mode="Sample", shots=10)),
+            RunRequest(pair="AT", mode="Sample", shots=10).validate(),
+        ),
+    ],
+    ids=["run-pair", "inspect-pair", "run-mode", "run-mode-with-shots"],
+)
+def test_programmatic_calls_raise_the_validate_message(call, message):
+    # Callers that skip ``main`` get a ValueError up front: not a KeyError
+    # from the pair table, a TypeError from the sampler on shots=None, or a
+    # sample run under a misspelled mode.
+    assert message
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 # --- verify ---

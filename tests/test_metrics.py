@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dnaswap.encodings import BaseCode
-from dnaswap.gates import BellLabel, bell_state
+from dnaswap.gates import BELL_LABELS, BellLabel, bell_state
 from dnaswap.metrics import (
     _passes,
     concurrence,
@@ -16,7 +16,7 @@ from dnaswap.metrics import (
     hamming_support,
     verify_against_reference,
 )
-from dnaswap.protocol import Ensemble, recognize, run_pair, swap
+from dnaswap.protocol import recognize, run_pair, swap
 from dnaswap.statevec import StateVector, basis_state, reduced_density, tensor
 
 RNG = np.random.default_rng(424243)
@@ -149,11 +149,11 @@ def test_report_counts_cover_all_classes_and_rows(at_ensemble, gc_ensemble):
 def test_perturbed_probability_fails_with_named_check(gc_ensemble):
     # Shift mass between two branches so the ensemble invariant still holds
     # but the canonical probabilities drift past tolerance.
-    branches = list(gc_ensemble.branches)
-    branches[0] = replace(branches[0], probability=branches[0].probability + 0.05)
-    branches[1] = replace(branches[1], probability=branches[1].probability - 0.05)
-    tampered = Ensemble(pair=gc_ensemble.pair, branches=branches,
-                        dropped_mass=gc_ensemble.dropped_mass)
+    first, second = np.flatnonzero(gc_ensemble.keep)[:2]
+    probs = gc_ensemble.probabilities.copy()
+    probs[first] += 0.05
+    probs[second] -= 0.05
+    tampered = replace(gc_ensemble, probabilities=probs)
     report = verify_against_reference(tampered)
     assert not report.overall
     failed = [c.name for c in report.checks if not c.passed]
@@ -161,16 +161,22 @@ def test_perturbed_probability_fails_with_named_check(gc_ensemble):
     assert any(name.startswith("row[") for name in failed)
 
 
-def _without(ens, branches):
-    """The ensemble with ``branches`` removed and their mass moved to dropped_mass."""
-    lost = sum(b.probability for b in branches)
-    kept = [b for b in ens.branches if all(b is not x for x in branches)]
-    return replace(ens, branches=kept, dropped_mass=ens.dropped_mass + lost)
+def _group(i: int) -> tuple[int, int]:
+    """(j, m) group of raw outcome 4 * i34 + i12."""
+    return BELL_LABELS[i & 3].j, BELL_LABELS[i >> 2].j
+
+
+def _without(ens, outcomes):
+    """The ensemble with raw ``outcomes`` removed and their mass moved to dropped_mass."""
+    keep = ens.keep.copy()
+    keep[outcomes] = False
+    lost = sum(ens.probabilities[outcomes].tolist())
+    return replace(ens, keep=keep, dropped_mass=ens.dropped_mass + lost)
 
 
 def test_at_missing_class_fails_only_its_checks(at_ensemble):
     report = verify_against_reference(
-        _without(at_ensemble, [b for b in at_ensemble.branches if b.group == (1, 1)])
+        _without(at_ensemble, [i for i in np.flatnonzero(at_ensemble.keep) if _group(i) == (1, 1)])
     )
     assert [c.name for c in report.checks] == ["row_count"] + [
         name for g in ("00", "01", "10", "11") for name in (f"class[{g}]", f"class[{g}].exact_p")
@@ -181,10 +187,10 @@ def test_at_missing_class_fails_only_its_checks(at_ensemble):
 
 
 def test_gc_missing_branch_fails_its_groups_last_row(gc_ensemble):
-    gone = gc_ensemble.branches[0]
+    gone = np.flatnonzero(gc_ensemble.keep)[0]
     report = verify_against_reference(_without(gc_ensemble, [gone]))
     assert len(report.checks) == 22
-    j, m = gone.group
+    j, m = _group(gone)
     (last,) = [c for c in report.checks if c.name == f"row[{j}{m},l=4]"]
     assert last.actual is None and not last.passed
 

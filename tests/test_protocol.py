@@ -45,6 +45,7 @@ from dnaswap.statevec import (
 )
 
 A, T, G, C = (BaseCode(b) for b in "ATGC")
+ORIENTATIONS = [(A, T), (T, A), (G, C), (C, G)]
 S2, S3 = math.sqrt(2.0), math.sqrt(3.0)
 
 # theta = +-pi/2 zeroes cos(theta) in the three-component targets; a
@@ -258,7 +259,7 @@ def test_assemble_accepts_both_orientations(cfg):
 @given(
     theta=st.floats(allow_nan=False, allow_infinity=False),
     phi=st.floats(allow_nan=False, allow_infinity=False),
-    pair=st.sampled_from([(A, T), (T, A), (G, C), (C, G)]),
+    pair=st.sampled_from(ORIENTATIONS),
 )
 def test_assembly_is_the_interleaved_product_of_the_recognized_faces(theta, phi, pair):
     cfg = ProtocolConfig(theta=theta, phi=phi)
@@ -499,6 +500,18 @@ def test_branch_residual_is_read_only(gc_ensemble):
             br.residual.setflags(write=True)
 
 
+def test_ensemble_arrays_are_read_only_and_shape_checked(gc_ensemble):
+    for arr in (gc_ensemble.probabilities, gc_ensemble.residuals, gc_ensemble.keep):
+        assert not arr.flags.writeable
+    for bad in (
+        {"probabilities": gc_ensemble.probabilities[:15]},
+        {"residuals": gc_ensemble.residuals[:, 0]},
+        {"keep": gc_ensemble.keep.astype(int)},
+    ):
+        with pytest.raises(ValueError, match="ensemble arrays must have shapes"):
+            dataclasses.replace(gc_ensemble, **bad)
+
+
 def test_swap_rejects_a_non_finite_instrument(at_state, monkeypatch):
     k = np.array(protocol._K)
     k[5] = np.nan  # outcome (b00, b01), q5 q6 = 01
@@ -641,6 +654,94 @@ def test_at_classes_merge_four_raw_branches_each(at_ensemble):
     assert all(count == 4 for count in raw_per_group.values())
 
 
+# --- the array ensemble against the per-branch oracle ---
+
+
+def row_bits(rows) -> list[tuple]:
+    """Canonical rows with every float as its exact bits (``-0.0`` != ``0.0``)."""
+    return [(r.group, r.rank, r.a.hex(), r.b.hex(), r.probability.hex()) for r in rows]
+
+
+def assert_matches_the_branch_oracle(make, state) -> None:
+    """``make()``'s array ensemble equals ``oracle.branch_swap(state)`` bit for bit.
+
+    Branches, dropped mass and canonical rows must carry the same bits, and
+    where the oracle raises, the package must raise the same ValueError.
+    """
+    try:
+        branches, dropped = oracle.branch_swap(state)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == str(exc)
+        return
+    ens = make()
+    assert ens.dropped_mass.hex() == dropped.hex()
+    assert len(ens.branches) == len(branches)
+    for x, y in zip(ens.branches, branches):
+        assert (x.bell_34, x.bell_12) == (y.bell_34, y.bell_12)
+        assert x.probability.hex() == y.probability.hex()
+        assert x.residual.tobytes() == y.residual.tobytes()
+        assert not x.residual.flags.writeable
+    try:
+        want = oracle.branch_table(branches)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            canonical_table(ens)
+        assert str(info.value) == str(exc)
+        return
+    assert row_bits(canonical_table(ens)) == row_bits(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=st.sampled_from(ORIENTATIONS), theta=ANGLES, phi=ANGLES)
+@example(pair=(A, T), theta=DEFAULT_THETA, phi=DEFAULT_PHI)
+@example(pair=(G, C), theta=DEFAULT_THETA, phi=DEFAULT_PHI)
+@example(pair=(C, G), theta=0.0, phi=0.0)  # zero-probability and pruned outcomes
+def test_array_ensemble_matches_the_branch_oracle_on_run_pair(pair, theta, phi):
+    cfg = ProtocolConfig(theta=theta, phi=phi)
+    assert_matches_the_branch_oracle(lambda: run_pair(*pair, cfg), assemble_pair(*pair, cfg))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["real", "complex", "sparse"]),
+    seed=st.integers(0, 2**32 - 1),
+    support=st.integers(1, 8),
+    scale=st.sampled_from([1.0, 1.0 + 1e-11, 1.0 + 1e-9, 0.999]),
+)
+def test_array_ensemble_matches_the_branch_oracle_on_any_register(kind, seed, support, scale):
+    # Complex registers mostly give a non-real relative phase, and an
+    # instrument scaled off 1 by more than 5e-11 breaks the mass rule: the
+    # package must raise exactly where the oracle does. Sparse registers with
+    # repeated amplitudes give zero-probability outcomes and merged rows.
+    rng = np.random.default_rng(seed)
+    if kind == "sparse":
+        amps = np.zeros(64, dtype=complex)
+        amps[rng.choice(64, support, replace=False)] = rng.choice([1, -1, 1j, 0.5], support)
+    else:
+        amps = rng.normal(size=64) + (1j * rng.normal(size=64) if kind == "complex" else 0)
+    state = StateVector(6, amps / np.linalg.norm(amps))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(protocol, "_K", protocol._K * scale)
+        assert_matches_the_branch_oracle(lambda: swap(state), state)
+
+
+def test_run_pair_table_and_sample_build_no_outcome_branch(monkeypatch):
+    # The array ensemble's speed rests on this: only a reader of
+    # ``Ensemble.branches`` (the JSON writer, tests) builds branch objects.
+    def forbidden(self, *args, **kwargs):
+        raise AssertionError("an OutcomeBranch was built")
+
+    monkeypatch.setattr(protocol.OutcomeBranch, "__init__", forbidden)
+    for pair in ORIENTATIONS:
+        ens = run_pair(*pair)
+        canonical_table(ens)
+        sample(ens, shots=1000, seed=7)
+    with pytest.raises(AssertionError, match="OutcomeBranch was built"):
+        ens.branches
+
+
 # --- sampling ---
 
 
@@ -685,7 +786,7 @@ def test_sample_validates_arguments(at_ensemble):
 
 def test_sample_rejects_an_ensemble_with_no_branches(gc_ensemble, monkeypatch):
     # The error comes before any threshold or table is built.
-    empty = dataclasses.replace(gc_ensemble, branches=[], dropped_mass=1.0)
+    empty = dataclasses.replace(gc_ensemble, keep=np.zeros(16, dtype=bool), dropped_mass=1.0)
 
     def no_tables(*args):
         raise AssertionError("thresholds built for an empty ensemble")
@@ -733,16 +834,13 @@ def test_streaming_sample_equals_the_whole_run_sampler(
     # run, and an odd one starts a worker's span at an odd shot.
     shots = data.draw(st.integers(1, 3 * chunk + 1), label="shots")
     ens = run_pair(*pair, ProtocolConfig(theta=theta, phi=phi))
-    order = {label: i for i, label in enumerate(BELL_LABELS)}
-    kept = [
-        br
-        for br in ens.branches
-        if order[br.bell_34] not in dead_rows
-        and 4 * order[br.bell_34] + order[br.bell_12] not in dead_cells
-    ]
-    assume(kept)
-    dropped = sum(br.probability for br in ens.branches if br not in kept)
-    ens = dataclasses.replace(ens, branches=kept, dropped_mass=ens.dropped_mass + dropped)
+    keep = ens.keep.copy()
+    for i in range(16):
+        if i >> 2 in dead_rows or i in dead_cells:
+            keep[i] = False
+    assume(keep.any())
+    dropped = sum(ens.probabilities[ens.keep & ~keep].tolist())
+    ens = dataclasses.replace(ens, keep=keep, dropped_mass=ens.dropped_mass + dropped)
     ref = oracle.sample_reference(joint_of(ens), shots, seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(protocol, "_SAMPLE_CHUNK", chunk)
