@@ -1,7 +1,8 @@
 """Command-line surface: run the protocol, verify, inspect, recognize.
 
 Exit codes are a stable contract: 0 success, 1 verification failure,
-2 usage or input error, 141 stdout closed by its reader before the output
+2 usage or input error (a ``cmd_*`` function called directly raises
+``UsageError`` for it), 141 stdout closed by its reader before the output
 was written (128 + SIGPIPE, as a shell reports a tool that SIGPIPE ends).
 JSON is written in one pass: the bytes of ``json.dumps(doc, sort_keys=True,
 indent=2)`` (so ASCII-escaped) with every float quantized to 15 significant
@@ -44,6 +45,10 @@ PAIRS = {
 MODES = ("exact", "sample")
 FORMATS = ("json", "csv", "table")
 STAGES = ("I", "Q", "O")
+
+
+class UsageError(ValueError):
+    """Bad command input: ``main`` prints ``error: <message>`` and exits 2."""
 
 
 @dataclass
@@ -106,17 +111,10 @@ def to_json(doc: dict) -> str:
     return _encode(doc, "")
 
 
-def _csv(header: list[str], rows: list[list]) -> str:
+def _csv(rows: list) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+    csv.writer(buf, lineterminator="\r\n").writerows(rows)
     return buf.getvalue()
-
-
-def _fnum(v: float) -> str:
-    return f"{v:.15g}"
 
 
 def ensemble_doc(pair: str, e: Ensemble) -> dict:
@@ -135,38 +133,30 @@ def ensemble_doc(pair: str, e: Ensemble) -> dict:
     return {"pair": pair, "mode": "exact", "branches": branches, "dropped_mass": e.dropped_mass}
 
 
-def _canonical_rows(e: Ensemble) -> list[list]:
-    return [
-        [row.group[0], row.group[1], row.rank, row.a, row.b, row.probability]
-        for row in canonical_table(e)
-    ]
-
-
 def cmd_run(req: RunRequest) -> str:
-    problem = req.validate()
-    if problem is not None:
-        raise ValueError(problem)
-    template, incoming = PAIRS[req.pair]
+    if problem := req.validate():
+        raise UsageError(problem)
+    ens = run_pair(*PAIRS[req.pair])
     if req.mode == "exact":
-        ens = run_pair(template, incoming)
         if req.fmt == "json":
             return to_json(ensemble_doc(req.pair, ens))
-        rows = _canonical_rows(ens)
+        rows = canonical_table(ens)
         if req.fmt == "csv":
-            return _csv(
-                ["group_j", "group_m", "rank_l", "a", "b", "P"],
-                [[j, m, l, _fnum(a), _fnum(b), _fnum(p)] for j, m, l, a, b, p in rows],
-            )
+            return _csv([("group_j", "group_m", "rank_l", "a", "b", "P")] + [
+                (*r.group, r.rank, f"{r.a:.15g}", f"{r.b:.15g}", f"{r.probability:.15g}")
+                for r in rows
+            ])
         lines = [f"{'group':<6}{'l':<3}{'a':>12}{'b':>12}{'P':>18}"]
-        for j, m, l, a, b, p in rows:
-            lines.append(f"{f'{j}{m}':<6}{l:<3}{a:>+12.6f}{b:>+12.6f}{p:>18.12f}")
+        for r in rows:
+            group = f"{r.group[0]}{r.group[1]}"
+            lines.append(f"{group:<6}{r.rank:<3}{r.a:>+12.6f}{r.b:>+12.6f}{r.probability:>18.12f}")
         lines.append(f"dropped_mass {ens.dropped_mass:.3e}")
         return "\n".join(lines)
 
-    counts = sample(run_pair(template, incoming), shots=req.shots, seed=req.seed)
-    entries = [
-        {"bell_34": l34.text, "bell_12": l12.text, "count": c}
-        for (l34, l12), c in counts.items()
+    header = ("bell_34", "bell_12", "count")
+    rows = [
+        (l34.text, l12.text, count)
+        for (l34, l12), count in sample(ens, shots=req.shots, seed=req.seed).items()
     ]
     if req.fmt == "json":
         return to_json(
@@ -175,18 +165,12 @@ def cmd_run(req: RunRequest) -> str:
                 "mode": "sample",
                 "shots": req.shots,
                 "seed": req.seed,
-                "counts": entries,
+                "counts": [dict(zip(header, row)) for row in rows],
             }
         )
     if req.fmt == "csv":
-        return _csv(
-            ["bell_34", "bell_12", "count"],
-            [[en["bell_34"], en["bell_12"], en["count"]] for en in entries],
-        )
-    lines = [f"{'bell_34':<9}{'bell_12':<9}{'count':>9}"]
-    for en in entries:
-        lines.append(f"{en['bell_34']:<9}{en['bell_12']:<9}{en['count']:>9}")
-    return "\n".join(lines)
+        return _csv([header, *rows])
+    return "\n".join("{:<9}{:<9}{:>9}".format(*row) for row in [header, *rows])
 
 
 def cmd_verify(dump_reference: bool = False) -> tuple[str, int]:
@@ -221,54 +205,36 @@ def _state_entry(label: str, state) -> dict:
 
 
 def cmd_inspect(pair: str, stage: str) -> str:
-    problem = RunRequest(pair=pair).validate()  # run's pair check
-    if problem is not None:
-        raise ValueError(problem)
+    if problem := RunRequest(pair=pair).validate():  # run's pair check
+        raise UsageError(problem)
     if stage not in STAGES:
-        raise ValueError(f"stage must be one of {list(STAGES)}, got {stage!r}")
+        raise UsageError(f"stage must be one of {list(STAGES)}, got {stage!r}")
     template, incoming = PAIRS[pair]
+    doc = {"pair": pair, "stage": stage}
     if stage == "I":
-        doc = {
-            "pair": pair,
-            "stage": "I",
-            "states": [
-                _state_entry(template.label, wc_initial_state(template)),
-                _state_entry(incoming.label, wc_initial_state(incoming)),
-            ],
-        }
+        doc["states"] = [
+            _state_entry(template.label, wc_initial_state(template)),
+            _state_entry(incoming.label, wc_initial_state(incoming)),
+        ]
     elif stage == "Q":
-        doc = {
-            "pair": pair,
-            "stage": "Q",
-            "states": [
-                _state_entry(f"{template}.{incoming}", assemble_pair(template, incoming))
-            ],
-        }
+        doc["states"] = [
+            _state_entry(f"{template}.{incoming}", assemble_pair(template, incoming))
+        ]
     else:
         ens = run_pair(template, incoming)
-        doc = {
-            "pair": pair,
-            "stage": "O",
-            "ensemble": {
-                "rows": [
-                    {
-                        "group": f"{row.group[0]}{row.group[1]}",
-                        "rank": row.rank,
-                        "a": row.a,
-                        "b": row.b,
-                        "p": row.probability,
-                    }
-                    for row in canonical_table(ens)
-                ],
-                "dropped_mass": ens.dropped_mass,
-            },
-        }
+        rows = [
+            {"group": f"{r.group[0]}{r.group[1]}", "rank": r.rank, "a": r.a, "b": r.b,
+             "p": r.probability}
+            for r in canonical_table(ens)
+        ]
+        doc["ensemble"] = {"rows": rows, "dropped_mass": ens.dropped_mass}
     return to_json(doc)
 
 
 def cmd_recognize(pattern: str, tautomers: bool) -> str:
-    bits = tuple(int(c) for c in pattern)
-    edge = EdgePattern("H", bits)
+    if len(pattern) != 2 or any(c not in "01" for c in pattern):
+        raise UsageError(f"--pattern must be 2 bits, got {pattern!r}")
+    edge = EdgePattern("H", tuple(int(c) for c in pattern))
     matches = recognition_matches(edge, include_rare=tautomers)
     return to_json(
         {
@@ -321,23 +287,19 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
 
     code = 0
-    if args.command == "run":
-        req = RunRequest(pair=args.pair, mode=args.mode, shots=args.shots,
-                         seed=args.seed, fmt=args.fmt)
-        problem = req.validate()
-        if problem is not None:
-            print(f"error: {problem}", file=sys.stderr)
-            return 2
-        out = cmd_run(req)
-    elif args.command == "verify":
-        out, code = cmd_verify(dump_reference=args.dump_reference)
-    elif args.command == "inspect":
-        out = cmd_inspect(args.pair, args.stage)
-    elif len(args.pattern) != 2 or any(c not in "01" for c in args.pattern):
-        print(f"error: --pattern must be 2 bits, got {args.pattern!r}", file=sys.stderr)
+    try:
+        if args.command == "run":
+            out = cmd_run(RunRequest(pair=args.pair, mode=args.mode, shots=args.shots,
+                                     seed=args.seed, fmt=args.fmt))
+        elif args.command == "verify":
+            out, code = cmd_verify(dump_reference=args.dump_reference)
+        elif args.command == "inspect":
+            out = cmd_inspect(args.pair, args.stage)
+        else:
+            out = cmd_recognize(args.pattern, args.tautomers)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    else:
-        out = cmd_recognize(args.pattern, args.tautomers)
     try:
         print(out)
         sys.stdout.flush()

@@ -17,7 +17,17 @@ from hypothesis import strategies as st
 
 import _oracle as oracle
 from dnaswap import protocol
-from dnaswap.cli import PAIRS, RunRequest, cmd_inspect, cmd_run, cmd_verify, main, to_json
+from dnaswap.cli import (
+    PAIRS,
+    RunRequest,
+    UsageError,
+    cmd_inspect,
+    cmd_recognize,
+    cmd_run,
+    cmd_verify,
+    main,
+    to_json,
+)
 from dnaswap.encodings import wc_initial_pattern
 from dnaswap.gates import BELL_LABELS
 
@@ -26,6 +36,11 @@ def run_cli(capsys, argv: list[str]) -> tuple[int, str, str]:
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def csv_body(out: str) -> list[list[str]]:
+    """The data rows of a CSV output, without its header."""
+    return [r for r in csv.reader(io.StringIO(out)) if r][1:]
 
 
 # --- run, exact mode ---
@@ -102,11 +117,18 @@ def exact_branches(pair: str) -> dict[int, tuple]:
     return out
 
 
-def off_by_units(printed: Decimal, exact) -> Decimal:
-    """|printed - r| in units of r's 15th significant digit, r = exact to 15 digits."""
-    if exact == 0:
+def units_off(printed: Decimal, exact, places: int | None = None) -> Decimal:
+    """How far a printed value is from ``exact``, in units of its last digit.
+
+    With ``places`` (fixed decimals): |printed - exact| in units of the
+    ``places``-th decimal. Without (``.15g`` text or JSON): |printed - r|
+    in units of r's 15th significant digit, r = exact to 15 digits.
+    """
+    if exact == 0 and places is None:
         return Decimal(0) if printed == 0 else Decimal("Infinity")
     value = Decimal(mpmath.nstr(exact, 40, min_fixed=1, max_fixed=0))
+    if places is not None:
+        return abs(printed - value).scaleb(places)
     r = value.quantize(Decimal(1).scaleb(value.adjusted() - 14), ROUND_HALF_EVEN)
     return abs(printed - r) / Decimal(1).scaleb(r.adjusted() - 14)
 
@@ -117,7 +139,7 @@ def test_exact_json_floats_are_within_one_unit_of_the_15_digit_rounding(capsys, 
     # may be one off the correctly rounded one, but never more.
     _, out, _ = run_cli(capsys, ["run", "--pair", pair, "--format", "json"])
     doc = json.loads(out, parse_float=Decimal)
-    assert off_by_units(doc["dropped_mass"], 0) == 0
+    assert units_off(doc["dropped_mass"], 0) == 0
     with mpmath.workdps(40):
         exact = exact_branches(pair)
         order = {label.text: i for i, label in enumerate(BELL_LABELS)}
@@ -137,7 +159,7 @@ def test_exact_json_floats_are_within_one_unit_of_the_15_digit_rounding(capsys, 
                 (tp["a_im"], 0),
                 (tp["b_im"], 0),
             ):
-                assert off_by_units(printed, value) <= 1, (br, printed, value)
+                assert units_off(printed, value) <= 1, (br, printed, value)
 
 
 def exact_canonical_rows(pair: str) -> list[list]:
@@ -165,12 +187,29 @@ def exact_canonical_rows(pair: str) -> list[list]:
     return rows
 
 
-def nearest_exact_row(exact: list[list], group: str, a, b) -> int:
-    """Index of the exact row a printed row shows: same group, nearest (a, b)."""
-    return min(
-        (i for i, r in enumerate(exact) if r[0] == group),
-        key=lambda i: abs(exact[i][1] - mpmath.mpf(str(a))) + abs(exact[i][2] - mpmath.mpf(str(b))),
-    )
+def audit_rows(pair: str, rows: list[tuple], places=(None, None, None)) -> None:
+    """Check printed canonical rows ``(group, a, b, P)`` against the exact rows.
+
+    Each printed row is matched to the exact row of its group nearest in
+    (a, b), and the printed rows match every exact row once. A value
+    printed to ``places`` decimals must be the correct rounding, within
+    half a unit of its last digit; one with ``places`` None (``.15g`` text
+    or JSON), within one unit of the 15-digit rounding.
+    """
+    with mpmath.workdps(40):
+        exact = exact_canonical_rows(pair)
+        matched = set()
+        for group, a, b, p in rows:
+            i = min(
+                (k for k, r in enumerate(exact) if r[0] == group),
+                key=lambda k: abs(exact[k][1] - mpmath.mpf(str(a)))
+                + abs(exact[k][2] - mpmath.mpf(str(b))),
+            )
+            matched.add(i)
+            for printed, value, digits in zip((a, b, p), exact[i][1:], places):
+                limit = 1 if digits is None else Decimal("0.5")
+                assert units_off(Decimal(printed), value, digits) <= limit, (group, printed, value)
+        assert len(rows) == len(matched) == len(exact)
 
 
 @pytest.mark.parametrize("pair", ["AT", "GC"])
@@ -179,30 +218,10 @@ def test_inspect_outcome_rows_are_within_one_unit_of_the_15_digit_rounding(capsy
     # ``run --format csv`` (``.15g`` text).
     _, out, _ = run_cli(capsys, ["inspect", "--pair", pair, "--stage", "O"])
     doc = json.loads(out, parse_float=Decimal)["ensemble"]
-    assert off_by_units(doc["dropped_mass"], 0) == 0
+    assert units_off(doc["dropped_mass"], 0) == 0
+    audit_rows(pair, [(r["group"], r["a"], r["b"], r["p"]) for r in doc["rows"]])
     _, out, _ = run_cli(capsys, ["run", "--pair", pair, "--format", "csv"])
-    csv_rows = [
-        {"group": j + m, "a": Decimal(a), "b": Decimal(b), "p": Decimal(p)}
-        for j, m, _, a, b, p in [r for r in csv.reader(io.StringIO(out)) if r][1:]
-    ]
-    with mpmath.workdps(40):
-        exact = exact_canonical_rows(pair)
-        for rows in (doc["rows"], csv_rows):
-            assert len(rows) == len(exact)
-            matched = set()
-            for row in rows:
-                i = nearest_exact_row(exact, row["group"], row["a"], row["b"])
-                matched.add(i)
-                _, a, b, p = exact[i]
-                for printed, value in ((row["a"], a), (row["b"], b), (row["p"], p)):
-                    assert off_by_units(printed, value) <= 1, (row, printed, value)
-            assert len(matched) == len(exact)
-
-
-def units_off(printed: Decimal, exact, places: int) -> Decimal:
-    """|printed - exact| in units of the printed last digit, ``places`` decimals."""
-    value = Decimal(mpmath.nstr(exact, 40, min_fixed=1, max_fixed=0))
-    return abs(printed - value).scaleb(places)
+    audit_rows(pair, [(j + m, a, b, p) for j, m, _, a, b, p in csv_body(out)])
 
 
 @pytest.mark.parametrize("pair", ["AT", "GC"])
@@ -212,20 +231,8 @@ def test_table_rows_are_within_half_a_unit_of_their_last_digit(capsys, pair):
     _, out, _ = run_cli(capsys, ["run", "--pair", pair, "--format", "table"])
     lines = out.splitlines()
     assert lines[-1] == "dropped_mass 0.000e+00"
-    with mpmath.workdps(40):
-        exact = exact_canonical_rows(pair)
-        rows = [line.split() for line in lines[1:-1]]
-        assert len(rows) == len(exact)
-        matched = set()
-        for group, _, a, b, p in rows:
-            i = nearest_exact_row(exact, group, a, b)
-            matched.add(i)
-            _, ea, eb, ep = exact[i]
-            for printed, value, places in ((a, ea, 6), (b, eb, 6), (p, ep, 12)):
-                assert units_off(Decimal(printed), value, places) <= Decimal("0.5"), (
-                    group, printed, value,
-                )
-        assert len(matched) == len(exact)
+    rows = [line.split() for line in lines[1:-1]]
+    audit_rows(pair, [(group, a, b, p) for group, _, a, b, p in rows], places=(6, 6, 12))
 
 
 def test_verify_actual_values_are_within_one_unit_of_the_15_digit_rounding():
@@ -237,23 +244,18 @@ def test_verify_actual_values_are_within_one_unit_of_the_15_digit_rounding():
     with mpmath.workdps(40):
         for report in doc["reports"]:
             exact = exact_canonical_rows(report["pair"])
+            rows = []
             for check in report["checks"]:
                 name, actual = check["name"], check["actual"]
                 group = name[name.index("[") + 1 :][:2] if "[" in name else None
-                rows = [r for r in exact if group is None or r[0] == group]
                 if name == "row_count":
                     assert actual == len(exact)
-                    pairs = []
                 elif isinstance(actual, list):  # an (a, b, P) row
-                    _, a, b, p = exact[nearest_exact_row(exact, group, actual[0], actual[1])]
-                    pairs = list(zip(actual, (a, b, p)))
-                elif name.endswith(".exact_p"):
-                    ((_, _, _, p),) = rows
-                    pairs = [(actual, p)]
-                else:  # group_p_sum[jm] and total_p
-                    pairs = [(actual, sum(r[3] for r in rows))]
-                for printed, value in pairs:
-                    assert off_by_units(printed, value) <= 1, (name, printed, value)
+                    rows.append((group, *actual))
+                else:  # class[jm].exact_p (one row), group_p_sum[jm] and total_p
+                    total = sum(r[3] for r in exact if group is None or r[0] == group)
+                    assert units_off(actual, total) <= 1, (name, actual, total)
+            audit_rows(report["pair"], rows)
 
 
 def test_exact_csv_has_frozen_columns_and_crlf(capsys):
@@ -359,30 +361,66 @@ def test_sample_different_seeds_differ(capsys):
     assert first != second
 
 
+@pytest.mark.parametrize("pair", ["AT", "GC"])
+def test_formats_list_the_same_rows_in_the_same_order(capsys, pair):
+    # Exact: CSV, table and ``inspect --stage O`` show the canonical table.
+    _, out, _ = run_cli(capsys, ["run", "--pair", pair, "--format", "csv"])
+    csv_keys = [(j + m, int(l)) for j, m, l, *_ in csv_body(out)]
+    _, out, _ = run_cli(capsys, ["run", "--pair", pair, "--format", "table"])
+    table_keys = [(g, int(l)) for g, l, *_ in map(str.split, out.splitlines()[1:-1])]
+    _, out, _ = run_cli(capsys, ["inspect", "--pair", pair, "--stage", "O"])
+    inspect_keys = [(r["group"], r["rank"]) for r in json.loads(out)["ensemble"]["rows"]]
+    assert csv_keys == table_keys == inspect_keys
+    assert len(csv_keys) == {"AT": 4, "GC": 16}[pair]
+    # Sample: JSON, CSV and table show one count per raw outcome.
+    argv = ["run", "--pair", pair, "--mode", "sample", "--shots", "1000", "--seed", "5"]
+    _, out, _ = run_cli(capsys, argv + ["--format", "json"])
+    json_rows = [(c["bell_34"], c["bell_12"], c["count"]) for c in json.loads(out)["counts"]]
+    _, out, _ = run_cli(capsys, argv + ["--format", "csv"])
+    csv_rows = [(a, b, int(c)) for a, b, c in csv_body(out)]
+    _, out, _ = run_cli(capsys, argv + ["--format", "table"])
+    table_rows = [(a, b, int(c)) for a, b, c in map(str.split, out.splitlines()[1:])]
+    assert json_rows == csv_rows == table_rows
+    assert len(json_rows) == 16 and sum(c for *_, c in json_rows) == 1000
+
+
 # --- usage errors ---
 
 
+# (argv, message): the command rejects the input with ``message``, or the
+# parser rejects it (None) for a value outside its choices or types.
+USAGE_ERRORS = [
+    (["run", "--pair", "XY"], None),
+    (["run", "--pair", "AT", "--mode", "sample"], "--shots is required in sample mode"),
+    (["run", "--pair", "AT", "--mode", "exact", "--shots", "10"],
+     "--shots is only valid in sample mode"),
+    (["run", "--pair", "AT", "--mode", "sample", "--shots", "0"], "--shots must be >= 1, got 0"),
+    (["run", "--pair", "AT", "--mode", "sample", "--shots", str(2**63)],
+     f"--shots must be < 2**63, got {2**63}"),
+    (["run", "--pair", "AT", "--mode", "sample", "--shots", str(2**70)],
+     f"--shots must be < 2**63, got {2**70}"),
+    (["run", "--pair", "AT", "--mode", "sample", "--shots", "1.5"], None),
+    (["run", "--pair", "AT", "--mode", "sample", "--shots", "10", "--seed", "-3"],
+     "--seed must fit in 64 bits, got -3"),
+    (["run", "--pair", "AT", "--format", "yaml"], None),
+    (["inspect", "--pair", "AT", "--stage", "X"], None),
+    (["recognize", "--pattern", "012"], "--pattern must be 2 bits, got '012'"),
+    (["recognize", "--pattern", "2x"], "--pattern must be 2 bits, got '2x'"),
+    (["bogus"], None),
+    (["recognize", "--pattern", "\uff11\uff10"], "--pattern must be 2 bits, got '\uff11\uff10'"),
+]
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["run", "--pair", "XY"],
-        ["run", "--pair", "AT", "--mode", "sample"],  # shots missing
-        ["run", "--pair", "AT", "--mode", "exact", "--shots", "10"],
-        ["run", "--pair", "AT", "--mode", "sample", "--shots", "0"],
-        ["run", "--pair", "AT", "--mode", "sample", "--shots", str(2**63)],
-        ["run", "--pair", "AT", "--mode", "sample", "--shots", str(2**70)],
-        ["run", "--pair", "AT", "--mode", "sample", "--shots", "1.5"],
-        ["run", "--pair", "AT", "--mode", "sample", "--shots", "10", "--seed", "-3"],
-        ["run", "--pair", "AT", "--format", "yaml"],
-        ["inspect", "--pair", "AT", "--stage", "X"],
-        ["recognize", "--pattern", "012"],
-        ["recognize", "--pattern", "2x"],
-        ["bogus"],
-    ],
+    "argv, message", USAGE_ERRORS, ids=[f"argv{i}" for i in range(len(USAGE_ERRORS))]
 )
-def test_usage_errors_exit_2(capsys, argv):
-    code, _, _ = run_cli(capsys, argv)
-    assert code == 2
+def test_usage_errors_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    if message is None:  # argparse prints its usage line, then its own error
+        assert err.startswith("usage: dnaswap") and "error: argument" in err
+    else:
+        assert err == f"error: {message}\n"
 
 
 def test_run_request_validation_messages():
@@ -410,15 +448,24 @@ def test_run_request_validation_messages():
             lambda: cmd_run(RunRequest(pair="AT", mode="Sample", shots=10)),
             RunRequest(pair="AT", mode="Sample", shots=10).validate(),
         ),
+        # int() reads full-width digits, so only the pattern check rejects them.
+        (
+            lambda: cmd_recognize("\uff11\uff10", False),
+            "--pattern must be 2 bits, got '\uff11\uff10'",
+        ),
+        (lambda: cmd_recognize("2x", False), "--pattern must be 2 bits, got '2x'"),
+        (lambda: cmd_recognize("012", False), "--pattern must be 2 bits, got '012'"),
     ],
-    ids=["run-pair", "inspect-pair", "run-mode", "run-mode-with-shots"],
+    ids=["run-pair", "inspect-pair", "run-mode", "run-mode-with-shots",
+         "recognize-full-width", "recognize-letter", "recognize-three-bits"],
 )
 def test_programmatic_calls_raise_the_validate_message(call, message):
-    # Callers that skip ``main`` get a ValueError up front: not a KeyError
-    # from the pair table, a TypeError from the sampler on shots=None, or a
-    # sample run under a misspelled mode.
+    # Callers that skip ``main`` get the UsageError (a ValueError) that main
+    # reports: not a KeyError from the pair table, a TypeError from the
+    # sampler on shots=None, a sample run under a misspelled mode, or a
+    # document for a pattern main rejects.
     assert message
-    with pytest.raises(ValueError) as info:
+    with pytest.raises(UsageError) as info:
         call()
     assert str(info.value) == message
 
