@@ -4,9 +4,11 @@ Exit codes are a stable contract: 0 success, 1 verification failure,
 2 usage or input error (a ``cmd_*`` function called directly raises
 ``UsageError`` for it), 141 stdout closed by its reader before the output
 was written (128 + SIGPIPE, as a shell reports a tool that SIGPIPE ends).
-JSON is written in one pass: the bytes of ``json.dumps(doc, sort_keys=True,
-indent=2)`` (so ASCII-escaped) with every float quantized to 15 significant
-digits, so parse/re-serialize round-trips are byte-identical. CSV uses
+JSON is written in one pass into one list of parts: the bytes of
+``json.dumps(doc, sort_keys=True, indent=2)`` (so ASCII-escaped) with every
+float quantized to 15 significant digits, so parse/re-serialize round-trips
+are byte-identical. The exact-mode document reads the ensemble's arrays, not
+``Ensemble.branches``, so no command builds an ``OutcomeBranch``. CSV uses
 RFC-4180 line endings and quoting.
 """
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .encodings import (
     recognition_matches,
     wc_initial_state,
 )
+from .gates import BELL_LABELS, BellLabel
 from .metrics import verify_against_reference
 from .protocol import (
     Ensemble,
@@ -81,34 +84,75 @@ class RunRequest:
         return None
 
 
-def _encode(obj, indent: str) -> str:
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if isinstance(obj, float):
-        text = f"{obj:.15g}"
-        if "e" in text or "n" in text:  # exponent form, inf or nan
-            return json.dumps(float(text))
-        # Positional, so normal: repr prints these same digits, with ".0" when whole.
-        return text if "." in text else text + ".0"
-    inner = indent + "  "
-    if isinstance(obj, dict):
-        items = [f"{encode_basestring_ascii(k)}: {_encode(obj[k], inner)}" for k in sorted(obj)]
+def _float(x: float) -> str:
+    text = f"{x:.15g}"
+    if "e" in text or "n" in text:  # exponent form, inf or nan
+        return json.dumps(float(text))
+    # Positional, so normal: repr prints these same digits, with ".0" when whole.
+    return text if "." in text else text + ".0"
+
+
+# Writers of the leaves whose exact type is a JSON scalar; subclasses (numpy
+# floats, IntEnum members) and containers take ``_write``'s isinstance chain.
+_LEAVES = {
+    str: encode_basestring_ascii,
+    float: _float,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _write(obj, indent: str, write) -> None:
+    """Append ``obj``'s JSON at nesting ``indent``; leaf items are written inline."""
+    leaf = _LEAVES.get(type(obj))
+    if leaf is not None:
+        write(leaf(obj))
+    elif isinstance(obj, str):
+        write(encode_basestring_ascii(obj))
+    elif isinstance(obj, float):
+        write(_float(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            write("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for k in sorted(obj):
+            v = obj[k]
+            leaf = _LEAVES.get(type(v))
+            if leaf is None:
+                write(f"{sep}{encode_basestring_ascii(k)}: ")
+                _write(v, inner, write)
+            else:
+                write(f"{sep}{encode_basestring_ascii(k)}: {leaf(v)}")
+            sep = ",\n" + inner
+        write(f"\n{indent}}}")
     elif isinstance(obj, (list, tuple)):
-        items = [_encode(v, inner) for v in obj]
-    elif obj is None:
-        return "null"
-    elif isinstance(obj, bool):
-        return "true" if obj else "false"
+        if not obj:
+            write("[]")
+            return
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for v in obj:
+            leaf = _LEAVES.get(type(v))
+            if leaf is None:
+                write(sep)
+                _write(v, inner, write)
+            else:
+                write(sep + leaf(v))
+            sep = ",\n" + inner
+        write(f"\n{indent}]")
     elif isinstance(obj, int):
-        return int.__repr__(obj)
+        write(int.__repr__(obj))
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-    ends, sep = "{}" if isinstance(obj, dict) else "[]", ",\n" + inner
-    return f"{ends[0]}\n{inner}{sep.join(items)}\n{indent}{ends[1]}" if items else ends
 
 
 def to_json(doc: dict) -> str:
-    return _encode(doc, "")
+    parts: list[str] = []
+    _write(doc, "", parts.append)
+    return "".join(parts)
 
 
 def _csv(rows: list) -> str:
@@ -117,19 +161,35 @@ def _csv(rows: list) -> str:
     return buf.getvalue()
 
 
+# Outcome i = 4*i34 + i12 (``Ensemble``'s index): its corrected (1,2) and
+# (3,4) label texts, b_j1, and the X pairs that fired, on a raw k = 0.
+_OUTCOMES = tuple(
+    (
+        BellLabel(l12.j, 1).text,
+        BellLabel(l34.j, 1).text,
+        tuple(x for x, fired in (("x45", l34.k == 0), ("x25", l12.k == 0)) if fired),
+    )
+    for l34 in BELL_LABELS
+    for l12 in BELL_LABELS
+)
+
+
 def ensemble_doc(pair: str, e: Ensemble) -> dict:
-    branches = []
-    for br in e.branches:
-        a, b = br.third_pair
-        branches.append(
-            {
-                "bell_12": br.final_bell_12.text,
-                "bell_34": br.final_bell_34.text,
-                "corrections": list(br.corrections),
-                "probability": br.probability,
-                "third_pair": {"a_re": a.real, "a_im": a.imag, "b_re": b.real, "b_im": b.imag},
-            }
+    """The exact-mode document, read from the ensemble's arrays once each."""
+    third = e.residuals[:, (0, 1), (1, 0)].tolist()
+    branches = [
+        {
+            "bell_12": bell_12,
+            "bell_34": bell_34,
+            "corrections": list(corrections),
+            "probability": p,
+            "third_pair": {"a_re": a.real, "a_im": a.imag, "b_re": b.real, "b_im": b.imag},
+        }
+        for kept, p, (a, b), (bell_12, bell_34, corrections) in zip(
+            e.keep.tolist(), e.probabilities.tolist(), third, _OUTCOMES
         )
+        if kept
+    ]
     return {"pair": pair, "mode": "exact", "branches": branches, "dropped_mass": e.dropped_mass}
 
 

@@ -41,7 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .encodings import BaseCode, UnsupportedEncodingError, wc_initial_pattern
+from .encodings import WC_INITIAL, BaseCode, UnsupportedEncodingError, wc_initial_pattern
 from .gates import BELL_LABELS, BellLabel, Gate, bell_basis, equality_entangler
 from .statevec import NORM_ATOL, PRUNE_DEFAULT, ZERO_ATOL, StateVector, _readonly
 
@@ -243,10 +243,15 @@ def _recognition_matrix(cfg: ProtocolConfig) -> np.ndarray:
     ).reshape(8, 8)
 
 
+# Index of U's column at each canonical base's initial pairing-face ket.
+_COLUMN = {base: 4 * q1 + 2 * q2 + q3 for base, (q1, q2, q3) in WC_INITIAL.items()}
+
+
 def _column(b: BaseCode) -> int:
     """Index of U's column at a base's initial pairing-face ket."""
-    q1, q2, q3 = wc_initial_pattern(b).bits
-    return 4 * q1 + 2 * q2 + q3
+    if b.rare:
+        wc_initial_pattern(b)  # raises: a rare tautomer has no pairing-face pattern
+    return _COLUMN[b.base]
 
 
 def build_recognition_unitary(cfg: ProtocolConfig | None = None) -> Gate:

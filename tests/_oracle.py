@@ -6,10 +6,11 @@ path from the package (which uses axis contractions), so agreement is a
 meaningful check. Shares only the public conventions: qubit 1 = MSB, the
 Bell labeling, the V construction, and the recognition-target definitions.
 
-The one exception is ``branch_swap``/``branch_table`` at the end: a frozen
-copy of the package's own swap and canonical table from when the ensemble
-was a list of ``OutcomeBranch`` objects. The array ensemble must reproduce
-it bit for bit, errors included.
+The one exception is ``branch_swap``/``branch_table``/``branch_ensemble_doc``
+at the end: a frozen copy of the package's own swap, canonical table and
+exact-mode JSON document from when they read a list of ``OutcomeBranch``
+objects. The array ensemble must reproduce them bit for bit, errors
+included.
 """
 from __future__ import annotations
 
@@ -327,3 +328,20 @@ def branch_table(branches):
         for rank, (a, b, p) in enumerate(rows, start=1):
             out.append(CanonicalRow(group=group, rank=rank, a=a, b=b, probability=p))
     return out
+
+
+def branch_ensemble_doc(pair, e):
+    """``cli.ensemble_doc`` as it read ``Ensemble.branches``."""
+    branches = []
+    for br in e.branches:
+        a, b = br.third_pair
+        branches.append(
+            {
+                "bell_12": br.final_bell_12.text,
+                "bell_34": br.final_bell_34.text,
+                "corrections": list(br.corrections),
+                "probability": br.probability,
+                "third_pair": {"a_re": a.real, "a_im": a.imag, "b_re": b.real, "b_im": b.imag},
+            }
+        )
+    return {"pair": pair, "mode": "exact", "branches": branches, "dropped_mass": e.dropped_mass}

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
+import enum
 import io
 import json
 import math
@@ -25,11 +27,14 @@ from dnaswap.cli import (
     cmd_recognize,
     cmd_run,
     cmd_verify,
+    ensemble_doc,
     main,
     to_json,
 )
-from dnaswap.encodings import wc_initial_pattern
+from dnaswap.encodings import BaseCode, wc_initial_pattern
 from dnaswap.gates import BELL_LABELS
+from dnaswap.protocol import ProtocolConfig, run_pair, swap
+from dnaswap.statevec import StateVector
 
 
 def run_cli(capsys, argv: list[str]) -> tuple[int, str, str]:
@@ -283,6 +288,78 @@ def test_exact_output_is_reproducible(capsys):
     assert first == second
 
 
+# --- the exact document, read from the ensemble's arrays ---
+
+ORIENTATIONS = ["AT", "TA", "GC", "CG"]
+ANGLES = st.floats(-math.pi, math.pi) | st.sampled_from(
+    [0.0, math.pi / 2, -math.pi / 2, protocol.DEFAULT_THETA, protocol.DEFAULT_PHI]
+)
+
+
+def assert_doc_matches_the_branch_oracle(pair: str, ens) -> None:
+    doc, want = ensemble_doc(pair, ens), oracle.branch_ensemble_doc(pair, ens)
+    assert doc == want
+    # Bytes too: == does not see the sign of a zero.
+    assert to_json(doc) == to_json(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pair=st.sampled_from(ORIENTATIONS),
+    theta=ANGLES,
+    phi=ANGLES,
+    cleared=st.sets(st.integers(0, 15), max_size=16),
+)
+def test_ensemble_doc_matches_the_branch_oracle_on_run_pair(pair, theta, phi, cleared):
+    # Cleared keep entries drop branches by hand, as far as dropping all 16.
+    ens = run_pair(BaseCode(pair[0]), BaseCode(pair[1]), ProtocolConfig(theta=theta, phi=phi))
+    keep = ens.keep.copy()
+    for i in cleared:
+        keep[i] = False
+    dropped = sum(ens.probabilities[ens.keep & ~keep].tolist())
+    ens = dataclasses.replace(ens, keep=keep, dropped_mass=ens.dropped_mass + dropped)
+    assert_doc_matches_the_branch_oracle(pair, ens)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(["real", "complex", "sparse"]),
+    seed=st.integers(0, 2**32 - 1),
+    conjugate=st.booleans(),
+)
+def test_ensemble_doc_matches_the_branch_oracle_on_random_registers(kind, seed, conjugate):
+    # The swap of a real register gives +0.0 imaginary parts; its conjugate
+    # residuals (the ensemble of the conjugate register) give -0.0 ones.
+    rng = np.random.default_rng(seed)
+    if kind == "sparse":
+        amps = np.zeros(64, dtype=complex)
+        support = rng.integers(1, 9)
+        amps[rng.choice(64, support, replace=False)] = rng.choice([1, -1, 1j, 0.5], support)
+    else:
+        amps = rng.normal(size=64) + (1j * rng.normal(size=64) if kind == "complex" else 0)
+    ens = swap(StateVector(6, amps / np.linalg.norm(amps)))
+    if conjugate:
+        ens = dataclasses.replace(ens, residuals=ens.residuals.conj())
+    assert_doc_matches_the_branch_oracle("AT", ens)
+    if kind == "real" and conjugate:
+        doc = ensemble_doc("AT", ens)
+        assert any(math.copysign(1.0, br["third_pair"]["a_im"]) < 0 for br in doc["branches"])
+
+
+def test_json_verify_and_inspect_build_no_outcome_branch(monkeypatch):
+    # The exact JSON reads the ensemble's arrays, as the table and CSV do.
+    def forbidden(self, *args, **kwargs):
+        raise AssertionError("an OutcomeBranch was built")
+
+    monkeypatch.setattr(protocol.OutcomeBranch, "__init__", forbidden)
+    for pair in PAIRS:
+        cmd_run(RunRequest(pair=pair, fmt="json"))
+        cmd_inspect(pair, "O")
+    assert cmd_verify()[1] == 0
+    with pytest.raises(AssertionError, match="OutcomeBranch was built"):
+        run_pair(*PAIRS["GC"]).branches
+
+
 # --- the JSON writer ---
 
 FLOATS = st.one_of(
@@ -303,28 +380,63 @@ INTS = (
 )
 # Quotes, a backslash, control characters and non-ASCII characters.
 TEXT = st.text() | st.text(alphabet='"\\\x00\x1f\x7f/\u00e9\u2028\U0001f600ab')
-SCALARS = FLOATS | INTS | TEXT | st.booleans() | st.none()
+
+
+class Level(enum.IntEnum):
+    LOW = -(2**70)
+    ZERO = 0
+    ONE = 1
+    HIGH = 2**53 + 1
+
+
+class Text(str):
+    pass
+
+
+class Doc(dict):
+    pass
+
+
+class Items(list):
+    pass
+
+
+# Exact scalar types take the writer's type table, inline inside a list or a
+# dict; their subclasses (numpy floats, IntEnum members, str subclasses) and
+# container subclasses take its isinstance chain.
+SCALARS = FLOATS | INTS | TEXT | TEXT.map(Text) | st.sampled_from(Level) | st.booleans() | st.none()
 DOCS = st.recursive(
     SCALARS,
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(inner, max_size=4).map(tuple)
-    | st.dictionaries(TEXT, inner, max_size=4),
+    | st.lists(inner, max_size=4).map(Items)
+    | st.dictionaries(TEXT, inner, max_size=4)
+    | st.dictionaries(TEXT, inner, max_size=4).map(Doc),
     max_leaves=12,
 )
 
 
-@settings(max_examples=200, deadline=None)
-@given(doc=st.dictionaries(TEXT, DOCS, max_size=5))
+@settings(max_examples=300, deadline=None)
+@given(doc=st.dictionaries(TEXT, DOCS, max_size=5) | DOCS)
 def test_to_json_writes_the_bytes_of_the_json_dumps_oracle(doc):
     assert to_json(doc) == oracle.to_json(doc)
 
 
 def test_to_json_rejects_a_value_json_cannot_encode():
-    doc = {"branches": [{"corrections": {"x45"}}]}
-    with pytest.raises(TypeError, match="set"):
-        to_json(doc)
-    with pytest.raises(TypeError, match="set"):
-        oracle.to_json(doc)
+    # np.bool_ is not a bool subclass: json.dumps refuses it as a leaf, a
+    # list item and a dict value, and so must the writer.
+    flag = np.bool_(True)
+    for doc, name in [
+        ({"branches": [{"corrections": {"x45"}}]}, "set"),
+        (flag, type(flag).__name__),
+        ([1.0, flag], type(flag).__name__),
+        ({"passed": flag}, type(flag).__name__),
+    ]:
+        message = f"Object of type {name} is not JSON serializable"
+        with pytest.raises(TypeError, match=message):
+            to_json(doc)
+        with pytest.raises(TypeError, match=message):
+            oracle.to_json(doc)
 
 
 # --- run, sample mode ---

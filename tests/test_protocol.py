@@ -729,7 +729,7 @@ def test_array_ensemble_matches_the_branch_oracle_on_any_register(kind, seed, su
 
 def test_run_pair_table_and_sample_build_no_outcome_branch(monkeypatch):
     # The array ensemble's speed rests on this: only a reader of
-    # ``Ensemble.branches`` (the JSON writer, tests) builds branch objects.
+    # ``Ensemble.branches`` (the tests) builds branch objects.
     def forbidden(self, *args, **kwargs):
         raise AssertionError("an OutcomeBranch was built")
 
