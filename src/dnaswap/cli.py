@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -30,9 +31,9 @@ from .encodings import (
     recognition_matches,
     wc_initial_state,
 )
-from .gates import BELL_LABELS, BellLabel
 from .metrics import verify_against_reference
 from .protocol import (
+    OUTCOMES,
     Ensemble,
     assemble_pair,
     canonical_table,
@@ -87,7 +88,9 @@ class RunRequest:
 def _float(x: float) -> str:
     text = f"{x:.15g}"
     if "e" in text or "n" in text:  # exponent form, inf or nan
-        return json.dumps(float(text))
+        y = float(text)  # inf too when x rounds past the largest float
+        # json.dumps writes a finite float's repr, and Infinity or NaN.
+        return float.__repr__(y) if math.isfinite(y) else json.dumps(y)
     # Positional, so normal: repr prints these same digits, with ".0" when whole.
     return text if "." in text else text + ".0"
 
@@ -161,16 +164,10 @@ def _csv(rows: list) -> str:
     return buf.getvalue()
 
 
-# Outcome i = 4*i34 + i12 (``Ensemble``'s index): its corrected (1,2) and
-# (3,4) label texts, b_j1, and the X pairs that fired, on a raw k = 0.
+# Outcome i's corrected (1,2) and (3,4) label texts and its corrections,
+# read from ``protocol.OUTCOMES`` once.
 _OUTCOMES = tuple(
-    (
-        BellLabel(l12.j, 1).text,
-        BellLabel(l34.j, 1).text,
-        tuple(x for x, fired in (("x45", l34.k == 0), ("x25", l12.k == 0)) if fired),
-    )
-    for l34 in BELL_LABELS
-    for l12 in BELL_LABELS
+    (o.final_bell_12.text, o.final_bell_34.text, o.corrections) for o in OUTCOMES
 )
 
 

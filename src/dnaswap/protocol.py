@@ -26,9 +26,10 @@ seeded stream. It reads the stream in fixed chunks of raw 53-bit words and
 picks outcomes by exact integer thresholds. The shots split into contiguous
 spans on at most two threads, each of which jumps to its first shot with
 ``Philox.advance``, so memory is O(workers x chunk), not O(shots), and the
-counts are the same for every worker count and chunk size. A table over
-each word's top bits gives the outcome directly; ``searchsorted`` runs only
-on the words in a bucket that holds a threshold.
+counts are the same for every worker count and chunk size. Both words of a
+shot go through one rank: a table over the word's top bits, and
+``searchsorted`` only for the words in a bucket that holds a threshold.
+``OUTCOMES`` states the corrections of each of the 16 outcomes once.
 """
 from __future__ import annotations
 
@@ -43,7 +44,7 @@ import numpy as np
 
 from .encodings import WC_INITIAL, BaseCode, UnsupportedEncodingError, wc_initial_pattern
 from .gates import BELL_LABELS, BellLabel, Gate, bell_basis, equality_entangler
-from .statevec import NORM_ATOL, PRUNE_DEFAULT, ZERO_ATOL, StateVector, _readonly
+from .statevec import PRUNE_DEFAULT, ZERO_ATOL, StateVector, _readonly
 
 DEFAULT_THETA = math.acos(math.sqrt(2.0) / math.sqrt(3.0))
 DEFAULT_PHI = math.acos(1.0 / math.sqrt(2.0))
@@ -92,30 +93,57 @@ class ProtocolConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class OutcomeBranch:
-    """One trajectory of the swap protocol.
+class Outcome:
+    """A raw (l34, l12) Bell outcome pair and the corrections it triggers.
 
-    ``bell_34``/``bell_12`` are the raw measurement outcomes; the final
-    state carries the corrected labels (k forced to 1 wherever a Pauli-X
-    pair was applied). ``residual`` is the read-only, normalized 2x2
-    amplitude array of qubits (5, 6) after the corrections, and
-    ``third_pair`` holds its amplitudes (a, b) of |01> and |10>. A Pauli-X
-    pair fires on a raw outcome with k = 0, so ``x45_applied`` and
-    ``x25_applied`` are read off the labels.
+    A Pauli-X pair fires on a raw k = 0: X on (4, 5) after the (3,4)
+    measurement, X on (2, 5) after the (1,2) one. It relabels the measured
+    pair as b_j1; qubit 5 flips when exactly one pair fires.
     """
 
     bell_34: BellLabel
     bell_12: BellLabel
-    probability: float
-    residual: np.ndarray
 
-    @property
+    @cached_property
     def x45_applied(self) -> bool:
         return self.bell_34.k == 0
 
-    @property
+    @cached_property
     def x25_applied(self) -> bool:
         return self.bell_12.k == 0
+
+    @cached_property
+    def final_bell_34(self) -> BellLabel:
+        return BellLabel(self.bell_34.j, 1)
+
+    @cached_property
+    def final_bell_12(self) -> BellLabel:
+        return BellLabel(self.bell_12.j, 1)
+
+    @cached_property
+    def group(self) -> tuple[int, int]:
+        """(j, m): first bits of the corrected (1,2) and (3,4) Bell labels."""
+        return (self.bell_12.j, self.bell_34.j)
+
+    @cached_property
+    def corrections(self) -> tuple[str, ...]:
+        fired = (("x45", self.x45_applied), ("x25", self.x25_applied))
+        return tuple(name for name, hit in fired if hit)
+
+
+# OUTCOMES[4*i34 + i12] is the raw outcome pair at ``Ensemble``'s index.
+OUTCOMES = tuple(Outcome(l34, l12) for l34 in BELL_LABELS for l12 in BELL_LABELS)
+
+
+@dataclass(frozen=True, eq=False)
+class OutcomeBranch(Outcome):
+    """One trajectory: an ``Outcome`` with its probability and ``residual``,
+    the read-only, normalized, corrected 2x2 amplitudes of qubits (5, 6);
+    ``third_pair`` holds its amplitudes (a, b) of |01> and |10>.
+    """
+
+    probability: float
+    residual: np.ndarray
 
     @property
     def third_pair(self) -> tuple[complex, complex]:
@@ -127,28 +155,6 @@ class OutcomeBranch:
         f12 = _BELL[BELL_LABELS.index(self.final_bell_12)]
         f34 = _BELL[BELL_LABELS.index(self.final_bell_34)]
         return StateVector(6, np.multiply.outer(np.multiply.outer(f12, f34), self.residual))
-
-    @property
-    def final_bell_34(self) -> BellLabel:
-        return BellLabel(self.bell_34.j, 1)
-
-    @property
-    def final_bell_12(self) -> BellLabel:
-        return BellLabel(self.bell_12.j, 1)
-
-    @property
-    def group(self) -> tuple[int, int]:
-        """(j, m): first bits of the corrected (1,2) and (3,4) Bell labels."""
-        return (self.bell_12.j, self.bell_34.j)
-
-    @property
-    def corrections(self) -> tuple[str, ...]:
-        out = []
-        if self.x45_applied:
-            out.append("x45")
-        if self.x25_applied:
-            out.append("x25")
-        return tuple(out)
 
 
 @dataclass(eq=False)
@@ -183,13 +189,9 @@ class Ensemble:
     @cached_property
     def branches(self) -> list[OutcomeBranch]:
         """The kept trajectories as ``OutcomeBranch`` views, in outcome order."""
+        probs = self.probabilities.tolist()
         return [
-            OutcomeBranch(
-                bell_34=BELL_LABELS[i >> 2],
-                bell_12=BELL_LABELS[i & 3],
-                probability=float(self.probabilities[i]),
-                residual=self.residuals[i],
-            )
+            OutcomeBranch(OUTCOMES[i].bell_34, OUTCOMES[i].bell_12, probs[i], self.residuals[i])
             for i in np.flatnonzero(self.keep)
         ]
 
@@ -301,11 +303,9 @@ def _instrument(v: np.ndarray) -> np.ndarray:
 # instrument of the paper's entangler V, built once.
 _BELL = _readonly(np.array([b.amplitudes.reshape(2, 2) for b in bell_basis()]))
 _K = _readonly(_instrument(equality_entangler().matrix))
-# Outcome i = 4*i34 + i12 has X on qubit 5 exactly when one of its two
-# corrections fires (raw k = 0 on one pair only), which swaps its rows.
-_FLIP = np.array([(l34.k == 0) != (l12.k == 0) for l34 in BELL_LABELS for l12 in BELL_LABELS])
-# (j, m) group of outcome i: first bits of its (1,2) and (3,4) labels.
-_GROUP = tuple((l12.j, l34.j) for l34 in BELL_LABELS for l12 in BELL_LABELS)
+# Outcome i has X on qubit 5, which swaps its residual's rows, exactly when
+# one of its two corrections fires.
+_FLIP = np.array([o.x45_applied != o.x25_applied for o in OUTCOMES])
 
 
 def swap(
@@ -338,14 +338,14 @@ def swap(
         keep = (probs > 0) & (p34 >= PRUNE_DEFAULT) & (probs / p34 >= PRUNE_DEFAULT)
         residual = coeff / np.sqrt(probs)[:, None, None]
     residual[_FLIP] = residual[_FLIP, ::-1]
-    residual = _readonly(residual)
-    dev = np.abs(np.sqrt(np.sum(np.abs(residual[keep]) ** 2, axis=(1, 2))) - 1.0)
-    if not np.all(dev <= NORM_ATOL):
-        raise ValueError(f"branch residual not normalized: max |norm - 1| = {np.max(dev):.3e}")
+    # A kept row has P >= PRUNE_DEFAULT**2 = 1e-28, far above the subnormals,
+    # so dividing it by sqrt(P) normalizes it to rounding: there is no norm
+    # left to check. A non-finite P is never kept, and a non-finite or
+    # non-isometric instrument fails ``Ensemble``'s mass rule instead.
     return Ensemble(
         pair=pair,
         probabilities=_readonly(probs),
-        residuals=residual,
+        residuals=_readonly(residual),
         keep=_readonly(keep),
         dropped_mass=float(probs[~keep].sum()),
     )
@@ -387,7 +387,7 @@ def canonical_table(e: Ensemble) -> list[CanonicalRow]:
             raise ValueError("third-pair amplitudes have a non-real relative phase")
         af = 0.0 if abs(an.real) < ZERO_ATOL else float(an.real)
         bf = 0.0 if abs(bn.real) < ZERO_ATOL else float(bn.real)
-        rows = grouped.setdefault(_GROUP[i], [])
+        rows = grouped.setdefault(OUTCOMES[i].group, [])
         for row in rows:
             if abs(row[0] - af) <= _MERGE_ATOL and abs(row[1] - bf) <= _MERGE_ATOL:
                 row[2] += probs[i]
@@ -420,18 +420,27 @@ def _word_thresholds(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return live, np.ceil(np.ldexp(cdf, _WORD_BITS)).astype(np.int64)
 
 
-def _guide(t: np.ndarray) -> np.ndarray:
-    """Guide table for ``searchsorted(t, k, side="right")`` on 53-bit words.
+def _guide(t: np.ndarray, buckets: int) -> np.ndarray:
+    """Guide table for ``searchsorted(t, k, side="right")``, k < buckets << _BUCKET_SHIFT.
 
     Entry h covers the words k with ``k >> _BUCKET_SHIFT == h``. It holds the
     search result, which is the same for every word of the bucket when no
     threshold falls in (first word, last word]; it holds -1 when one does,
     and those words need the search itself (Chen & Asau, 1974).
     """
-    first = np.arange(1 << _BUCKET_BITS, dtype=np.int64) << _BUCKET_SHIFT
+    first = np.arange(buckets, dtype=np.int64) << _BUCKET_SHIFT
     lo = np.searchsorted(t, first, side="right")
     hi = np.searchsorted(t, first + ((1 << _BUCKET_SHIFT) - 1), side="right")
     return np.where(lo == hi, lo, -1)
+
+
+def _rank(guide: np.ndarray, t: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``searchsorted(t, w, side="right")``, read from ``guide = _guide(t, .)``
+    for all words but those of the buckets a threshold splits."""
+    rank = guide[w >> _BUCKET_SHIFT]
+    miss = np.flatnonzero(rank < 0)
+    rank[miss] = np.searchsorted(t, w[miss], side="right")
+    return rank
 
 
 def sample(
@@ -454,13 +463,13 @@ def sample(
     starts no thread. Memory is O(workers x chunk) whatever ``shots`` is,
     and the counts do not depend on the worker count or the chunk size.
 
-    The (3,4) outcome ranks the first word among exact integer thresholds
-    of the marginal; the (1,2) outcome ranks the second word among the
-    chosen row's conditional thresholds. Both ranks come from a table
-    indexed by the word's top ``_BUCKET_BITS`` bits (``_guide``); only words
-    in a bucket that holds a threshold, about 0.1% of them, are ranked by
-    ``searchsorted``. ``shots`` must be below 2**63, and the ensemble must
-    have a branch.
+    The (3,4) outcome ranks the first word k1 among exact integer
+    thresholds of the marginal; the (1,2) outcome ranks (r << 53) + k2 among
+    every live row's conditional thresholds, row r's offset by r << 53. Both
+    go through one rank (``_rank``): a table indexed by the word's top bits
+    (``_guide``), with ``searchsorted`` only for words in a bucket that
+    holds a threshold, about 0.1% of them. ``shots`` must be below 2**63,
+    and the ensemble must have a branch.
     """
     shots = operator.index(shots)
     if shots < 1:
@@ -476,19 +485,17 @@ def sample(
     joint = np.where(keep, ensemble.probabilities, 0.0).reshape(4, 4)
 
     rows, row_t = _word_thresholds(joint.sum(axis=1))
-    # Row r's column thresholds are offset by r << 53, so one search of
-    # (r << 53) + k2 lands inside row r's block; cells[i] is the outcome
-    # (4 * i34 + i12) of the i-th threshold.
+    # Row r's column thresholds are offset by r << 53, so (r << 53) + k2
+    # ranks inside row r's block, and one guide covers every row's words;
+    # cells[i] is the outcome (4 * i34 + i12) of the i-th threshold.
     col_t, cells = [], []
     for r, i34 in enumerate(rows):
         cols, t = _word_thresholds(joint[i34])
         col_t.append((r << _WORD_BITS) + t)
         cells.append(4 * i34 + cols)
     col_t, cells = np.concatenate(col_t), np.concatenate(cells)
-    # g2 stacks one guide table per live row; row r's table ranks k2 among
-    # col_t - (r << 53), which is the rank of (r << 53) + k2 among col_t.
-    g1 = _guide(row_t)
-    g2 = np.concatenate([_guide(col_t - (r << _WORD_BITS)) for r in range(len(rows))])
+    g1 = _guide(row_t, 1 << _BUCKET_BITS)
+    g2 = _guide(col_t, len(rows) << _BUCKET_BITS)
 
     def count(start: int, stop: int) -> np.ndarray:
         # Shot i reads words 2i and 2i + 1; advance(d) skips 4d words.
@@ -502,14 +509,8 @@ def sample(
             words = bitgen.random_raw(2 * n)
             words >>= 64 - _WORD_BITS
             k = words.view(np.int64).reshape(n, 2)
-            row = g1[k[:, 0] >> _BUCKET_SHIFT]
-            miss = np.flatnonzero(row < 0)
-            row[miss] = np.searchsorted(row_t, k[miss, 0], side="right")
-            cell = g2[(row << _BUCKET_BITS) + (k[:, 1] >> _BUCKET_SHIFT)]
-            miss = np.flatnonzero(cell < 0)
-            cell[miss] = np.searchsorted(
-                col_t, (row[miss] << _WORD_BITS) + k[miss, 1], side="right"
-            )
+            row = _rank(g1, row_t, k[:, 0])
+            cell = _rank(g2, col_t, (row << _WORD_BITS) + k[:, 1])
             hits += np.bincount(cell, minlength=len(cells))
         return hits
 
@@ -539,5 +540,5 @@ def sample(
     counts = np.zeros(16, dtype=np.int64)
     counts[cells] = hits
     return {
-        (BELL_LABELS[i >> 2], BELL_LABELS[i & 3]): int(counts[i]) for i in np.flatnonzero(keep)
+        (OUTCOMES[i].bell_34, OUTCOMES[i].bell_12): int(counts[i]) for i in np.flatnonzero(keep)
     }

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import _oracle as oracle
 from dnaswap import protocol
+from dnaswap.cli import ensemble_doc
 from dnaswap.encodings import (
     BaseCode,
     UnsupportedEncodingError,
@@ -323,23 +324,71 @@ def test_gc_third_pair_amplitudes_are_complete(gc_ensemble):
         assert abs(a) ** 2 + abs(b) ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
+def raw_bits(i: int) -> tuple[int, int, int, int]:
+    """(j34, k34, j12, k12) of raw outcome i = 4*i34 + i12, i = 2j + k."""
+    return (i >> 3) & 1, (i >> 2) & 1, (i >> 1) & 1, i & 1
+
+
+def real_register_ensemble(seed: int):
+    """A random real register's ensemble: 16 distinct, unmerged outcomes."""
+    amps = np.random.default_rng(seed).normal(size=64)
+    return swap(StateVector(6, amps / np.linalg.norm(amps)))
+
+
 def test_final_bell_labels_are_single_proton_only(at_ensemble, gc_ensemble):
-    for ens in (at_ensemble, gc_ensemble):
-        for br in ens.branches:
-            assert br.final_bell_34.k == 1
-            assert br.final_bell_12.k == 1
-            assert br.final_bell_34.j == br.bell_34.j
-            assert br.final_bell_12.j == br.bell_12.j
+    # The branches of both pairs, then every entry of the outcome table.
+    for br in [*at_ensemble.branches, *gc_ensemble.branches, *protocol.OUTCOMES]:
+        assert br.final_bell_34.k == 1
+        assert br.final_bell_12.k == 1
+        assert br.final_bell_34.j == br.bell_34.j
+        assert br.final_bell_12.j == br.bell_12.j
+        assert br.group == (br.bell_12.j, br.bell_34.j)
+    for i, outcome in enumerate(protocol.OUTCOMES):
+        j34, k34, j12, k12 = raw_bits(i)
+        assert (outcome.bell_34, outcome.bell_12) == (BellLabel(j34, k34), BellLabel(j12, k12))
+        assert outcome.final_bell_34 == BellLabel(j34, 1)
+        assert outcome.final_bell_12 == BellLabel(j12, 1)
+        assert outcome.group == (j12, j34)
+    # The exact JSON's texts, the canonical groups and the sample keys read
+    # the table: on a real register no two outcomes merge or tie, so each
+    # canonical row is one outcome, found by its probability.
+    ens = real_register_ensemble(11)
+    assert ens.keep.all()
+    doc = ensemble_doc("AT", ens)["branches"]
+    assert [(d["bell_34"], d["bell_12"]) for d in doc] == [
+        (f"b{raw_bits(i)[0]}1", f"b{raw_bits(i)[2]}1") for i in range(16)
+    ]
+    probs = ens.probabilities.tolist()
+    rows = canonical_table(ens)
+    assert len(rows) == len(set(probs)) == 16
+    for row in rows:
+        j34, _, j12, _ = raw_bits(probs.index(row.probability))
+        assert row.group == (j12, j34)
+    keys = [((j34, k34), (j12, k12)) for j34, k34, j12, k12 in map(raw_bits, range(16))]
+    got = sample(ens, shots=1000, seed=3)
+    assert [((a.j, a.k), (b.j, b.k)) for a, b in got] == keys
 
 
 def test_correction_flags_track_raw_outcomes(at_ensemble):
-    for br in at_ensemble.branches:
+    # The branches of A.T, then every entry of the outcome table.
+    for br in [*at_ensemble.branches, *protocol.OUTCOMES]:
         assert br.x45_applied == (br.bell_34.k == 0)
         assert br.x25_applied == (br.bell_12.k == 0)
         expected = tuple(
             name for name, hit in (("x45", br.x45_applied), ("x25", br.x25_applied)) if hit
         )
         assert br.corrections == expected
+    # X on qubit 5, which swaps the residual's rows, when exactly one pair fires.
+    ens = real_register_ensemble(12)
+    assert ens.keep.all()
+    doc = ensemble_doc("AT", ens)["branches"]
+    for i, outcome in enumerate(protocol.OUTCOMES):
+        _, k34, _, k12 = raw_bits(i)
+        assert (outcome.x45_applied, outcome.x25_applied) == (k34 == 0, k12 == 0)
+        fired = (("x45", k34 == 0), ("x25", k12 == 0))
+        assert outcome.corrections == tuple(name for name, hit in fired if hit)
+        assert doc[i]["corrections"] == list(outcome.corrections)
+        assert protocol._FLIP[i] == ((k34 == 0) != (k12 == 0))
 
 
 @pytest.mark.parametrize("pair", ["AT", "GC"])
@@ -710,15 +759,33 @@ def test_array_ensemble_matches_the_branch_oracle_on_run_pair(pair, theta, phi):
     support=st.integers(1, 8),
     scale=st.sampled_from([1.0, 1.0 + 1e-11, 1.0 + 1e-9, 0.999]),
 )
+@example(kind="edge", seed=0, support=1, scale=1.0)
+@example(kind="edge", seed=1, support=1, scale=1.0 + 1e-11)
 def test_array_ensemble_matches_the_branch_oracle_on_any_register(kind, seed, support, scale):
     # Complex registers mostly give a non-real relative phase, and an
     # instrument scaled off 1 by more than 5e-11 breaks the mass rule: the
     # package must raise exactly where the oracle does. Sparse registers with
     # repeated amplitudes give zero-probability outcomes and merged rows.
+    # Edge registers keep rows at the pruning threshold, where the oracle's
+    # residual-norm check witnesses that swap's division still normalizes.
     rng = np.random.default_rng(seed)
     if kind == "sparse":
         amps = np.zeros(64, dtype=complex)
         amps[rng.choice(64, support, replace=False)] = rng.choice([1, -1, 1j, 0.5], support)
+    elif kind == "edge":
+        # P34(b00) and the conditional (1,2) probability of b00 under b00
+        # and under b01 just above PRUNE_DEFAULT: kept rows of P near 1e-28
+        # and 3e-15. K is unitary, so K^H takes the residuals to a register.
+        p34 = np.array([1.000001 * PRUNE_DEFAULT, *[(1 - 1.000001 * PRUNE_DEFAULT) / 3] * 3])
+        cond = np.full((4, 4), 0.25)
+        cond[:2, 0] = 1.02 * PRUNE_DEFAULT
+        cond[:2, 1:] = (1 - cond[:2, :1]) / 3
+        unit = rng.normal(size=(16, 4))
+        unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+        coeff = np.sqrt((p34[:, None] * cond).ravel())[:, None] * unit
+        amps = protocol._K.conj().T @ coeff.ravel()
+        ens = swap(StateVector(6, amps / np.linalg.norm(amps)))
+        assert ens.keep.all() and ens.probabilities.min() < 1.1e-28
     else:
         amps = rng.normal(size=64) + (1j * rng.normal(size=64) if kind == "complex" else 0)
     state = StateVector(6, amps / np.linalg.norm(amps))
@@ -983,8 +1050,14 @@ def test_guide_table_ranks_words_like_searchsorted(rows, row, random_words):
         [(i << 53) + protocol._word_thresholds(np.array(p))[1] for i, p in enumerate(rows)]
     )
     t = stacked - (r << 53)
-    g = protocol._guide(t)
-    assert g.shape == (1 << protocol._BUCKET_BITS,)
+    bits = protocol._BUCKET_BITS
+    g = protocol._guide(t, 1 << bits)
+    assert g.shape == (1 << bits,)
+    # sample's one guide over the stacked words is the per-row guides side by side.
+    per_row = [protocol._guide(stacked - (i << 53), 1 << bits) for i in range(len(rows))]
+    np.testing.assert_array_equal(
+        protocol._guide(stacked, len(rows) << bits), np.concatenate(per_row)
+    )
 
     own = t[(t > 0) & (t <= 2**53)]
     k = np.concatenate([own - 1, own, own + 1, bucket_edges(), random_words])
