@@ -15,7 +15,7 @@ from .protocol import (
     sample,
     swap,
 )
-from .statevec import DensityMatrix, MeasurementBranch, StateVector
+from .statevec import DensityMatrix, StateVector
 
 __version__ = "0.1.0"
 
@@ -27,7 +27,6 @@ __all__ = [
     "EdgePattern",
     "Ensemble",
     "Gate",
-    "MeasurementBranch",
     "OutcomeBranch",
     "ProtocolConfig",
     "StateVector",

@@ -22,6 +22,7 @@ import os
 import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from numbers import Integral
 
 from . import reference
 from .encodings import (
@@ -74,12 +75,16 @@ class RunRequest:
         if self.mode == "sample":
             if self.shots is None:
                 return "--shots is required in sample mode"
+            if not isinstance(self.shots, Integral):
+                return f"--shots must be an integer, got {self.shots!r}"
             if self.shots < 1:
                 return f"--shots must be >= 1, got {self.shots}"
             if self.shots >= 2**63:
                 return f"--shots must be < 2**63, got {self.shots}"
         elif self.shots is not None:
             return "--shots is only valid in sample mode"
+        if not isinstance(self.seed, Integral):
+            return f"--seed must be an integer, got {self.seed!r}"
         if not 0 <= self.seed < 2**64:
             return f"--seed must fit in 64 bits, got {self.seed}"
         return None

@@ -19,10 +19,10 @@ _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
 @dataclass(eq=False)
 class Gate:
-    """Unitary on a small number of qubits, validated at construction.
+    """Unitary on 1 to 3 qubits, validated at construction.
 
-    The protocol gates act on 1 or 2 qubits; arity 3 exists to house the
-    recognition unitary.
+    The package builds two: the entangler V on 2 qubits and the recognition
+    unitary U on 3.
     """
 
     name: str
@@ -60,38 +60,6 @@ class BellLabel:
 
 
 BELL_LABELS = (BellLabel(0, 0), BellLabel(0, 1), BellLabel(1, 0), BellLabel(1, 1))
-
-
-def _finite(theta: float) -> float:
-    theta = float(theta)
-    if not math.isfinite(theta):
-        raise ValueError(f"angle must be finite, got {theta}")
-    return theta
-
-
-def rotation(theta: float) -> Gate:
-    """Plane rotation [[cos, -sin], [sin, cos]]."""
-    theta = _finite(theta)
-    c, s = math.cos(theta), math.sin(theta)
-    return Gate(f"R({theta:.6g})", np.array([[c, -s], [s, c]], dtype=complex))
-
-
-def sp(theta: float) -> Gate:
-    """Superposition gate R(theta) * Z = [[cos, sin], [sin, -cos]].
-
-    Hermitian and unitary for every angle; sp(pi/4) is the Hadamard.
-    """
-    theta = _finite(theta)
-    c, s = math.cos(theta), math.sin(theta)
-    return Gate(f"SP({theta:.6g})", np.array([[c, s], [s, -c]], dtype=complex))
-
-
-def pauli(which: str) -> Gate:
-    if which == "X":
-        return Gate("X", np.array([[0, 1], [1, 0]], dtype=complex))
-    if which == "Z":
-        return Gate("Z", np.array([[1, 0], [0, -1]], dtype=complex))
-    raise ValueError(f"supported Pauli gates are 'X' and 'Z', got {which!r}")
 
 
 def equality_entangler() -> Gate:

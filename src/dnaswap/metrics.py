@@ -27,14 +27,20 @@ _YY = np.array(
 
 
 def entanglement_entropy(s: StateVector, cut: Iterable[int]) -> float:
-    """Von Neumann entropy (bits) of the reduced state on ``cut``."""
+    """Von Neumann entropy (bits) of the reduced state on ``cut``.
+
+    An entropy within ``ZERO_ATOL`` of 0 reads +0.0: on a product cut the one
+    kept eigenvalue is 1 +- eps, whose term is rounding of either sign, while
+    any second kept eigenvalue (> ZERO_ATOL) adds more than 3.9e-11.
+    """
     cut = sorted(set(cut))
     if not cut or len(cut) >= s.num_qubits:
         raise ValueError("cut must be a non-empty strict subset of the qubits")
     rho = reduced_density(s, cut)
     eigs = np.linalg.eigvalsh(rho.matrix)
     eigs = eigs[eigs > ZERO_ATOL]
-    return float(-np.sum(eigs * np.log2(eigs)))
+    entropy = float(-np.sum(eigs * np.log2(eigs)))
+    return entropy if entropy > ZERO_ATOL else 0.0
 
 
 def concurrence(rho: DensityMatrix) -> float:

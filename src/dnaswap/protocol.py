@@ -53,7 +53,7 @@ DEFAULT_PHI = math.acos(1.0 / math.sqrt(2.0))
 # odd positions, incoming (4,5,6) to even positions.
 INTERLEAVE = (1, 4, 2, 5, 3, 6)
 # Entry k of the interleaved register reads entry _INTERLEAVE_INDEX[k] of the
-# product |t1 t2 t3 i1 i2 i3>: ``permute_qubits(., INTERLEAVE)`` as a gather.
+# product |t1 t2 t3 i1 i2 i3>: the qubit reorder INTERLEAVE as one gather.
 _INTERLEAVE_INDEX = _readonly(
     np.arange(64).reshape([2] * 6).transpose(np.subtract(INTERLEAVE, 1)).reshape(-1)
 )

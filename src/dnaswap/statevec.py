@@ -6,20 +6,19 @@ Conventions frozen for the whole package:
   basis index, so a ket literal like |011010> reads left to right.
 - Every operation is a pure function; returned values are immutable and the
   normalization invariant is re-checked on each constructed state.
-- Measurement is projective and non-destructive: the measured pair stays in
-  the register, collapsed onto the outcome state.
+
+The protocol's gates and measurements act only through ``protocol``'s
+compiled swap instrument.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from .gates import Gate
-
 NORM_ATOL = 1e-12
+# ``swap`` drops a measurement outcome whose probability is below this.
 PRUNE_DEFAULT = 1e-14
 # An amplitude or eigenvalue within this of zero counts as zero.
 ZERO_ATOL = 1e-12
@@ -97,100 +96,6 @@ class DensityMatrix:
         if np.min(np.linalg.eigvalsh(mat)) < -PSD_ATOL:
             raise ValueError("density matrix has a negative eigenvalue")
         self.matrix = _readonly(mat)
-
-
-@dataclass(eq=False)
-class MeasurementBranch:
-    """One projective outcome: basis index, probability, collapsed register."""
-
-    outcome_label: int
-    probability: float
-    post_state: StateVector
-
-
-def tensor(a: StateVector, b: StateVector) -> StateVector:
-    """Tensor product; basis indices concatenate (a's qubits first)."""
-    return StateVector(a.num_qubits + b.num_qubits, np.kron(a.amplitudes, b.amplitudes))
-
-
-def permute_qubits(s: StateVector, perm: Sequence[int]) -> StateVector:
-    """Reorder qubits: new position i carries the old qubit perm[i-1].
-
-    ``perm`` is a bijection on 1..n given as a length-n sequence. The
-    amplitude of the new ket |b_perm(1) ... b_perm(n)> equals the old
-    amplitude of |b_1 ... b_n> for every bit assignment.
-    """
-    n = s.num_qubits
-    if sorted(perm) != list(range(1, n + 1)):
-        raise ValueError(f"perm must be a bijection on 1..{n}, got {tuple(perm)}")
-    axes = [p - 1 for p in perm]
-    out = np.transpose(s.as_tensor(), axes).reshape(-1)
-    return StateVector(n, out)
-
-
-def compose_perms(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
-    """Permutation r with permute(permute(s, p), q) == permute(s, r)."""
-    return tuple(p[qi - 1] for qi in q)
-
-
-def apply_unitary(s: StateVector, g: Gate, targets: Sequence[int]) -> StateVector:
-    """Apply a 1- or 2-qubit gate to the given target qubits (1-based).
-
-    The gate's own qubit order follows the target order: targets[0] is the
-    gate's first qubit. Identity on the rest of the register.
-    """
-    n = s.num_qubits
-    k = g.arity
-    if len(targets) != k:
-        raise ValueError(f"gate {g.name} has arity {k}, got {len(targets)} targets")
-    if len(set(targets)) != len(targets):
-        raise ValueError(f"duplicate targets {tuple(targets)}")
-    for t in targets:
-        if not 1 <= t <= n:
-            raise ValueError(f"target {t} out of range 1..{n}")
-    axes = [t - 1 for t in targets]
-    mat = g.matrix.reshape([2] * (2 * k))
-    out = np.tensordot(mat, s.as_tensor(), axes=(list(range(k, 2 * k)), axes))
-    out = np.moveaxis(out, list(range(k)), axes)
-    return StateVector(n, out.reshape(-1))
-
-
-def measure_two_qubit(
-    s: StateVector,
-    basis: Sequence[StateVector],
-    pair: tuple[int, int],
-) -> list[MeasurementBranch]:
-    """Projective measurement of a qubit pair in a 4-state orthonormal basis.
-
-    Returns every branch with probability >= ``PRUNE_DEFAULT``; the
-    measured pair is left collapsed onto the outcome basis state. Dropped
-    mass is recoverable as 1 - sum of returned probabilities.
-    """
-    i, j = pair
-    n = s.num_qubits
-    if i == j:
-        raise ValueError("measurement pair must be two distinct qubits")
-    for t in (i, j):
-        if not 1 <= t <= n:
-            raise ValueError(f"qubit {t} out of range 1..{n}")
-    if len(basis) != 4 or any(b.num_qubits != 2 for b in basis):
-        raise ValueError("basis must be four 2-qubit states")
-    gram = np.array([[np.vdot(a.amplitudes, b.amplitudes) for b in basis] for a in basis])
-    if np.max(np.abs(gram - np.eye(4))) > NORM_ATOL:
-        raise ValueError("measurement basis is not orthonormal")
-
-    t = s.as_tensor()
-    branches: list[MeasurementBranch] = []
-    for label, bstate in enumerate(basis):
-        bmat = bstate.amplitudes.reshape(2, 2)
-        coeff = np.tensordot(bmat.conj(), t, axes=([0, 1], [i - 1, j - 1]))
-        prob = float(np.sum(np.abs(coeff) ** 2))
-        if prob < PRUNE_DEFAULT:
-            continue
-        post = np.multiply.outer(bmat, coeff)
-        post = np.moveaxis(post, [0, 1], [i - 1, j - 1]) / np.sqrt(prob)
-        branches.append(MeasurementBranch(label, prob, StateVector(n, post.reshape(-1))))
-    return branches
 
 
 def reduced_density(s: StateVector, keep: Iterable[int]) -> DensityMatrix:

@@ -11,21 +11,13 @@ import sys
 
 import numpy as np
 
+import _oracle as oracle
 from dnaswap.encodings import BaseCode, wc_initial_pattern, wc_initial_state
-from dnaswap.gates import (
-    BELL_LABELS,
-    Gate,
-    bell_basis,
-    equality_entangler,
-    pauli,
-    rotation,
-    sp,
-)
+from dnaswap.gates import Gate, bell_basis, equality_entangler
 from dnaswap.metrics import concurrence, entanglement_entropy, hamming_support
 from dnaswap.protocol import (
     DEFAULT_PHI,
     DEFAULT_THETA,
-    INTERLEAVE,
     ProtocolConfig,
     assemble_pair,
     build_recognition_unitary,
@@ -37,16 +29,7 @@ from dnaswap.protocol import (
 )
 from dnaswap import protocol
 from dnaswap.cli import cmd_verify
-from dnaswap.statevec import (
-    StateVector,
-    apply_unitary,
-    basis_state,
-    compose_perms,
-    measure_two_qubit,
-    permute_qubits,
-    reduced_density,
-    tensor,
-)
+from dnaswap.statevec import PRUNE_DEFAULT, StateVector, reduced_density
 
 S2 = math.sqrt(2.0)
 P_HI = (2.0 + S2) / 8.0
@@ -144,10 +127,15 @@ def test_criterion_5_proton_conservation(at_state, gc_state):
         ens = swap(state)
         for br in ens.branches:
             assert hamming_support(br.final_state) == {3}
-        stage1 = apply_unitary(state, equality_entangler(), (3, 5))
-        for br in measure_two_qubit(stage1, bell_basis(), (3, 4)):
-            label = BELL_LABELS[br.outcome_label]
-            if label.k == 0 and hamming_support(br.post_state) != {3}:
+        # The register after the (3,4) measurement, before its correction.
+        stage1 = oracle.embed_two(oracle.V, 3, 5, 6) @ state.amplitudes
+        for label in oracle.BELL:
+            post = oracle.bell_projector(label, (3, 4), 6) @ stage1
+            p = np.vdot(post, post).real
+            if p < PRUNE_DEFAULT:
+                continue
+            post_state = StateVector(6, post / np.sqrt(p))
+            if label[1] == 0 and hamming_support(post_state) != {3}:
                 weight_broken_intermediates += 1
     assert weight_broken_intermediates > 0
     _passed(5, "weight {3} pre-swap and post-correction; corrections are load-bearing")
@@ -192,16 +180,11 @@ def test_criterion_7_completion_independence():
         for template, incoming in ((BaseCode("A"), BaseCode("T")), (BaseCode("G"), BaseCode("C"))):
             states, tables = [], []
             for u in (u_lib, u_alt):
-                faces = [
-                    StateVector(3, u.matrix @ wc_initial_state(b).amplitudes)
-                    for b in (template, incoming)
-                ]
-                states.append(permute_qubits(tensor(*faces), INTERLEAVE))
-                tables.append(canonical_table(swap(states[-1])))
-            assert np.array_equal(states[0].amplitudes, states[1].amplitudes)
-            assert np.array_equal(
-                states[0].amplitudes, assemble_pair(template, incoming, cfg).amplitudes
-            )
+                faces = [u.matrix @ wc_initial_state(b).amplitudes for b in (template, incoming)]
+                states.append(oracle.interleave(np.kron(*faces)))
+                tables.append(canonical_table(swap(StateVector(6, states[-1]))))
+            assert np.array_equal(states[0], states[1])
+            assert np.array_equal(states[0], assemble_pair(template, incoming, cfg).amplitudes)
             tables.append(canonical_table(run_pair(template, incoming, cfg)))
             assert len(tables[0]) > 0
             assert tables[0] == tables[1] == tables[2]  # dataclass eq: bit-identical floats
@@ -231,31 +214,26 @@ def test_criterion_8_sampling_consistency(at_ensemble):
 
 
 def test_criterion_9_property_suite(cfg):
-    constructed = [sp(math.pi / 4), pauli("X"), pauli("Z"), equality_entangler(),
-                   build_recognition_unitary(cfg)]
-    constructed += [rotation(t) for t in np.linspace(-3, 3, 7)]
-    constructed += [sp(t) for t in np.linspace(-3, 3, 7)]
-    for g in constructed:
-        dim = 2**g.arity
-        assert np.max(np.abs(g.matrix.conj().T @ g.matrix - np.eye(dim))) <= 1e-12
+    constructed = [equality_entangler().matrix, build_recognition_unitary(cfg).matrix]
+    constructed += [
+        build_recognition_unitary(ProtocolConfig(theta=t, phi=p)).matrix
+        for t, p in zip(np.linspace(-3, 3, 7), np.linspace(3, -2, 7))
+    ]
+    constructed.append(np.array([b.amplitudes for b in bell_basis()]).T)
+    for m in constructed:
+        assert np.max(np.abs(m.conj().T @ m - np.eye(len(m)))) <= 1e-12
 
-    basis = bell_basis()
-    for _ in range(100):
-        s = _random_state(6)
-        i, j = RNG.choice(np.arange(1, 7), size=2, replace=False)
-        branches = measure_two_qubit(s, basis, (int(i), int(j)))
-        assert abs(sum(b.probability for b in branches) - 1.0) <= 1e-12
-
+    # The swap instrument is an isometry, so for every register its 16
+    # outcome probabilities sum to 1.
+    k = protocol._K
+    assert np.max(np.abs(k.conj().T @ k - np.eye(64))) <= 1e-12
     for _ in range(25):
-        n = int(RNG.integers(2, 7))
-        bits = "".join(str(int(b)) for b in RNG.integers(0, 2, size=n))
-        s = basis_state(bits)
-        p = tuple(int(v) for v in RNG.permutation(n) + 1)
-        q = tuple(int(v) for v in RNG.permutation(n) + 1)
-        lhs = permute_qubits(permute_qubits(s, p), q)
-        rhs = permute_qubits(s, compose_perms(p, q))
-        assert np.array_equal(lhs.amplitudes, rhs.amplitudes)
-    _passed(9, "unitarity, measurement completeness, permutation composition")
+        assert abs(swap(_random_state(6)).probabilities.sum() - 1.0) <= 1e-12
+
+    index = protocol._INTERLEAVE_INDEX
+    assert np.array_equal(np.sort(index), np.arange(64))
+    assert np.array_equal(index, oracle.interleave(np.arange(64)))
+    _passed(9, "unitarity of V, U and the Bell basis; K an isometry; the interleave a permutation")
 
 
 def test_criterion_10_cli_verify_contract(monkeypatch):

@@ -562,6 +562,15 @@ def test_run_request_validation_messages():
             lambda: cmd_run(RunRequest(pair="AT", mode="Sample", shots=10)),
             RunRequest(pair="AT", mode="Sample", shots=10).validate(),
         ),
+        (
+            lambda: cmd_run(RunRequest(pair="AT", mode="sample", shots=2.5)),
+            "--shots must be an integer, got 2.5",
+        ),
+        (lambda: cmd_run(RunRequest(pair="AT", seed=1.5)), "--seed must be an integer, got 1.5"),
+        (
+            lambda: cmd_run(RunRequest(pair="AT", mode="sample", shots=10, seed=1.5)),
+            "--seed must be an integer, got 1.5",
+        ),
         # int() reads full-width digits, so only the pattern check rejects them.
         (
             lambda: cmd_recognize("\uff11\uff10", False),
@@ -570,14 +579,15 @@ def test_run_request_validation_messages():
         (lambda: cmd_recognize("2x", False), "--pattern must be 2 bits, got '2x'"),
         (lambda: cmd_recognize("012", False), "--pattern must be 2 bits, got '012'"),
     ],
-    ids=["run-pair", "inspect-pair", "run-mode", "run-mode-with-shots",
+    ids=["run-pair", "inspect-pair", "run-mode", "run-mode-with-shots", "run-fractional-shots",
+         "run-exact-fractional-seed", "run-sample-fractional-seed",
          "recognize-full-width", "recognize-letter", "recognize-three-bits"],
 )
 def test_programmatic_calls_raise_the_validate_message(call, message):
     # Callers that skip ``main`` get the UsageError (a ValueError) that main
     # reports: not a KeyError from the pair table, a TypeError from the
-    # sampler on shots=None, a sample run under a misspelled mode, or a
-    # document for a pattern main rejects.
+    # sampler on shots=None or on a non-integral shots or seed, a sample run
+    # under a misspelled mode, or a document for a pattern main rejects.
     assert message
     with pytest.raises(UsageError) as info:
         call()

@@ -1,4 +1,4 @@
-"""Gate constructors, the Bell convention, and the correction algebra."""
+"""The Gate container, V, the Bell convention, and the correction algebra."""
 from __future__ import annotations
 
 import math
@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import _oracle as oracle
 from dnaswap.gates import (
     BELL_LABELS,
     BellLabel,
@@ -13,51 +14,10 @@ from dnaswap.gates import (
     bell_basis,
     bell_state,
     equality_entangler,
-    pauli,
-    rotation,
-    sp,
 )
+from dnaswap.protocol import ProtocolConfig, build_recognition_unitary
 
 S2 = math.sqrt(2.0)
-
-
-def test_rotation_at_zero_is_identity():
-    assert np.allclose(rotation(0.0).matrix, np.eye(2), atol=1e-15)
-
-
-def test_rotation_quarter_turn():
-    assert np.allclose(rotation(math.pi / 2).matrix, [[0, -1], [1, 0]], atol=1e-15)
-
-
-def test_rotation_eighth_turn_sign_pattern():
-    h = 1 / S2
-    assert np.allclose(rotation(math.pi / 4).matrix, [[h, -h], [h, h]], atol=1e-15)
-
-
-def test_rotation_rejects_non_finite_angle():
-    with pytest.raises(ValueError, match="finite"):
-        rotation(float("nan"))
-
-
-def test_sp_quarter_turn_is_hadamard():
-    h = 1 / S2
-    assert np.allclose(sp(math.pi / 4).matrix, [[h, h], [h, -h]], atol=1e-15)
-
-
-def test_sp_at_zero_is_pauli_z():
-    assert np.allclose(sp(0.0).matrix, pauli("Z").matrix, atol=1e-15)
-
-
-def test_sp_at_default_theta():
-    theta = math.acos(S2 / math.sqrt(3.0))
-    expected = [[0.816497, 0.577350], [0.577350, -0.816497]]
-    assert np.allclose(sp(theta).matrix, expected, atol=1e-6)
-
-
-def test_sp_is_hermitian_for_all_angles():
-    for theta in np.linspace(-2 * math.pi, 2 * math.pi, 17):
-        m = sp(theta).matrix
-        assert np.array_equal(m, m.conj().T)
 
 
 def test_gate_unitarity_is_enforced():
@@ -74,19 +34,12 @@ def test_gate_rejects_non_finite_entries(bad):
 
 
 def test_all_protocol_gates_pass_unitarity():
-    for g in (rotation(0.7), sp(1.3), sp(math.pi / 4), pauli("X"), pauli("Z"), equality_entangler()):
+    angles = ((0.7, 1.3), (-2.0, 0.4))
+    gates = [equality_entangler(), build_recognition_unitary()]
+    gates += [build_recognition_unitary(ProtocolConfig(t, p)) for t, p in angles]
+    for g in gates:
         dev = np.max(np.abs(g.matrix.conj().T @ g.matrix - np.eye(2**g.arity)))
         assert dev <= 1e-12
-
-
-def test_pauli_actions():
-    assert np.allclose(pauli("X").matrix @ [0, 1], [1, 0])
-    assert np.allclose(pauli("Z").matrix @ [0, 1], [0, -1])
-
-
-def test_pauli_rejects_unknown_name():
-    with pytest.raises(ValueError):
-        pauli("Y")
 
 
 # --- equality entangler V ---
@@ -138,7 +91,7 @@ def test_bell_label_text_and_validation():
 def test_x_on_second_qubit_repairs_bell_labels():
     # The step-3/5 correction: sends b00 -> b01 and b10 -> b11, turning
     # zero/two-proton bond states into one-proton ones.
-    ix = np.kron(np.eye(2), pauli("X").matrix)
+    ix = np.kron(np.eye(2), oracle.X)
     assert np.allclose(ix @ bell_state(BellLabel(0, 0)).amplitudes,
                        bell_state(BellLabel(0, 1)).amplitudes)
     assert np.allclose(ix @ bell_state(BellLabel(1, 0)).amplitudes,

@@ -17,7 +17,7 @@ from dnaswap.metrics import (
     verify_against_reference,
 )
 from dnaswap.protocol import recognize, run_pair, swap
-from dnaswap.statevec import StateVector, basis_state, reduced_density, tensor
+from dnaswap.statevec import StateVector, basis_state, reduced_density
 
 RNG = np.random.default_rng(424243)
 
@@ -46,8 +46,12 @@ def test_recognized_g_single_qubit_entropy(cfg):
 
 
 def test_assembled_pair_is_a_product_across_the_base_cut(at_state, gc_state):
-    assert entanglement_entropy(at_state, (1, 3, 5)) <= 1e-10
-    assert entanglement_entropy(gc_state, (1, 3, 5)) <= 1e-10
+    # Exactly +0.0: unclamped, the eigenvalue 1 + eps of the base cut reads
+    # -0.0 for A.T and -3.2e-16 for G.C.
+    for state in (at_state, gc_state):
+        for cut in ((1, 3, 5), (2, 4, 6)):
+            entropy = entanglement_entropy(state, cut)
+            assert entropy == 0.0 and math.copysign(1.0, entropy) == 1.0
 
 
 def test_entropy_is_symmetric_under_complementary_cuts():
@@ -114,7 +118,8 @@ def test_assembled_pair_supports_weight_three_only(at_state, gc_state):
 
 
 def test_mixed_weight_state_support():
-    s = tensor(bell_state(BellLabel(0, 0)), basis_state("10"))
+    bell, ket = bell_state(BellLabel(0, 0)).amplitudes, basis_state("10").amplitudes
+    s = StateVector(4, np.kron(bell, ket))
     assert hamming_support(s) == {1, 3}
 
 

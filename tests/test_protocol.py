@@ -21,11 +21,10 @@ from dnaswap.encodings import (
     wc_initial_pattern,
     wc_initial_state,
 )
-from dnaswap.gates import BELL_LABELS, BellLabel, bell_basis, equality_entangler, pauli
+from dnaswap.gates import BELL_LABELS, BellLabel, equality_entangler
 from dnaswap.protocol import (
     DEFAULT_PHI,
     DEFAULT_THETA,
-    INTERLEAVE,
     ProtocolConfig,
     assemble_pair,
     build_recognition_unitary,
@@ -35,15 +34,7 @@ from dnaswap.protocol import (
     sample,
     swap,
 )
-from dnaswap.statevec import (
-    PRUNE_DEFAULT,
-    StateVector,
-    apply_unitary,
-    basis_state,
-    measure_two_qubit,
-    permute_qubits,
-    tensor,
-)
+from dnaswap.statevec import PRUNE_DEFAULT, StateVector, basis_state
 
 A, T, G, C = (BaseCode(b) for b in "ATGC")
 ORIENTATIONS = [(A, T), (T, A), (G, C), (C, G)]
@@ -266,8 +257,6 @@ def test_assembly_is_the_interleaved_product_of_the_recognized_faces(theta, phi,
     cfg = ProtocolConfig(theta=theta, phi=phi)
     template, incoming = pair
     got = assemble_pair(template, incoming, cfg).amplitudes
-    product = tensor(recognize(template, cfg), recognize(incoming, cfg))
-    assert np.array_equal(got, permute_qubits(product, INTERLEAVE).amplitudes)
     u = build_recognition_unitary(cfg).matrix
     x = u[:, int(wc_initial_pattern(template).text, 2)]
     y = u[:, int(wc_initial_pattern(incoming).text, 2)]
@@ -569,63 +558,36 @@ def test_swap_rejects_a_non_finite_instrument(at_state, monkeypatch):
         swap(at_state)
 
 
-@pytest.mark.parametrize("theta, phi", [(DEFAULT_THETA, DEFAULT_PHI), (0.3, -1.1), (2.0, 0.7)])
-@pytest.mark.parametrize("pair", [(A, T), (G, C)])
-def test_swap_matches_the_step_by_step_statevec_path(pair, theta, phi):
-    # The protocol in its own order: V, measure (3,4), correct, measure
-    # (1,2), correct, one validated StateVector per step.
-    cfg = ProtocolConfig(theta=theta, phi=phi)
-    state = assemble_pair(*pair, cfg)
-    x, basis = pauli("X"), bell_basis()
-    stepped = {}
-    post_v = apply_unitary(state, equality_entangler(), (3, 5))
-    for br34 in measure_two_qubit(post_v, basis, (3, 4)):
-        label34 = BELL_LABELS[br34.outcome_label]
-        mid = br34.post_state
-        if label34.k == 0:
-            mid = apply_unitary(apply_unitary(mid, x, (4,)), x, (5,))
-        for br12 in measure_two_qubit(mid, basis, (1, 2)):
-            label12 = BELL_LABELS[br12.outcome_label]
-            final = br12.post_state
-            if label12.k == 0:
-                final = apply_unitary(apply_unitary(final, x, (2,)), x, (5,))
-            stepped[(label34, label12)] = (br34.probability * br12.probability, final)
-    ens = swap(state)
-    assert {(br.bell_34, br.bell_12) for br in ens.branches} == set(stepped)
-    for br in ens.branches:
-        p, final = stepped[(br.bell_34, br.bell_12)]
-        assert abs(br.probability - p) <= 1e-13
-        assert np.max(np.abs(br.final_state.amplitudes - final.amplitudes)) <= 1e-12
-
-
 def test_measuring_back_pair_first_gives_identical_ensemble(at_state, gc_state):
     # Steps 4-5 commute with steps 2-3: disjoint supports up to the X on
-    # qubit 5, which is applied by both corrections.
-    x = pauli("X")
-    basis = bell_basis()
+    # qubit 5, which is applied by both corrections. The oracle's operators,
+    # with the (1,2) measurement and its correction first.
+    x2x5 = oracle.embed_one(oracle.X, 2, 6) @ oracle.embed_one(oracle.X, 5, 6)
+    x4x5 = oracle.embed_one(oracle.X, 4, 6) @ oracle.embed_one(oracle.X, 5, 6)
     for state in (at_state, gc_state):
         reordered = {}
-        stage1 = apply_unitary(state, equality_entangler(), (3, 5))
-        for br12 in measure_two_qubit(stage1, basis, (1, 2)):
-            label12 = BELL_LABELS[br12.outcome_label]
-            mid = br12.post_state
-            if label12.k == 0:
-                mid = apply_unitary(apply_unitary(mid, x, (2,)), x, (5,))
-            for br34 in measure_two_qubit(mid, basis, (3, 4)):
-                label34 = BELL_LABELS[br34.outcome_label]
-                final = br34.post_state
-                if label34.k == 0:
-                    final = apply_unitary(apply_unitary(final, x, (4,)), x, (5,))
-                reordered[(label34, label12)] = (
-                    br12.probability * br34.probability,
-                    final,
-                )
+        stage1 = oracle.embed_two(oracle.V, 3, 5, 6) @ state.amplitudes
+        for label12 in oracle.BELL:
+            mid = oracle.bell_projector(label12, (1, 2), 6) @ stage1
+            p12 = np.vdot(mid, mid).real
+            if p12 < PRUNE_DEFAULT:
+                continue
+            if label12[1] == 0:
+                mid = x2x5 @ mid
+            for label34 in oracle.BELL:
+                final = oracle.bell_projector(label34, (3, 4), 6) @ mid
+                p = np.vdot(final, final).real
+                if p / p12 < PRUNE_DEFAULT:
+                    continue
+                if label34[1] == 0:
+                    final = x4x5 @ final
+                reordered[(BellLabel(*label34), BellLabel(*label12))] = (p, final / np.sqrt(p))
         ens = swap(state)
         assert len(ens.branches) == len(reordered)
         for br in ens.branches:
             p, final = reordered[(br.bell_34, br.bell_12)]
             assert br.probability == pytest.approx(p, abs=1e-13)
-            assert np.allclose(br.final_state.amplitudes, final.amplitudes, atol=1e-12)
+            assert np.allclose(br.final_state.amplitudes, final, atol=1e-12)
 
 
 # --- canonical tables ---
