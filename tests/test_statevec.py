@@ -1,12 +1,13 @@
-"""State-vector core: construction, reduced and density matrices."""
+"""State-vector core: construction, the interleave, Bell outcomes, reduced and density matrices."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+import _oracle as oracle
 from dnaswap.encodings import BaseCode
-from dnaswap.gates import bell_state, BellLabel
-from dnaswap.protocol import recognize, swap
+from dnaswap.gates import bell_basis, bell_state, BellLabel, equality_entangler
+from dnaswap.protocol import _INTERLEAVE_INDEX, recognize, swap
 from dnaswap.statevec import DensityMatrix, StateVector, basis_state, reduced_density
 
 RNG = np.random.default_rng(20240811)
@@ -53,6 +54,40 @@ def test_supports_twelve_qubits():
     amps = np.zeros(2**12)
     amps[0] = 1.0
     assert StateVector(12, amps).num_qubits == 12
+
+
+# --- the qubit interleave and the entangler's placement ---
+
+
+def test_interleave_maps_product_ket_to_paired_order():
+    # |t1 t2 t3> = |011>, |i1 i2 i3> = |010>  ->  |t1 i1 t2 i2 t3 i3> = |001110>.
+    product = np.kron(basis_state("011").amplitudes, basis_state("010").amplitudes)
+    assert np.array_equal(product[_INTERLEAVE_INDEX], basis_state("001110").amplitudes)
+
+
+def test_entangler_on_qubits_3_and_5():
+    v35 = oracle.embed_two(equality_entangler().matrix, 3, 5, 6)
+    out = v35 @ basis_state("001110").amplitudes
+    expected = (basis_state("000100").amplitudes - basis_state("001110").amplitudes) / np.sqrt(2)
+    assert np.allclose(out, expected, atol=1e-12)
+
+
+# --- Bell-basis outcome probabilities ---
+
+
+def bell_probabilities(amps: np.ndarray) -> np.ndarray:
+    """|<b_k|psi>|^2 for the 2-qubit register psi, in bell_basis() order."""
+    return np.array([abs(np.vdot(b.amplitudes, amps)) ** 2 for b in bell_basis()])
+
+
+def test_measuring_an_eigenstate_gives_single_branch():
+    p = bell_probabilities(bell_state(BellLabel(0, 1)).amplitudes)
+    assert np.allclose(p, [0.0, 1.0, 0.0, 0.0], atol=1e-12)  # b01 in basis order
+
+
+def test_product_ket_splits_into_two_bell_branches():
+    p = bell_probabilities(basis_state("01").amplitudes)
+    assert np.allclose(p, [0.0, 0.5, 0.0, 0.5], atol=1e-12)  # b01 and b11
 
 
 # --- the protocol's step-2 measurement ---
