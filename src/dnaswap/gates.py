@@ -19,7 +19,7 @@ _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
 @dataclass(eq=False)
 class Gate:
-    """Unitary on 1 to 3 qubits, validated at construction.
+    """Unitary on 2 or 3 qubits, validated at construction.
 
     The package builds two: the entangler V on 2 qubits and the recognition
     unitary U on 3.
@@ -31,9 +31,9 @@ class Gate:
 
     def __post_init__(self) -> None:
         mat = np.asarray(self.matrix, dtype=complex).copy()
-        arity = {(2, 2): 1, (4, 4): 2, (8, 8): 3}.get(mat.shape)
+        arity = {(4, 4): 2, (8, 8): 3}.get(mat.shape)
         if arity is None:
-            raise ValueError(f"gate matrix must be 2x2, 4x4, or 8x8, got {mat.shape}")
+            raise ValueError(f"gate matrix must be 4x4 or 8x8, got {mat.shape}")
         if not np.all(np.isfinite(mat)):
             raise ValueError(f"gate {self.name!r} has a non-finite entry")
         dev = np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))

@@ -39,6 +39,7 @@ import os
 import threading
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -196,26 +197,35 @@ class Ensemble:
         ]
 
 
-@dataclass(frozen=True)
-class CanonicalRow:
-    """Phase-normalized ensemble row comparable to the reference tables.
-
-    Global phase is chosen so that ``a`` is real and >= 0, falling back to
-    ``b`` when ``a`` vanishes. Rows are ranked within their (j, m) group by
-    descending probability, ties broken by descending |a|.
-    """
-
+class _RowFields(NamedTuple):
     group: tuple[int, int]
     rank: int
     a: float
     b: float
     probability: float
 
-    def __post_init__(self) -> None:
-        if self.a < 0 or (self.a == 0 and self.b < 0):
-            raise ValueError(f"row not phase-normalized: a={self.a}, b={self.b}")
-        if self.rank < 1:
+
+class CanonicalRow(_RowFields):
+    """Phase-normalized ensemble row comparable to the reference tables.
+
+    Global phase is chosen so that ``a`` is real and >= 0, falling back to
+    ``b`` when ``a`` vanishes. Rows are ranked within their (j, m) group by
+    descending probability, ties broken by descending |a|. A row is an
+    immutable named tuple of its fields, validated however it is built.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, group: tuple[int, int], rank: int, a: float, b: float, probability: float):
+        if a < 0 or (a == 0 and b < 0):
+            raise ValueError(f"row not phase-normalized: a={a}, b={b}")
+        if rank < 1:
             raise ValueError("rank is 1-based")
+        return tuple.__new__(cls, (group, rank, a, b, probability))
+
+    @classmethod
+    def _make(cls, iterable) -> CanonicalRow:  # ``_replace`` builds through it
+        return cls(*iterable)
 
 
 def _recognition_matrix(cfg: ProtocolConfig) -> np.ndarray:
@@ -304,8 +314,14 @@ def _instrument(v: np.ndarray) -> np.ndarray:
 _BELL = _readonly(np.array([b.amplitudes.reshape(2, 2) for b in bell_basis()]))
 _K = _readonly(_instrument(equality_entangler().matrix))
 # Outcome i has X on qubit 5, which swaps its residual's rows, exactly when
-# one of its two corrections fires.
+# one of its two corrections fires. Entry (q5, q6) of outcome i's corrected
+# residual is entry _ORDER[i, q5, q6] of ``K @ psi``: the corrections as one
+# gather. _ROW34[i] is the (3,4) outcome of outcome i.
 _FLIP = np.array([o.x45_applied != o.x25_applied for o in OUTCOMES])
+_ORDER = np.arange(64).reshape(16, 2, 2)
+_ORDER[_FLIP] = _ORDER[_FLIP, ::-1]
+_ORDER = _readonly(_ORDER)
+_ROW34 = _readonly(np.repeat(np.arange(4), 4))
 
 
 def swap(
@@ -319,7 +335,9 @@ def swap(
     the unnormalized (5, 6) residual of outcome pair (l34, l12). The X
     corrections on qubits 2 and 4 only relabel the measured pairs as b_j1;
     X on qubit 5 acts when exactly one correction fires, which swaps the
-    residual's rows. K for the paper's V is built once at import.
+    residual's rows. So the corrected residuals are one fixed gather of
+    ``K @ psi`` (``_ORDER``), normalized in place. K for the paper's V is
+    built once at import.
 
     The ensemble holds these arrays as computed: outcome i = 4*i34 + i12
     indexes the raw (pre-correction) measurement outcomes in ``BELL_LABELS``
@@ -331,13 +349,15 @@ def swap(
     """
     if pair_state.num_qubits != 6:
         raise ValueError(f"swap needs a 6-qubit register, got {pair_state.num_qubits}")
-    coeff = (_K @ pair_state.amplitudes).reshape(16, 2, 2)
-    probs = np.sum(np.abs(coeff) ** 2, axis=(1, 2))
-    p34 = np.repeat(probs.reshape(4, 4).sum(axis=1), 4)
+    coeff = _K @ pair_state.amplitudes
+    sq = np.abs(coeff)
+    sq *= sq
+    probs = np.add.reduce(sq.reshape(16, 4), axis=1)
+    p34 = np.add.reduce(probs.reshape(4, 4), axis=1)[_ROW34]
     with np.errstate(divide="ignore", invalid="ignore"):
         keep = (probs > 0) & (p34 >= PRUNE_DEFAULT) & (probs / p34 >= PRUNE_DEFAULT)
-        residual = coeff / np.sqrt(probs)[:, None, None]
-    residual[_FLIP] = residual[_FLIP, ::-1]
+        residual = coeff[_ORDER]
+        residual /= np.sqrt(probs)[:, None, None]
     # A kept row has P >= PRUNE_DEFAULT**2 = 1e-28, far above the subnormals,
     # so dividing it by sqrt(P) normalizes it to rounding: there is no norm
     # left to check. A non-finite P is never kept, and a non-finite or
@@ -385,8 +405,8 @@ def canonical_table(e: Ensemble) -> list[CanonicalRow]:
         an, bn = a / phase, b / phase
         if abs(an.imag) > _IMAG_ATOL or abs(bn.imag) > _IMAG_ATOL:
             raise ValueError("third-pair amplitudes have a non-real relative phase")
-        af = 0.0 if abs(an.real) < ZERO_ATOL else float(an.real)
-        bf = 0.0 if abs(bn.real) < ZERO_ATOL else float(bn.real)
+        af = 0.0 if abs(an.real) <= ZERO_ATOL else float(an.real)
+        bf = 0.0 if abs(bn.real) <= ZERO_ATOL else float(bn.real)
         rows = grouped.setdefault(OUTCOMES[i].group, [])
         for row in rows:
             if abs(row[0] - af) <= _MERGE_ATOL and abs(row[1] - bf) <= _MERGE_ATOL:

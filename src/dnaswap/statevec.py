@@ -12,6 +12,7 @@ compiled swap instrument.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -47,7 +48,7 @@ class StateVector:
                 f"expected {2**self.num_qubits} amplitudes for "
                 f"{self.num_qubits} qubits, got {amps.size}"
             )
-        norm = np.linalg.norm(amps)
+        norm = math.sqrt(np.vdot(amps, amps).real)
         # Written so that NaN fails: every comparison with NaN is False.
         if not abs(norm - 1.0) <= NORM_ATOL:
             raise ValueError(f"state not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")

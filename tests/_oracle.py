@@ -312,8 +312,8 @@ def branch_table(branches):
         an, bn = a / phase, b / phase
         if abs(an.imag) > _IMAG_ATOL or abs(bn.imag) > _IMAG_ATOL:
             raise ValueError("third-pair amplitudes have a non-real relative phase")
-        af = 0.0 if abs(an.real) < ZERO_ATOL else float(an.real)
-        bf = 0.0 if abs(bn.real) < ZERO_ATOL else float(bn.real)
+        af = 0.0 if abs(an.real) <= ZERO_ATOL else float(an.real)
+        bf = 0.0 if abs(bn.real) <= ZERO_ATOL else float(bn.real)
         rows = grouped.setdefault(br.group, [])
         for row in rows:
             if abs(row[0] - af) <= _MERGE_ATOL and abs(row[1] - bf) <= _MERGE_ATOL:

@@ -21,14 +21,21 @@ S2 = math.sqrt(2.0)
 
 
 def test_gate_unitarity_is_enforced():
+    shear = np.eye(4, dtype=complex)
+    shear[1, 0] = 1
     with pytest.raises(ValueError, match="not unitary"):
-        Gate("bad", np.array([[1, 0], [1, 1]], dtype=complex))
+        Gate("bad", shear)
+
+
+def test_gate_rejects_a_one_qubit_matrix():
+    with pytest.raises(ValueError, match=r"must be 4x4 or 8x8, got \(2, 2\)"):
+        Gate("x", np.array([[0, 1], [1, 0]], dtype=complex))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_gate_rejects_non_finite_entries(bad):
     with pytest.raises(ValueError, match="non-finite"):
-        Gate("n", np.full((2, 2), bad))
+        Gate("n", np.full((4, 4), bad))
     with pytest.raises(ValueError, match="non-finite"):
         Gate("n", np.diag([1.0, 1.0, 1.0, bad]))
 

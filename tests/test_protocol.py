@@ -25,6 +25,7 @@ from dnaswap.gates import BELL_LABELS, BellLabel, equality_entangler
 from dnaswap.protocol import (
     DEFAULT_PHI,
     DEFAULT_THETA,
+    CanonicalRow,
     ProtocolConfig,
     assemble_pair,
     build_recognition_unitary,
@@ -34,7 +35,7 @@ from dnaswap.protocol import (
     sample,
     swap,
 )
-from dnaswap.statevec import PRUNE_DEFAULT, StateVector, basis_state
+from dnaswap.statevec import PRUNE_DEFAULT, ZERO_ATOL, StateVector, basis_state
 
 A, T, G, C = (BaseCode(b) for b in "ATGC")
 ORIENTATIONS = [(A, T), (T, A), (G, C), (C, G)]
@@ -654,6 +655,42 @@ def test_canonical_table_agrees_with_independent_enumeration(gc_ensemble):
         assert row.a == pytest.approx(a, abs=1e-12)
         assert row.b == pytest.approx(b, abs=1e-12)
         assert row.probability == pytest.approx(p, abs=1e-12)
+
+
+def test_canonical_row_contract():
+    row = CanonicalRow(group=(0, 1), rank=2, a=0.5, b=-0.75, probability=0.125)
+    assert CanonicalRow((0, 1), 2, 0.5, -0.75, 0.125) == row
+    assert (row.group, row.rank, row.a, row.b, row.probability) == ((0, 1), 2, 0.5, -0.75, 0.125)
+    assert CanonicalRow((1, 1), 1, 0.0, 1.0, 1.0).b == 1.0
+    for name in ("group", "rank", "a", "b", "probability"):
+        with pytest.raises(AttributeError):
+            setattr(row, name, 1)
+    with pytest.raises(ValueError, match=r"^row not phase-normalized: a=-0.5, b=1.0$"):
+        CanonicalRow(group=(0, 0), rank=1, a=-0.5, b=1.0, probability=0.5)
+    with pytest.raises(ValueError, match=r"^row not phase-normalized: a=0.0, b=-1.0$"):
+        CanonicalRow(group=(0, 0), rank=1, a=0.0, b=-1.0, probability=0.5)
+    with pytest.raises(ValueError, match=r"^rank is 1-based$"):
+        CanonicalRow(group=(0, 0), rank=0, a=0.5, b=1.0, probability=0.5)
+
+
+@pytest.mark.parametrize("sa", [1.0, -1.0])
+@pytest.mark.parametrize("sb", [1.0, -1.0])
+@pytest.mark.parametrize("tiny", ["a", "b", "both"])
+def test_canonical_table_snaps_an_amplitude_of_exactly_zero_atol(gc_ensemble, sa, sb, tiny):
+    # An amplitude of magnitude exactly ZERO_ATOL counts as zero: it is
+    # neither used for the phase nor left unsnapped in the row.
+    a = sa * (ZERO_ATOL if tiny in ("a", "both") else 1.0)
+    b = sb * (ZERO_ATOL if tiny in ("b", "both") else 1.0)
+    residuals = np.array(gc_ensemble.residuals)
+    residuals[0] = [[0.0, a], [b, 0.0]]
+    keep = np.zeros(16, dtype=bool)
+    keep[0] = True
+    p = gc_ensemble.probabilities[0]
+    ens = dataclasses.replace(gc_ensemble, residuals=residuals, keep=keep, dropped_mass=1.0 - p)
+    (row,) = canonical_table(ens)
+    want = {"a": (0.0, 1.0), "b": (1.0, 0.0), "both": (0.0, 0.0)}[tiny]
+    assert (row.a.hex(), row.b.hex()) == (want[0].hex(), want[1].hex())
+    assert row_bits([row]) == row_bits(oracle.branch_table(ens.branches))
 
 
 def test_at_classes_merge_four_raw_branches_each(at_ensemble):

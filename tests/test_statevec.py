@@ -34,6 +34,19 @@ def test_rejects_non_finite_amplitudes(bad):
         StateVector(2, [0.5, 0.5, 0.5, complex(0.5, bad)])
 
 
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_norm_threshold_sits_at_norm_atol(kind, sign):
+    # |norm - 1| = 5e-13 is inside NORM_ATOL = 1e-12 and 2e-12 is outside,
+    # on a 6-qubit register, whatever way the norm is computed.
+    rng = np.random.default_rng(64)
+    amps = rng.normal(size=64) + (1j * rng.normal(size=64) if kind == "complex" else 0)
+    amps /= np.linalg.norm(amps)
+    assert StateVector(6, amps * (1.0 + sign * 5e-13)).num_qubits == 6
+    with pytest.raises(ValueError, match="not normalized"):
+        StateVector(6, amps * (1.0 + sign * 2e-12))
+
+
 def test_rejects_wrong_amplitude_count():
     with pytest.raises(ValueError, match="expected 4 amplitudes"):
         StateVector(2, [1.0, 0.0])
