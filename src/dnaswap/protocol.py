@@ -39,7 +39,6 @@ import os
 import threading
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -197,35 +196,26 @@ class Ensemble:
         ]
 
 
-class _RowFields(NamedTuple):
+@dataclass(frozen=True)
+class CanonicalRow:
+    """Phase-normalized ensemble row comparable to the reference tables.
+
+    Global phase is chosen so that ``a`` is real and >= 0, falling back to
+    ``b`` when ``a`` vanishes. Rows are ranked within their (j, m) group by
+    descending probability, ties broken by descending |a|.
+    """
+
     group: tuple[int, int]
     rank: int
     a: float
     b: float
     probability: float
 
-
-class CanonicalRow(_RowFields):
-    """Phase-normalized ensemble row comparable to the reference tables.
-
-    Global phase is chosen so that ``a`` is real and >= 0, falling back to
-    ``b`` when ``a`` vanishes. Rows are ranked within their (j, m) group by
-    descending probability, ties broken by descending |a|. A row is an
-    immutable named tuple of its fields, validated however it is built.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, group: tuple[int, int], rank: int, a: float, b: float, probability: float):
-        if a < 0 or (a == 0 and b < 0):
-            raise ValueError(f"row not phase-normalized: a={a}, b={b}")
-        if rank < 1:
+    def __post_init__(self) -> None:
+        if self.a < 0 or (self.a == 0 and self.b < 0):
+            raise ValueError(f"row not phase-normalized: a={self.a}, b={self.b}")
+        if self.rank < 1:
             raise ValueError("rank is 1-based")
-        return tuple.__new__(cls, (group, rank, a, b, probability))
-
-    @classmethod
-    def _make(cls, iterable) -> CanonicalRow:  # ``_replace`` builds through it
-        return cls(*iterable)
 
 
 def _recognition_matrix(cfg: ProtocolConfig) -> np.ndarray:
