@@ -178,7 +178,8 @@ _OUTCOMES = tuple(
 
 def ensemble_doc(pair: str, e: Ensemble) -> dict:
     """The exact-mode document, read from the ensemble's arrays once each."""
-    third = e.residuals[:, (0, 1), (1, 0)].tolist()
+    # Columns 1 and 2 of a flattened residual are its (0, 1) and (1, 0) entries.
+    third = e.residuals.reshape(16, 4)[:, 1:3].tolist()
     branches = [
         {
             "bell_12": bell_12,

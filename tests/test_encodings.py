@@ -136,3 +136,10 @@ def test_edge_pattern_validation():
         EdgePattern("WC", (1, 0))
     with pytest.raises(ValueError):
         EdgePattern("S", (1, 0))
+
+
+@pytest.mark.parametrize("bits", [(True, False), (1, True), (1, 2), (1.0, 0), ("1", "0")])
+def test_edge_pattern_refuses_bits_that_are_not_int_0_or_1(bits):
+    with pytest.raises(ValueError, match=r"^edge H takes 2 bits, got "):
+        EdgePattern("H", bits)
+    assert EdgePattern("H", (1, 0)).text == "10"

@@ -1,8 +1,10 @@
 """Recognition unitary, pair assembly, swap enumeration, canonical tables."""
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
+import pickle
 import sys
 import threading
 import tracemalloc
@@ -657,13 +659,15 @@ def test_canonical_table_agrees_with_independent_enumeration(gc_ensemble):
         assert row.probability == pytest.approx(p, abs=1e-12)
 
 
-def test_canonical_row_contract():
+def test_canonical_row_contract(gc_ensemble):
     row = CanonicalRow(group=(0, 1), rank=2, a=0.5, b=-0.75, probability=0.125)
     assert CanonicalRow((0, 1), 2, 0.5, -0.75, 0.125) == row
     assert (row.group, row.rank, row.a, row.b, row.probability) == ((0, 1), 2, 0.5, -0.75, 0.125)
     assert CanonicalRow((1, 1), 1, 0.0, 1.0, 1.0).b == 1.0
+    assert CanonicalRow((1, 1), 1, -0.0, 0.0, 1.0).a == 0.0
+    assert CanonicalRow((1, 1), 1, 0.0, -0.0, 1.0).b == 0.0
     for name in ("group", "rank", "a", "b", "probability"):
-        with pytest.raises(AttributeError):
+        with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(row, name, 1)
     with pytest.raises(ValueError, match=r"^row not phase-normalized: a=-0.5, b=1.0$"):
         CanonicalRow(group=(0, 0), rank=1, a=-0.5, b=1.0, probability=0.5)
@@ -671,6 +675,30 @@ def test_canonical_row_contract():
         CanonicalRow(group=(0, 0), rank=1, a=0.0, b=-1.0, probability=0.5)
     with pytest.raises(ValueError, match=r"^rank is 1-based$"):
         CanonicalRow(group=(0, 0), rank=0, a=0.5, b=1.0, probability=0.5)
+
+    # NaN is not phase-normalized, whether on its own or out of a table.
+    with pytest.raises(ValueError, match=r"^row not phase-normalized: a=0.0, b=nan$"):
+        CanonicalRow((0, 0), 1, 0.0, math.nan, 0.5)
+    with pytest.raises(ValueError, match=r"^row not phase-normalized: a=nan, b=1.0$"):
+        CanonicalRow((0, 0), 1, math.nan, 1.0, 0.5)
+    residuals = np.array(gc_ensemble.residuals)
+    residuals[0] = [[0.0, math.nan], [1.0, 0.0]]
+    with pytest.raises(ValueError, match=r"^row not phase-normalized: a=nan, b=1.0$"):
+        canonical_table(dataclasses.replace(gc_ensemble, residuals=residuals))
+
+    # The row is a frozen dataclass: fields, replace (checked), hash, copy, pickle.
+    assert dataclasses.is_dataclass(row)
+    assert [f.name for f in dataclasses.fields(CanonicalRow)] == [
+        "group", "rank", "a", "b", "probability"
+    ]
+    assert dataclasses.replace(row, probability=0.25) == CanonicalRow((0, 1), 2, 0.5, -0.75, 0.25)
+    with pytest.raises(ValueError, match=r"^row not phase-normalized: a=-0.5, b=-0.75$"):
+        dataclasses.replace(row, a=-0.5)
+    assert hash(CanonicalRow((0, 1), 2, 0.5, -0.75, 0.125)) == hash(row)
+    assert row != CanonicalRow((0, 1), 2, 0.5, -0.75, 0.25)
+    assert repr(row) == "CanonicalRow(group=(0, 1), rank=2, a=0.5, b=-0.75, probability=0.125)"
+    assert copy.copy(row) == row
+    assert pickle.loads(pickle.dumps(row)) == row
 
 
 @pytest.mark.parametrize("sa", [1.0, -1.0])
