@@ -9,7 +9,6 @@ so its recognition pattern is the canonical one with that bit flipped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .statevec import StateVector, basis_state
 
@@ -21,15 +20,6 @@ H_CANONICAL = {"A": (0, 1), "T": (1, 0), "G": (0, 0), "C": (1, 1)}
 # Pairing-face (3-qubit) patterns before recognition; rare forms are not
 # assigned a pattern at this level.
 WC_INITIAL = {"A": (1, 0, 1), "T": (0, 1, 0), "G": (0, 1, 1), "C": (1, 0, 0)}
-
-# Basis kets spanned by each base's post-recognition superposition; exactly
-# one per base classifies canonical, the rest are tautomer components.
-WC_SUPPORT = {
-    "A": {(0, 1, 1), (1, 0, 1)},
-    "T": {(0, 1, 0), (1, 0, 0)},
-    "G": {(0, 1, 1), (1, 0, 1), (1, 1, 0)},
-    "C": {(1, 0, 0), (0, 1, 0), (0, 0, 1)},
-}
 
 
 class UnsupportedEncodingError(ValueError):
@@ -46,13 +36,6 @@ class BaseCode:
     def __post_init__(self) -> None:
         if self.base not in BASES:
             raise ValueError(f"base must be one of {BASES}, got {self.base!r}")
-
-    @classmethod
-    def parse(cls, text: str) -> BaseCode:
-        """Parse 'A', 'C*', etc."""
-        if len(text) == 2 and text[1] == "*":
-            return cls(text[0], rare=True)
-        return cls(text)
 
     @property
     def label(self) -> str:
@@ -111,21 +94,6 @@ def complement_pattern(p: EdgePattern) -> EdgePattern:
     if p.edge != "H":
         raise ValueError(f"complement is defined on edge 'H' only, got {p.edge!r}")
     return EdgePattern("H", tuple(b ^ 1 for b in p.bits))
-
-
-def classify_component(b: BaseCode, ket: str | Sequence[int]) -> str:
-    """Classify a pairing-face basis ket of base ``b``: canonical or rare.
-
-    The ket must lie in the support of the base's post-recognition
-    superposition; anything else is a domain error.
-    """
-    if isinstance(ket, str):
-        bits = tuple(int(c) for c in ket)
-    else:
-        bits = tuple(int(x) for x in ket)
-    if bits not in WC_SUPPORT[b.base]:
-        raise ValueError(f"ket {bits} is not a tautomer component of {b.label}")
-    return "canonical" if bits == WC_INITIAL[b.base] else "rare"
 
 
 def recognition_matches(pattern: EdgePattern, include_rare: bool = False) -> list[BaseCode]:

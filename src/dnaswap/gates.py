@@ -8,7 +8,7 @@ The Bell labeling convention is frozen here and referenced everywhere else:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,19 +27,16 @@ class Gate:
 
     name: str
     matrix: np.ndarray
-    arity: int = field(init=False)
 
     def __post_init__(self) -> None:
         mat = np.asarray(self.matrix, dtype=complex).copy()
-        arity = {(4, 4): 2, (8, 8): 3}.get(mat.shape)
-        if arity is None:
+        if mat.shape not in ((4, 4), (8, 8)):
             raise ValueError(f"gate matrix must be 4x4 or 8x8, got {mat.shape}")
         if not np.all(np.isfinite(mat)):
             raise ValueError(f"gate {self.name!r} has a non-finite entry")
         dev = np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))
         if dev > NORM_ATOL:
             raise ValueError(f"gate {self.name!r} is not unitary (deviation {dev:.3e})")
-        self.arity = arity
         self.matrix = _readonly(mat)
 
 

@@ -13,23 +13,8 @@ Pipeline for a template/incoming base pair:
    measurement on (3, 4); on outcome b00/b10, Pauli-X on qubits 4 and 5;
    a Bell measurement on (1, 2); on outcome b00/b10, Pauli-X on 2 and 5.
 
-S is a fixed linear instrument: a 64x64 matrix K, built once at import,
-that maps the register to the unnormalized (5, 6) residual of each of the
-16 (l34, l12) outcome pairs. ``swap`` enumerates every measurement
-trajectory exactly with one product ``K @ psi``. Trajectories of
-probability 0 or below ``PRUNE_DEFAULT`` are dropped, and ``dropped_mass``
-is their summed probability. The ensemble holds the 16 probabilities,
-residuals and a keep mask as arrays; its ``OutcomeBranch`` views, and a
-branch's 6-qubit final state, are built only when read. ``sample`` draws the
-trajectories of an exact ensemble stochastically from a counter-based
-seeded stream. It reads the stream in fixed chunks of raw 53-bit words and
-picks outcomes by exact integer thresholds. The shots split into contiguous
-spans on at most two threads, each of which jumps to its first shot with
-``Philox.advance``, so memory is O(workers x chunk), not O(shots), and the
-counts are the same for every worker count and chunk size. Both words of a
-shot go through one rank: a table over the word's top bits, and
-``searchsorted`` only for the words in a bucket that holds a threshold.
-``OUTCOMES`` states the corrections of each of the 16 outcomes once.
+``swap`` enumerates S's 16 outcomes exactly, ``canonical_table`` reduces
+them to reference rows, and ``sample`` draws shots from them.
 """
 from __future__ import annotations
 
@@ -204,11 +189,12 @@ class CanonicalRow:
     ``b`` when ``a`` vanishes. Rows are ranked within their (j, m) group by
     descending probability, ties broken by descending |a|.
 
-    ``__init__`` is written out: it runs both checks and stores the fields
+    ``__init__`` is written out: it runs the checks and stores the fields
     with one ``__dict__`` update, at a little over half the cost of the
     generated frozen ``__init__``, which calls ``object.__setattr__`` once
     per field.
-    A NaN ``a``, or a NaN ``b`` beside a zero ``a``, is not phase-normalized.
+    A NaN ``a`` or ``b`` is not phase-normalized, and a NaN ``probability``
+    is refused.
     """
 
     group: tuple[int, int]
@@ -220,8 +206,10 @@ class CanonicalRow:
     def __init__(
         self, group: tuple[int, int], rank: int, a: float, b: float, probability: float
     ) -> None:
-        if not (a > 0 or (a == 0 and b >= 0)):
+        if not (a > 0 and b == b or a == 0 and b >= 0):
             raise ValueError(f"row not phase-normalized: a={a}, b={b}")
+        if probability != probability:
+            raise ValueError("row probability is NaN")
         if rank < 1:
             raise ValueError("rank is 1-based")
         self.__dict__.update(group=group, rank=rank, a=a, b=b, probability=probability)
@@ -488,7 +476,9 @@ def sample(
     thread counts the first and a helper thread the other, and each span's
     own Philox jumps to its first shot with ``advance``. A run of one chunk
     starts no thread. Memory is O(workers x chunk) whatever ``shots`` is,
-    and the counts do not depend on the worker count or the chunk size.
+    and the counts do not depend on the worker count or the chunk size. A
+    span that fails, or a Ctrl-C on the calling thread, stops every span at
+    its next chunk, and the error is raised on the calling thread.
 
     The (3,4) outcome ranks the first word k1 among exact integer
     thresholds of the marginal; the (1,2) outcome ranks (r << 53) + k2 among
@@ -532,6 +522,8 @@ def sample(
             bitgen.random_raw(2)
         hits = np.zeros(len(cells), dtype=np.int64)
         for lo in range(start, stop, _SAMPLE_CHUNK):
+            if halt.is_set():
+                break  # the run has failed: these counts are never read
             n = min(_SAMPLE_CHUNK, stop - lo)
             words = bitgen.random_raw(2 * n)
             words >>= 64 - _WORD_BITS
@@ -547,19 +539,26 @@ def sample(
     spans = min(_SAMPLE_WORKERS, chunks)
     cuts = [min(shots, chunks * w // spans * _SAMPLE_CHUNK) for w in range(spans + 1)]
     found: list = [None] * spans
+    # Set by the first failure, or when the caller leaves early: every other
+    # span stops at its next chunk.
+    halt = threading.Event()
 
     def run(w: int) -> None:
         try:
             found[w] = count(cuts[w], cuts[w + 1])
         except BaseException as exc:  # re-raised on the calling thread
+            halt.set()
             found[w] = exc
 
     helpers = [threading.Thread(target=run, args=(w,)) for w in range(1, spans)]
     for t in helpers:
         t.start()
-    run(0)
-    for t in helpers:
-        t.join()
+    try:
+        run(0)
+        for t in helpers:
+            t.join()
+    finally:
+        halt.set()  # a Ctrl-C in join must not wait out the helpers' spans
     for part in found:
         if isinstance(part, BaseException):
             raise part

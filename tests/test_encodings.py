@@ -1,4 +1,4 @@
-"""Nucleotide codes, edge patterns, complementarity, tautomer classification."""
+"""Nucleotide codes, edge patterns, complementarity, tautomer supports."""
 from __future__ import annotations
 
 import numpy as np
@@ -9,7 +9,6 @@ from dnaswap.encodings import (
     BaseCode,
     EdgePattern,
     UnsupportedEncodingError,
-    classify_component,
     complement_pattern,
     h_edge_pattern,
     recognition_matches,
@@ -23,8 +22,6 @@ A_r, T_r, G_r, C_r = (BaseCode(b, rare=True) for b in "ATGC")
 
 
 def test_base_code_parsing_and_labels():
-    assert BaseCode.parse("C*") == C_r
-    assert BaseCode.parse("A") == A
     assert C_r.label == "C*"
     assert str(G) == "G"
     assert len(ALL_CODES) == 8
@@ -88,23 +85,21 @@ def test_complementarity_including_mispairs(b1, b2, expected):
     assert (b1 in recognition_matches(h_edge_pattern(b2), include_rare=True)) is expected
 
 
-def test_classify_component_examples():
-    assert classify_component(A, "101") == "canonical"
-    assert classify_component(A, "011") == "rare"
-    assert classify_component(G, "110") == "rare"
-    with pytest.raises(ValueError, match="not a tautomer component"):
-        classify_component(G, "000")
-
-
 def test_exactly_one_canonical_component_per_base(cfg):
-    from dnaswap.encodings import WC_SUPPORT
+    from dnaswap.encodings import WC_INITIAL
     from dnaswap.protocol import recognize
 
+    # Basis kets spanned by each base's post-recognition superposition: the
+    # canonical pattern plus its tautomer components.
+    supports = {
+        "A": {(0, 1, 1), (1, 0, 1)},
+        "T": {(0, 1, 0), (1, 0, 0)},
+        "G": {(0, 1, 1), (1, 0, 1), (1, 1, 0)},
+        "C": {(1, 0, 0), (0, 1, 0), (0, 0, 1)},
+    }
     for code in (A, T, G, C):
-        support = WC_SUPPORT[code.base]
-        kinds = [classify_component(code, bits) for bits in support]
-        assert kinds.count("canonical") == 1
-        # the static support table matches the recognized state's support
+        support = supports[code.base]
+        assert WC_INITIAL[code.base] in support
         state = recognize(code, cfg)
         live = {
             tuple(int(c) for c in format(i, "03b"))

@@ -20,6 +20,8 @@ from dnaswap.cli import ensemble_doc
 from dnaswap.encodings import (
     BaseCode,
     UnsupportedEncodingError,
+    h_edge_pattern,
+    recognition_matches,
     wc_initial_pattern,
     wc_initial_state,
 )
@@ -236,8 +238,15 @@ def test_assembled_components_all_have_weight_three(at_state, gc_state):
 
 
 def test_assemble_rejects_non_complementary_pairs(cfg):
-    with pytest.raises(ValueError, match="unsupported pairing"):
-        assemble_pair(A, C, cfg)
+    # All 16 letter pairs: assemble_pair pairs exactly by recognition_matches' rule.
+    for template in (A, T, G, C):
+        partners = recognition_matches(h_edge_pattern(template))
+        for incoming in (A, T, G, C):
+            if incoming in partners:
+                assert assemble_pair(template, incoming, cfg).num_qubits == 6
+            else:
+                with pytest.raises(ValueError, match="unsupported pairing"):
+                    assemble_pair(template, incoming, cfg)
 
 
 def test_assemble_rejects_rare_tautomers(cfg):
@@ -681,10 +690,18 @@ def test_canonical_row_contract(gc_ensemble):
         CanonicalRow((0, 0), 1, 0.0, math.nan, 0.5)
     with pytest.raises(ValueError, match=r"^row not phase-normalized: a=nan, b=1.0$"):
         CanonicalRow((0, 0), 1, math.nan, 1.0, 0.5)
-    residuals = np.array(gc_ensemble.residuals)
-    residuals[0] = [[0.0, math.nan], [1.0, 0.0]]
-    with pytest.raises(ValueError, match=r"^row not phase-normalized: a=nan, b=1.0$"):
-        canonical_table(dataclasses.replace(gc_ensemble, residuals=residuals))
+    with pytest.raises(ValueError, match=r"^row not phase-normalized: a=0.5, b=nan$"):
+        CanonicalRow((0, 0), 1, 0.5, math.nan, 0.5)
+    with pytest.raises(ValueError, match=r"^row probability is NaN$"):
+        CanonicalRow((0, 0), 1, 0.5, 1.0, math.nan)
+    for bad, message in (
+        ([[0.0, math.nan], [1.0, 0.0]], r"a=nan, b=1.0"),
+        ([[0.0, 1.0], [math.nan, 0.0]], r"a=1.0, b=nan"),
+    ):
+        residuals = np.array(gc_ensemble.residuals)
+        residuals[0] = bad
+        with pytest.raises(ValueError, match=rf"^row not phase-normalized: {message}$"):
+            canonical_table(dataclasses.replace(gc_ensemble, residuals=residuals))
 
     # The row is a frozen dataclass: fields, replace (checked), hash, copy, pickle.
     assert dataclasses.is_dataclass(row)
@@ -1196,6 +1213,65 @@ def test_sample_reraises_a_helper_thread_error(at_ensemble, monkeypatch):
     monkeypatch.setattr(np.random, "Philox", FailsPastShotZero)
     with pytest.raises(RuntimeError, match="helper span failed"):
         sample(at_ensemble, shots=1000, seed=1)
+
+
+SPAN_CHUNKS = 200  # chunks per span in the stop tests below
+
+
+def chunk_counting_rank(monkeypatch, gate: threading.Event, failing: str | None) -> dict:
+    """Patch ``protocol._rank`` to count its calls per span, "caller" and "helper".
+
+    ``_rank`` runs twice per chunk. The ``failing`` span raises at its
+    second chunk, setting ``gate`` first. The other span, or the helper when
+    none fails, waits at its first call until ``gate`` is set, so it cannot
+    run ahead of the failure.
+    """
+    rank, calls, caller = protocol._rank, {"caller": 0, "helper": 0}, threading.get_ident()
+    waiting = "caller" if failing == "helper" else "helper"
+
+    def counted(*args):
+        me = "caller" if threading.get_ident() == caller else "helper"
+        calls[me] += 1
+        if me == failing and calls[me] == 3:
+            gate.set()
+            raise RuntimeError("span failed")
+        if me == waiting and calls[me] == 1:
+            assert gate.wait(10)
+        return rank(*args)
+
+    monkeypatch.setattr(protocol, "_SAMPLE_CHUNK", 64)
+    monkeypatch.setattr(protocol, "_SAMPLE_WORKERS", 2)
+    monkeypatch.setattr(protocol, "_rank", counted)
+    return calls
+
+
+@pytest.mark.parametrize("failing", ["caller", "helper"])
+def test_sample_stops_every_span_at_the_first_failure(at_ensemble, monkeypatch, failing):
+    calls = chunk_counting_rank(monkeypatch, threading.Event(), failing)
+    with pytest.raises(RuntimeError, match="span failed"):
+        sample(at_ensemble, shots=2 * SPAN_CHUNKS * 64, seed=1)
+    other = calls["helper" if failing == "caller" else "caller"]
+    assert other < 2 * SPAN_CHUNKS // 10  # a span is 2 * SPAN_CHUNKS calls
+
+
+def test_sample_stops_the_helper_when_the_caller_is_interrupted_in_join(
+    at_ensemble, monkeypatch
+):
+    # A Ctrl-C arrives while the caller waits in join, its own span done.
+    join, joined, gate = threading.Thread.join, [], threading.Event()
+    calls = chunk_counting_rank(monkeypatch, gate, None)
+
+    def interrupted(self, timeout=None):
+        joined.append(self)
+        gate.set()
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(threading.Thread, "join", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        sample(at_ensemble, shots=2 * SPAN_CHUNKS * 64, seed=1)
+    join(*joined)
+    assert calls["caller"] == 2 * SPAN_CHUNKS
+    assert calls["helper"] < 2 * SPAN_CHUNKS // 10
 
 
 # --- mutation sanity: a broken entangler destroys the reference ensemble ---
