@@ -65,7 +65,10 @@ class RunRequest:
     fmt: str = "table"
 
     def validate(self) -> str | None:
-        """Return an error message for an invalid field or field combination."""
+        """Return an error message for an invalid field or field combination.
+
+        ``shots`` and ``seed`` take any integral value but a bool.
+        """
         if self.pair not in PAIRS:
             return f"pair must be one of {sorted(PAIRS)}, got {self.pair!r}"
         if self.mode not in MODES:
@@ -75,7 +78,7 @@ class RunRequest:
         if self.mode == "sample":
             if self.shots is None:
                 return "--shots is required in sample mode"
-            if not isinstance(self.shots, Integral):
+            if isinstance(self.shots, bool) or not isinstance(self.shots, Integral):
                 return f"--shots must be an integer, got {self.shots!r}"
             if self.shots < 1:
                 return f"--shots must be >= 1, got {self.shots}"
@@ -83,7 +86,7 @@ class RunRequest:
                 return f"--shots must be < 2**63, got {self.shots}"
         elif self.shots is not None:
             return "--shots is only valid in sample mode"
-        if not isinstance(self.seed, Integral):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, Integral):
             return f"--seed must be an integer, got {self.seed!r}"
         if not 0 <= self.seed < 2**64:
             return f"--seed must fit in 64 bits, got {self.seed}"
@@ -216,18 +219,20 @@ def cmd_run(req: RunRequest) -> str:
         lines.append(f"dropped_mass {ens.dropped_mass:.3e}")
         return "\n".join(lines)
 
+    # A numpy integer prints as the equal int: the JSON writer knows only int.
+    shots, seed = int(req.shots), int(req.seed)
     header = ("bell_34", "bell_12", "count")
     rows = [
         (l34.text, l12.text, count)
-        for (l34, l12), count in sample(ens, shots=req.shots, seed=req.seed).items()
+        for (l34, l12), count in sample(ens, shots=shots, seed=seed).items()
     ]
     if req.fmt == "json":
         return to_json(
             {
                 "pair": req.pair,
                 "mode": "sample",
-                "shots": req.shots,
-                "seed": req.seed,
+                "shots": shots,
+                "seed": seed,
                 "counts": [dict(zip(header, row)) for row in rows],
             }
         )
@@ -240,19 +245,12 @@ def cmd_verify(dump_reference: bool = False) -> tuple[str, int]:
     if dump_reference:
         return to_json(reference.dump()), 0
     reports = []
-    overall = True
-    for pair in ("AT", "GC"):
-        template, incoming = PAIRS[pair]
-        report = verify_against_reference(run_pair(template, incoming))
-        overall = overall and report.overall
-        reports.append(
-            {
-                "pair": pair,
-                "overall": report.overall,
-                # Check's five fields, uncopied (asdict deep-copies every value).
-                "checks": [vars(c) for c in report.checks],
-            }
-        )
+    for pair, bases in PAIRS.items():
+        checks = verify_against_reference(pair, run_pair(*bases))
+        passed = all(c.passed for c in checks)
+        # Check's five fields, uncopied (asdict deep-copies every value).
+        reports.append({"pair": pair, "overall": passed, "checks": [vars(c) for c in checks]})
+    overall = all(r["overall"] for r in reports)
     doc = {"reference_version": reference.REFERENCE_VERSION, "overall": overall, "reports": reports}
     return to_json(doc), 0 if overall else 1
 

@@ -142,7 +142,7 @@ class OutcomeBranch(Outcome):
         return StateVector(6, np.multiply.outer(np.multiply.outer(f12, f34), self.residual))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Ensemble:
     """Exact outcome distribution of one swap run, held as arrays.
 
@@ -150,15 +150,14 @@ class Ensemble:
     ``BELL_LABELS`` order. ``probabilities`` (16,) are the trajectory
     probabilities, ``residuals`` (16, 2, 2) the corrected, normalized (5, 6)
     amplitudes, and ``keep`` (16,) marks the enumerated branches; a residual
-    is meaningful only where ``keep`` is set. ``dropped_mass`` is the summed
-    probability of the outcomes ``keep`` leaves out.
+    is meaningful only where ``keep`` is set. The fields are frozen, so the
+    values derived from them (``dropped_mass``, ``branches``) never go stale;
+    ``dataclasses.replace`` derives them afresh.
     """
 
-    pair: tuple[BaseCode, BaseCode] | None
     probabilities: np.ndarray
     residuals: np.ndarray
     keep: np.ndarray
-    dropped_mass: float
 
     def __post_init__(self) -> None:
         shapes = (self.probabilities.shape, self.residuals.shape, self.keep.shape)
@@ -170,6 +169,11 @@ class Ensemble:
         total = sum(self.probabilities[self.keep].tolist()) + self.dropped_mass
         if not abs(total - 1.0) <= _MASS_ATOL:
             raise ValueError(f"branch probabilities + dropped mass must be 1, got {total}")
+
+    @cached_property
+    def dropped_mass(self) -> float:
+        """The summed probability of the outcomes ``keep`` leaves out."""
+        return float(self.probabilities[~self.keep].sum())
 
     @cached_property
     def branches(self) -> list[OutcomeBranch]:
@@ -318,10 +322,7 @@ _GROUP_MEMBERS = tuple(
 )
 
 
-def swap(
-    pair_state: StateVector,
-    pair: tuple[BaseCode, BaseCode] | None = None,
-) -> Ensemble:
+def swap(pair_state: StateVector) -> Ensemble:
     """Run the five-step protocol with exact branch enumeration.
 
     The protocol is a fixed linear instrument K (``_K``), so all 16
@@ -356,13 +357,7 @@ def swap(
     # so dividing it by sqrt(P) normalizes it to rounding: there is no norm
     # left to check. A non-finite P is never kept, and a non-finite or
     # non-isometric instrument fails ``Ensemble``'s mass rule instead.
-    return Ensemble(
-        pair=pair,
-        probabilities=_readonly(probs),
-        residuals=_readonly(residual),
-        keep=_readonly(keep),
-        dropped_mass=float(probs[~keep].sum()),
-    )
+    return Ensemble(_readonly(probs), _readonly(residual), _readonly(keep))
 
 
 def run_pair(
@@ -370,8 +365,8 @@ def run_pair(
     incoming: BaseCode,
     cfg: ProtocolConfig | None = None,
 ) -> Ensemble:
-    """Assemble a pair and run the swap, labeling the resulting ensemble."""
-    return swap(assemble_pair(template, incoming, cfg), pair=(template, incoming))
+    """Assemble a pair and run the swap."""
+    return swap(assemble_pair(template, incoming, cfg))
 
 
 def canonical_table(e: Ensemble) -> list[CanonicalRow]:

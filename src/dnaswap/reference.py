@@ -74,7 +74,10 @@ def expectations(key: str, rows: Sequence[CanonicalRow]) -> Iterator[tuple]:
     ``key`` is "AT" or "GC" and ``rows`` its canonical table; a number or
     an ``(a, b, P)`` triple is checked against its reference, and
     ``actual`` is None where the table has no row for a reference entry.
+    Any other key raises ``ValueError`` at the first item.
     """
+    if key not in ("AT", "GC"):
+        raise ValueError(f"no reference data for pair {key!r}")
     slots = {(r.group, r.rank): (r.a, r.b, r.probability) for r in rows}
     if key == "AT":
         yield "row_count", 4, len(rows), 0.0

@@ -316,8 +316,7 @@ def test_ensemble_doc_matches_the_branch_oracle_on_run_pair(pair, theta, phi, cl
     keep = ens.keep.copy()
     for i in cleared:
         keep[i] = False
-    dropped = sum(ens.probabilities[ens.keep & ~keep].tolist())
-    ens = dataclasses.replace(ens, keep=keep, dropped_mass=ens.dropped_mass + dropped)
+    ens = dataclasses.replace(ens, keep=keep)
     assert_doc_matches_the_branch_oracle(pair, ens)
 
 
@@ -571,6 +570,15 @@ def test_run_request_validation_messages():
             lambda: cmd_run(RunRequest(pair="AT", mode="sample", shots=10, seed=1.5)),
             "--seed must be an integer, got 1.5",
         ),
+        # A bool is an Integral, but would print as true/false.
+        (
+            lambda: cmd_run(RunRequest(pair="AT", mode="sample", shots=True)),
+            "--shots must be an integer, got True",
+        ),
+        (
+            lambda: cmd_run(RunRequest(pair="AT", mode="sample", shots=10, seed=False)),
+            "--seed must be an integer, got False",
+        ),
         # int() reads full-width digits, so only the pattern check rejects them.
         (
             lambda: cmd_recognize("\uff11\uff10", False),
@@ -580,7 +588,8 @@ def test_run_request_validation_messages():
         (lambda: cmd_recognize("012", False), "--pattern must be 2 bits, got '012'"),
     ],
     ids=["run-pair", "inspect-pair", "run-mode", "run-mode-with-shots", "run-fractional-shots",
-         "run-exact-fractional-seed", "run-sample-fractional-seed",
+         "run-exact-fractional-seed", "run-sample-fractional-seed", "run-bool-shots",
+         "run-bool-seed",
          "recognize-full-width", "recognize-letter", "recognize-three-bits"],
 )
 def test_programmatic_calls_raise_the_validate_message(call, message):
@@ -592,6 +601,14 @@ def test_programmatic_calls_raise_the_validate_message(call, message):
     with pytest.raises(UsageError) as info:
         call()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_numpy_integer_shots_and_seed_print_as_the_equal_int(fmt):
+    want = cmd_run(RunRequest(pair="GC", mode="sample", shots=10, seed=7, fmt=fmt))
+    for shots, seed in ((np.int64(10), np.uint64(7)), (np.int32(10), np.int8(7))):
+        got = cmd_run(RunRequest(pair="GC", mode="sample", shots=shots, seed=seed, fmt=fmt))
+        assert got == want
 
 
 # --- verify ---

@@ -16,7 +16,7 @@ from dnaswap.metrics import (
     hamming_support,
     verify_against_reference,
 )
-from dnaswap.protocol import recognize, run_pair, swap
+from dnaswap.protocol import recognize, run_pair
 from dnaswap.statevec import StateVector, basis_state, reduced_density
 
 RNG = np.random.default_rng(424243)
@@ -133,22 +133,22 @@ def test_every_post_correction_branch_conserves_weight(at_ensemble, gc_ensemble)
 
 
 def test_reference_verification_passes_for_both_pairs(at_ensemble, gc_ensemble):
-    for ens in (at_ensemble, gc_ensemble):
-        report = verify_against_reference(ens)
-        assert report.overall
-        assert all(c.passed for c in report.checks)
+    for key, ens in (("AT", at_ensemble), ("GC", gc_ensemble)):
+        checks = verify_against_reference(key, ens)
+        assert checks
+        assert all(c.passed for c in checks)
 
 
 def test_report_counts_cover_all_classes_and_rows(at_ensemble, gc_ensemble):
-    at_report = verify_against_reference(at_ensemble)
-    gc_report = verify_against_reference(gc_ensemble)
+    at_checks = verify_against_reference("AT", at_ensemble)
+    gc_checks = verify_against_reference("GC", gc_ensemble)
     at_class_checks = [
-        c for c in at_report.checks if c.name.startswith("class[") and "exact" not in c.name
+        c for c in at_checks if c.name.startswith("class[") and "exact" not in c.name
     ]
-    gc_row_checks = [c for c in gc_report.checks if c.name.startswith("row[")]
+    gc_row_checks = [c for c in gc_checks if c.name.startswith("row[")]
     assert len(at_class_checks) == 4
     assert len(gc_row_checks) == 16
-    assert len(at_report.checks) + len(gc_report.checks) >= 20
+    assert len(at_checks) + len(gc_checks) >= 20
 
 
 def test_perturbed_probability_fails_with_named_check(gc_ensemble):
@@ -159,9 +159,7 @@ def test_perturbed_probability_fails_with_named_check(gc_ensemble):
     probs[first] += 0.05
     probs[second] -= 0.05
     tampered = replace(gc_ensemble, probabilities=probs)
-    report = verify_against_reference(tampered)
-    assert not report.overall
-    failed = [c.name for c in report.checks if not c.passed]
+    failed = [c.name for c in verify_against_reference("GC", tampered) if not c.passed]
     assert failed
     assert any(name.startswith("row[") for name in failed)
 
@@ -172,31 +170,31 @@ def _group(i: int) -> tuple[int, int]:
 
 
 def _without(ens, outcomes):
-    """The ensemble with raw ``outcomes`` removed and their mass moved to dropped_mass."""
+    """The ensemble with raw ``outcomes`` removed: their mass is dropped."""
     keep = ens.keep.copy()
     keep[outcomes] = False
-    lost = sum(ens.probabilities[outcomes].tolist())
-    return replace(ens, keep=keep, dropped_mass=ens.dropped_mass + lost)
+    return replace(ens, keep=keep)
 
 
 def test_at_missing_class_fails_only_its_checks(at_ensemble):
-    report = verify_against_reference(
-        _without(at_ensemble, [i for i in np.flatnonzero(at_ensemble.keep) if _group(i) == (1, 1)])
+    checks = verify_against_reference(
+        "AT",
+        _without(at_ensemble, [i for i in np.flatnonzero(at_ensemble.keep) if _group(i) == (1, 1)]),
     )
-    assert [c.name for c in report.checks] == ["row_count"] + [
+    assert [c.name for c in checks] == ["row_count"] + [
         name for g in ("00", "01", "10", "11") for name in (f"class[{g}]", f"class[{g}].exact_p")
     ]
-    failed = [c for c in report.checks if not c.passed]
+    failed = [c for c in checks if not c.passed]
     assert [c.name for c in failed] == ["row_count", "class[11]", "class[11].exact_p"]
     assert failed[1].actual is None and failed[2].actual is None
 
 
 def test_gc_missing_branch_fails_its_groups_last_row(gc_ensemble):
     gone = np.flatnonzero(gc_ensemble.keep)[0]
-    report = verify_against_reference(_without(gc_ensemble, [gone]))
-    assert len(report.checks) == 22
+    checks = verify_against_reference("GC", _without(gc_ensemble, [gone]))
+    assert len(checks) == 22
     j, m = _group(gone)
-    (last,) = [c for c in report.checks if c.name == f"row[{j}{m},l=4]"]
+    (last,) = [c for c in checks if c.name == f"row[{j}{m},l=4]"]
     assert last.actual is None and not last.passed
 
 
@@ -217,12 +215,14 @@ def test_pass_rule(expected, actual, tol, passed):
     assert _passes(expected, actual, tol) is passed
 
 
-def test_verification_rejects_unlabeled_or_unknown_pairs(at_state, cfg):
-    with pytest.raises(ValueError, match="no pair label"):
-        verify_against_reference(swap(at_state))
-    unknown = run_pair(BaseCode("T"), BaseCode("A"), cfg)
-    with pytest.raises(ValueError, match="no reference data"):
-        verify_against_reference(unknown)
+def test_verification_rejects_unlabeled_or_unknown_pairs(at_ensemble, cfg):
+    # Only "AT" and "GC" have reference tables: a reversed orientation, an
+    # unknown key or an empty one raises rather than running the G.C checks.
+    ta = run_pair(BaseCode("T"), BaseCode("A"), cfg)
+    for key in ("TA", "CG", "XY", ""):
+        for ens in (ta, at_ensemble):
+            with pytest.raises(ValueError, match=f"no reference data for pair {key!r}"):
+                verify_against_reference(key, ens)
 
 
 # --- the swap moves entanglement across the fixed cut structure ---

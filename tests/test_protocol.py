@@ -562,6 +562,28 @@ def test_ensemble_arrays_are_read_only_and_shape_checked(gc_ensemble):
             dataclasses.replace(gc_ensemble, **bad)
 
 
+def test_ensemble_is_frozen_and_replace_derives_dropped_mass_afresh(gc_state):
+    # An assigned field would skip the mass rule and leave dropped_mass and
+    # branches stale; ``replace`` builds a new ensemble that derives them.
+    ens = swap(gc_state)
+    keep = ens.keep.copy()
+    keep[::2] = False
+    for name, value in (
+        ("keep", keep),
+        ("probabilities", ens.probabilities),
+        ("residuals", ens.residuals),
+    ):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(ens, name, value)
+    assert ens.dropped_mass == 0.0 and len(ens.branches) == 16
+    cleared = dataclasses.replace(ens, keep=keep)
+    assert cleared.dropped_mass.hex() == float(ens.probabilities[~keep].sum()).hex()
+    assert len(cleared.branches) == len(canonical_table(cleared)) == 8
+    kept = sum(br.probability for br in cleared.branches)
+    assert kept + cleared.dropped_mass == pytest.approx(1.0, abs=1e-12)
+    assert dataclasses.replace(cleared, keep=ens.keep).dropped_mass.hex() == (0.0).hex()
+
+
 def test_swap_rejects_a_non_finite_instrument(at_state, monkeypatch):
     k = np.array(protocol._K)
     k[5] = np.nan  # outcome (b00, b01), q5 q6 = 01
@@ -730,8 +752,7 @@ def test_canonical_table_snaps_an_amplitude_of_exactly_zero_atol(gc_ensemble, sa
     residuals[0] = [[0.0, a], [b, 0.0]]
     keep = np.zeros(16, dtype=bool)
     keep[0] = True
-    p = gc_ensemble.probabilities[0]
-    ens = dataclasses.replace(gc_ensemble, residuals=residuals, keep=keep, dropped_mass=1.0 - p)
+    ens = dataclasses.replace(gc_ensemble, residuals=residuals, keep=keep)
     (row,) = canonical_table(ens)
     want = {"a": (0.0, 1.0), "b": (1.0, 0.0), "both": (0.0, 0.0)}[tiny]
     assert (row.a.hex(), row.b.hex()) == (want[0].hex(), want[1].hex())
@@ -897,7 +918,7 @@ def test_sample_validates_arguments(at_ensemble):
 
 def test_sample_rejects_an_ensemble_with_no_branches(gc_ensemble, monkeypatch):
     # The error comes before any threshold or table is built.
-    empty = dataclasses.replace(gc_ensemble, keep=np.zeros(16, dtype=bool), dropped_mass=1.0)
+    empty = dataclasses.replace(gc_ensemble, keep=np.zeros(16, dtype=bool))
 
     def no_tables(*args):
         raise AssertionError("thresholds built for an empty ensemble")
@@ -950,8 +971,7 @@ def test_streaming_sample_equals_the_whole_run_sampler(
         if i >> 2 in dead_rows or i in dead_cells:
             keep[i] = False
     assume(keep.any())
-    dropped = sum(ens.probabilities[ens.keep & ~keep].tolist())
-    ens = dataclasses.replace(ens, keep=keep, dropped_mass=ens.dropped_mass + dropped)
+    ens = dataclasses.replace(ens, keep=keep)
     ref = oracle.sample_reference(joint_of(ens), shots, seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(protocol, "_SAMPLE_CHUNK", chunk)
@@ -1285,7 +1305,3 @@ def test_identity_entangler_degenerates_the_at_ensemble(at_state, monkeypatch):
     assert groups == {(0, 1), (1, 0)}
     for row in rows:
         assert row.probability == pytest.approx(0.5, abs=1e-12)
-
-
-def test_run_pair_labels_the_ensemble(at_ensemble):
-    assert at_ensemble.pair == (A, T)
