@@ -7,9 +7,11 @@ was written (128 + SIGPIPE, as a shell reports a tool that SIGPIPE ends).
 JSON is written in one pass into one list of parts: the bytes of
 ``json.dumps(doc, sort_keys=True, indent=2)`` (so ASCII-escaped) with every
 float quantized to 15 significant digits, so parse/re-serialize round-trips
-are byte-identical. The exact-mode document reads the ensemble's arrays, not
-``Ensemble.branches``, so no command builds an ``OutcomeBranch``. CSV uses
-RFC-4180 line endings and quoting.
+are byte-identical. The exact-mode document's shape is fixed by the 16
+outcomes, so the writer compiles it at import into one text layout per
+outcome, and a run fills the kept outcomes' layouts with the numbers of the
+ensemble's arrays: the bytes are the writer's own, and no command builds an
+``OutcomeBranch``. CSV uses RFC-4180 line endings and quoting.
 """
 from __future__ import annotations
 
@@ -160,9 +162,9 @@ def _write(obj, indent: str, write) -> None:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def to_json(doc: dict) -> str:
+def to_json(doc, indent: str = "") -> str:
     parts: list[str] = []
-    _write(doc, "", parts.append)
+    _write(doc, indent, parts.append)
     return "".join(parts)
 
 
@@ -172,31 +174,52 @@ def _csv(rows: list) -> str:
     return buf.getvalue()
 
 
-# Outcome i's corrected (1,2) and (3,4) label texts and its corrections,
-# read from ``protocol.OUTCOMES`` once.
-_OUTCOMES = tuple(
-    (o.final_bell_12.text, o.final_bell_34.text, o.corrections) for o in OUTCOMES
+# The exact-mode document, compiled once. ``_write`` lays out each outcome's
+# branch at the branches' indent, with a placeholder at each float leaf, so
+# key order, indentation and separators are the writer's own. A run fills the
+# placeholders in sorted-key order: probability, a_im, a_re, b_im, b_re.
+_SLOT = "\x00"
+_FIELD = to_json(_SLOT)
+
+
+def _layout(doc, indent: str = "") -> str:
+    # The fixed texts hold no "%", so the layout is a %-format as it stands.
+    return to_json(doc, indent).replace(_FIELD, "%s")
+
+
+_BRANCH_LAYOUTS = tuple(
+    _layout(
+        {
+            "bell_12": o.final_bell_12.text,
+            "bell_34": o.final_bell_34.text,
+            "corrections": list(o.corrections),
+            "probability": _SLOT,
+            "third_pair": {"a_re": _SLOT, "a_im": _SLOT, "b_re": _SLOT, "b_im": _SLOT},
+        },
+        "    ",
+    )
+    for o in OUTCOMES
+)
+_BRANCH_SEP = _layout([_SLOT, _SLOT], "  ").split("%s")[1]
+_EXACT_DOC, _NO_BRANCHES = (
+    _layout({"pair": _SLOT, "mode": "exact", "branches": branches, "dropped_mass": _SLOT})
+    for branches in ([_SLOT], [])
 )
 
 
-def ensemble_doc(pair: str, e: Ensemble) -> dict:
-    """The exact-mode document, read from the ensemble's arrays once each."""
+def _exact_json(pair: str, e: Ensemble) -> str:
+    """The exact-mode document: the kept outcomes' layouts, filled from the arrays."""
     # Columns 1 and 2 of a flattened residual are its (0, 1) and (1, 0) entries.
     third = e.residuals.reshape(16, 4)[:, 1:3].tolist()
-    branches = [
-        {
-            "bell_12": bell_12,
-            "bell_34": bell_34,
-            "corrections": list(corrections),
-            "probability": p,
-            "third_pair": {"a_re": a.real, "a_im": a.imag, "b_re": b.real, "b_im": b.imag},
-        }
-        for kept, p, (a, b), (bell_12, bell_34, corrections) in zip(
-            e.keep.tolist(), e.probabilities.tolist(), third, _OUTCOMES
+    branches = _BRANCH_SEP.join([
+        layout % (_float(p), _float(a.imag), _float(a.real), _float(b.imag), _float(b.real))
+        for kept, p, (a, b), layout in zip(
+            e.keep.tolist(), e.probabilities.tolist(), third, _BRANCH_LAYOUTS
         )
         if kept
-    ]
-    return {"pair": pair, "mode": "exact", "branches": branches, "dropped_mass": e.dropped_mass}
+    ])
+    tail = (_float(e.dropped_mass), encode_basestring_ascii(pair))
+    return _EXACT_DOC % (branches, *tail) if branches else _NO_BRANCHES % tail
 
 
 def cmd_run(req: RunRequest) -> str:
@@ -205,7 +228,7 @@ def cmd_run(req: RunRequest) -> str:
     ens = run_pair(*PAIRS[req.pair])
     if req.mode == "exact":
         if req.fmt == "json":
-            return to_json(ensemble_doc(req.pair, ens))
+            return _exact_json(req.pair, ens)
         rows = canonical_table(ens)
         if req.fmt == "csv":
             return _csv([("group_j", "group_m", "rank_l", "a", "b", "P")] + [

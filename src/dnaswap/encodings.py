@@ -36,6 +36,9 @@ class BaseCode:
     def __post_init__(self) -> None:
         if self.base not in BASES:
             raise ValueError(f"base must be one of {BASES}, got {self.base!r}")
+        # Only a bool: 2 would print as "A*" yet differ from True, "no" would be truthy.
+        if type(self.rare) is not bool:
+            raise ValueError(f"rare must be a bool, got {self.rare!r}")
 
     @property
     def label(self) -> str:

@@ -344,7 +344,10 @@ def swap(pair_state: StateVector) -> Ensemble:
     """
     if pair_state.num_qubits != 6:
         raise ValueError(f"swap needs a 6-qubit register, got {pair_state.num_qubits}")
-    coeff = _K @ pair_state.amplitudes
+    # Two 32-row blocks: OpenBLAS splits a 64-row product over two threads,
+    # whose worker then spins while the rest of the swap runs in Python.
+    # ``_K`` is read at each call, so a patched instrument reaches it too.
+    coeff = (_K.reshape(2, 32, 64) @ pair_state.amplitudes).reshape(64)
     sq = np.abs(coeff)
     sq *= sq
     probs = np.add.reduce(sq.reshape(16, 4), axis=1)

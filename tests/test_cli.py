@@ -23,11 +23,11 @@ from dnaswap.cli import (
     PAIRS,
     RunRequest,
     UsageError,
+    _exact_json,
     cmd_inspect,
     cmd_recognize,
     cmd_run,
     cmd_verify,
-    ensemble_doc,
     main,
     to_json,
 )
@@ -296,11 +296,13 @@ ANGLES = st.floats(-math.pi, math.pi) | st.sampled_from(
 )
 
 
-def assert_doc_matches_the_branch_oracle(pair: str, ens) -> None:
-    doc, want = ensemble_doc(pair, ens), oracle.branch_ensemble_doc(pair, ens)
-    assert doc == want
+def assert_json_matches_the_branch_oracle(pair: str, ens) -> str:
+    """The written exact JSON of ``ens``, checked against the oracle's document."""
+    out, want = _exact_json(pair, ens), to_json(oracle.branch_ensemble_doc(pair, ens))
+    assert json.loads(out) == json.loads(want)
     # Bytes too: == does not see the sign of a zero.
-    assert to_json(doc) == to_json(want)
+    assert out == want
+    return out
 
 
 @settings(max_examples=200, deadline=None)
@@ -310,14 +312,17 @@ def assert_doc_matches_the_branch_oracle(pair: str, ens) -> None:
     phi=ANGLES,
     cleared=st.sets(st.integers(0, 15), max_size=16),
 )
-def test_ensemble_doc_matches_the_branch_oracle_on_run_pair(pair, theta, phi, cleared):
+@example(pair="GC", theta=protocol.DEFAULT_THETA, phi=protocol.DEFAULT_PHI, cleared=set(range(16)))
+def test_exact_json_matches_the_branch_oracle_on_run_pair(pair, theta, phi, cleared):
     # Cleared keep entries drop branches by hand, as far as dropping all 16.
     ens = run_pair(BaseCode(pair[0]), BaseCode(pair[1]), ProtocolConfig(theta=theta, phi=phi))
     keep = ens.keep.copy()
     for i in cleared:
         keep[i] = False
     ens = dataclasses.replace(ens, keep=keep)
-    assert_doc_matches_the_branch_oracle(pair, ens)
+    out = assert_json_matches_the_branch_oracle(pair, ens)
+    if not keep.any():
+        assert '"branches": [],' in out
 
 
 @settings(max_examples=200, deadline=None)
@@ -326,7 +331,7 @@ def test_ensemble_doc_matches_the_branch_oracle_on_run_pair(pair, theta, phi, cl
     seed=st.integers(0, 2**32 - 1),
     conjugate=st.booleans(),
 )
-def test_ensemble_doc_matches_the_branch_oracle_on_random_registers(kind, seed, conjugate):
+def test_exact_json_matches_the_branch_oracle_on_random_registers(kind, seed, conjugate):
     # The swap of a real register gives +0.0 imaginary parts; its conjugate
     # residuals (the ensemble of the conjugate register) give -0.0 ones.
     rng = np.random.default_rng(seed)
@@ -339,10 +344,9 @@ def test_ensemble_doc_matches_the_branch_oracle_on_random_registers(kind, seed, 
     ens = swap(StateVector(6, amps / np.linalg.norm(amps)))
     if conjugate:
         ens = dataclasses.replace(ens, residuals=ens.residuals.conj())
-    assert_doc_matches_the_branch_oracle("AT", ens)
+    out = assert_json_matches_the_branch_oracle("AT", ens)
     if kind == "real" and conjugate:
-        doc = ensemble_doc("AT", ens)
-        assert any(math.copysign(1.0, br["third_pair"]["a_im"]) < 0 for br in doc["branches"])
+        assert '"a_im": -0.0' in out
 
 
 def test_json_verify_and_inspect_build_no_outcome_branch(monkeypatch):

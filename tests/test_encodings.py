@@ -29,6 +29,14 @@ def test_base_code_parsing_and_labels():
         BaseCode("X")
 
 
+@pytest.mark.parametrize("rare", [2, 1, 0, "no", "", 0.0, None, np.bool_(True)])
+def test_base_code_refuses_a_non_bool_rare(rare):
+    # 2 would print as "A*" yet differ from BaseCode("A", True); "no" would
+    # count as rare and 0.0 as canonical.
+    with pytest.raises(ValueError, match="rare must be a bool"):
+        BaseCode("A", rare=rare)
+
+
 @pytest.mark.parametrize(
     "code,bits",
     [(A, (0, 1)), (T, (1, 0)), (G, (0, 0)), (C, (1, 1)),

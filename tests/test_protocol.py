@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import json
 import math
 import pickle
 import sys
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import _oracle as oracle
 from dnaswap import protocol
-from dnaswap.cli import ensemble_doc
+from dnaswap.cli import _exact_json
 from dnaswap.encodings import (
     BaseCode,
     UnsupportedEncodingError,
@@ -355,7 +356,7 @@ def test_final_bell_labels_are_single_proton_only(at_ensemble, gc_ensemble):
     # canonical row is one outcome, found by its probability.
     ens = real_register_ensemble(11)
     assert ens.keep.all()
-    doc = ensemble_doc("AT", ens)["branches"]
+    doc = json.loads(_exact_json("AT", ens))["branches"]
     assert [(d["bell_34"], d["bell_12"]) for d in doc] == [
         (f"b{raw_bits(i)[0]}1", f"b{raw_bits(i)[2]}1") for i in range(16)
     ]
@@ -382,7 +383,7 @@ def test_correction_flags_track_raw_outcomes(at_ensemble):
     # X on qubit 5, which swaps the residual's rows, when exactly one pair fires.
     ens = real_register_ensemble(12)
     assert ens.keep.all()
-    doc = ensemble_doc("AT", ens)["branches"]
+    doc = json.loads(_exact_json("AT", ens))["branches"]
     for i, outcome in enumerate(protocol.OUTCOMES):
         _, k34, _, k12 = raw_bits(i)
         assert (outcome.x45_applied, outcome.x25_applied) == (k34 == 0, k12 == 0)
@@ -757,6 +758,63 @@ def test_canonical_table_snaps_an_amplitude_of_exactly_zero_atol(gc_ensemble, sa
     want = {"a": (0.0, 1.0), "b": (1.0, 0.0), "both": (0.0, 0.0)}[tiny]
     assert (row.a.hex(), row.b.hex()) == (want[0].hex(), want[1].hex())
     assert row_bits([row]) == row_bits(oracle.branch_table(ens.branches))
+
+
+def third_pair_ensemble(base, pairs: dict):
+    """``base`` with only the outcomes ``pairs`` names kept, at those third pairs."""
+    residuals = np.array(base.residuals)
+    keep = np.zeros(16, dtype=bool)
+    for i, (a, b) in pairs.items():
+        residuals[i] = [[0.0, a], [b, 0.0]]
+        keep[i] = True
+    return dataclasses.replace(base, residuals=residuals, keep=keep)
+
+
+@pytest.mark.parametrize("amp", ["a", "b"])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_merge_threshold_sits_at_merge_atol(gc_ensemble, amp, sign):
+    # Two outcomes of one group whose third pairs differ by 5e-11 merge into
+    # one row (inside _MERGE_ATOL = 1e-10); by 2e-10 they stay two rows.
+    i, j = protocol._GROUP_MEMBERS[0][1][:2]
+    for offset, rows in ((5e-11, 1), (2e-10, 2)):
+        shifted = (0.6 + sign * offset, 0.8) if amp == "a" else (0.6, 0.8 + sign * offset)
+        ens = third_pair_ensemble(gc_ensemble, {i: (0.6, 0.8), j: shifted})
+        table = canonical_table(ens)
+        assert len(table) == rows
+        assert sum(r.probability for r in table) == pytest.approx(
+            ens.probabilities[i] + ens.probabilities[j], abs=1e-15
+        )
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("global_phase", [0.0, 2.0])
+def test_imaginary_guard_sits_at_imag_atol(gc_ensemble, sign, global_phase):
+    # A relative phase that leaves 5e-10 of imaginary part after the phase
+    # normalization passes (inside _IMAG_ATOL = 1e-9); 2e-9 is refused.
+    # A global phase is normalized away and does not count.
+    turn = complex(math.cos(global_phase), math.sin(global_phase))
+    for imag, ok in ((5e-10, True), (2e-9, False)):
+        third = (0.6 * turn, complex(0.8, sign * imag) * turn)
+        ens = third_pair_ensemble(gc_ensemble, {0: third})
+        if ok:
+            (row,) = canonical_table(ens)
+            assert (row.a, row.b) == pytest.approx((0.6, 0.8), abs=1e-15)
+        else:
+            with pytest.raises(ValueError, match="non-real relative phase"):
+                canonical_table(ens)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_mass_rule_sits_at_mass_atol(gc_ensemble, sign):
+    # Kept probabilities plus dropped mass off 1 by 5e-11 pass (inside
+    # _MASS_ATOL = 1e-10); off by 2e-10 the ensemble is refused.
+    keep = gc_ensemble.keep.copy()
+    keep[::2] = False
+    probs = np.array(gc_ensemble.probabilities)
+    ens = dataclasses.replace(gc_ensemble, probabilities=probs * (1.0 + sign * 5e-11), keep=keep)
+    assert ens.dropped_mass == pytest.approx(probs[~keep].sum(), rel=1e-9)
+    with pytest.raises(ValueError, match="must be 1"):
+        dataclasses.replace(gc_ensemble, probabilities=probs * (1.0 + sign * 2e-10), keep=keep)
 
 
 def test_at_classes_merge_four_raw_branches_each(at_ensemble):
