@@ -11,7 +11,10 @@ are byte-identical. The exact-mode document's shape is fixed by the 16
 outcomes, so the writer compiles it at import into one text layout per
 outcome, and a run fills the kept outcomes' layouts with the numbers of the
 ensemble's arrays: the bytes are the writer's own, and no command builds an
-``OutcomeBranch``. CSV uses RFC-4180 line endings and quoting.
+``OutcomeBranch``. ``verify``'s document is compiled at import the same way,
+one layout per check from the reference's fixed checks (name, expected,
+tolerance), and a run fills each layout with its ``Check``'s actual value
+and verdict. CSV uses RFC-4180 line endings and quoting.
 """
 from __future__ import annotations
 
@@ -183,8 +186,14 @@ _FIELD = to_json(_SLOT)
 
 
 def _layout(doc, indent: str = "") -> str:
-    # The fixed texts hold no "%", so the layout is a %-format as it stands.
+    # The fixed texts, check names too, hold no "%", so the layout is a
+    # %-format as it stands.
     return to_json(doc, indent).replace(_FIELD, "%s")
+
+
+def _separator(indent: str) -> str:
+    """The text between two items of a list written at nesting ``indent``."""
+    return _layout([_SLOT, _SLOT], indent).split("%s")[1]
 
 
 _BRANCH_LAYOUTS = tuple(
@@ -200,7 +209,7 @@ _BRANCH_LAYOUTS = tuple(
     )
     for o in OUTCOMES
 )
-_BRANCH_SEP = _layout([_SLOT, _SLOT], "  ").split("%s")[1]
+_BRANCH_SEP = _separator("  ")
 _EXACT_DOC, _NO_BRANCHES = (
     _layout({"pair": _SLOT, "mode": "exact", "branches": branches, "dropped_mass": _SLOT})
     for branches in ([_SLOT], [])
@@ -264,18 +273,76 @@ def cmd_run(req: RunRequest) -> str:
     return "\n".join("{:<9}{:<9}{:>9}".format(*row) for row in [header, *rows])
 
 
+# ``verify``'s document, compiled once from the reference's fixed checks: with
+# no rows, ``expectations`` still yields each check's name, expected value and
+# tolerance, which no run changes. A run fills each check's layout with its
+# actual value and verdict, in sorted-key order: actual, passed.
+_CHECK_INDENT = " " * 8
+_VALUE_INDENT = _CHECK_INDENT + "  "
+_CHECK_LAYOUTS = {
+    pair: tuple(
+        (
+            (name, expected, tol),
+            _layout(
+                {"name": name, "expected": expected, "actual": _SLOT, "tolerance": tol,
+                 "passed": _SLOT},
+                _CHECK_INDENT,
+            ),
+        )
+        for name, expected, _, tol in reference.expectations(pair, ())
+    )
+    for pair in PAIRS
+}
+_ROW = _layout([_SLOT, _SLOT, _SLOT], _VALUE_INDENT)
+_CHECK_SEP = _separator("      ")
+_REPORT = _layout({"pair": _SLOT, "overall": _SLOT, "checks": [_SLOT]}, "    ")
+_REPORT_SEP = _separator("  ")
+_VERIFY_DOC = _layout(
+    {"reference_version": reference.REFERENCE_VERSION, "overall": _SLOT, "reports": [_SLOT]}
+)
+
+
+def _value(x) -> str:
+    """A check's actual value or verdict, as ``to_json`` writes it in the check."""
+    leaf = _LEAVES.get(type(x))
+    if leaf is not None:
+        return leaf(x)
+    if type(x) is tuple and tuple(map(type, x)) == (float, float, float):  # an (a, b, P) row
+        return _ROW % (_float(x[0]), _float(x[1]), _float(x[2]))
+    return to_json(x, _VALUE_INDENT)  # raises the writer's TypeError where JSON has no form
+
+
+def _verify_json(reports) -> str:
+    """``verify``'s document for one or more ``(pair, checks)`` items.
+
+    Each check fills the layout compiled for it; a check whose name, expected
+    value or tolerance is not its layout's raises ``ValueError``, so no
+    reference value is printed for a check it was not compiled from.
+    """
+    texts = []
+    overall = True
+    for pair, checks in reports:
+        filled = []
+        for c, (key, layout) in zip(checks, _CHECK_LAYOUTS[pair], strict=True):
+            if (c.name, c.expected, c.tolerance) != key:
+                raise ValueError(f"{pair} check {c.name!r} is not the reference's {key[0]!r}")
+            filled.append(layout % (_value(c.actual), _value(c.passed)))
+        passed = all(c.passed for c in checks)
+        overall = overall and passed
+        texts.append(_REPORT % (_CHECK_SEP.join(filled), _value(passed),
+                                encode_basestring_ascii(pair)))
+    return _VERIFY_DOC % (_value(overall), _REPORT_SEP.join(texts))
+
+
 def cmd_verify(dump_reference: bool = False) -> tuple[str, int]:
     if dump_reference:
         return to_json(reference.dump()), 0
-    reports = []
-    for pair, bases in PAIRS.items():
-        checks = verify_against_reference(pair, run_pair(*bases))
-        passed = all(c.passed for c in checks)
-        # Check's five fields, uncopied (asdict deep-copies every value).
-        reports.append({"pair": pair, "overall": passed, "checks": [vars(c) for c in checks]})
-    overall = all(r["overall"] for r in reports)
-    doc = {"reference_version": reference.REFERENCE_VERSION, "overall": overall, "reports": reports}
-    return to_json(doc), 0 if overall else 1
+    reports = [
+        (pair, verify_against_reference(pair, run_pair(*bases)))
+        for pair, bases in PAIRS.items()
+    ]
+    overall = all(c.passed for _, checks in reports for c in checks)
+    return _verify_json(reports), 0 if overall else 1
 
 
 def _state_entry(label: str, state) -> dict:

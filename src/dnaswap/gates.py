@@ -48,7 +48,9 @@ class BellLabel:
     k: int
 
     def __post_init__(self) -> None:
-        if self.j not in (0, 1) or self.k not in (0, 1):
+        # An int 0 or 1, as in ``EdgePattern``: True or 1.0 would equal and hash
+        # as 1, yet print as "bTrue0" or "b1.00".
+        if any(type(b) is not int or b not in (0, 1) for b in (self.j, self.k)):
             raise ValueError(f"Bell label bits must be 0 or 1, got ({self.j}, {self.k})")
 
     @property

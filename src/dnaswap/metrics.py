@@ -80,7 +80,8 @@ class Check:
 
 
 def _passes(expected, actual, tolerance: float) -> bool:
-    """A missing value fails; each number must be within ``tolerance``.
+    """A missing value fails, as does a tuple of the wrong length; each
+    number must be within ``tolerance``.
 
     Written so that NaN fails: every comparison with NaN is False.
     """
@@ -88,6 +89,8 @@ def _passes(expected, actual, tolerance: float) -> bool:
         return False
     if not isinstance(expected, tuple):
         expected, actual = (expected,), (actual,)
+    elif len(actual) != len(expected):
+        return False
     return all([abs(a - e) <= tolerance for e, a in zip(expected, actual)])
 
 

@@ -32,6 +32,12 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check_qubit_count(n) -> None:
+    # Only an int: 6.0 and True pass size checks, since 2**6.0 == 64 and 2**True == 2.
+    if type(n) is not int or n < 1:
+        raise ValueError(f"num_qubits must be a positive int, got {n!r}")
+
+
 @dataclass(eq=False)
 class StateVector:
     """Normalized complex amplitude vector over ``num_qubits`` qubits."""
@@ -40,8 +46,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.num_qubits < 1:
-            raise ValueError(f"num_qubits must be positive, got {self.num_qubits}")
+        _check_qubit_count(self.num_qubits)
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1).copy()
         if amps.size != 2**self.num_qubits:
             raise ValueError(
@@ -84,6 +89,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
+        _check_qubit_count(self.num_qubits)
         dim = 2**self.num_qubits
         mat = np.asarray(self.matrix, dtype=complex).copy()
         if mat.shape != (dim, dim):

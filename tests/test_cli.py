@@ -18,12 +18,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _oracle as oracle
-from dnaswap import protocol
+from dnaswap import protocol, reference
 from dnaswap.cli import (
     PAIRS,
     RunRequest,
     UsageError,
     _exact_json,
+    _verify_json,
     cmd_inspect,
     cmd_recognize,
     cmd_run,
@@ -33,6 +34,7 @@ from dnaswap.cli import (
 )
 from dnaswap.encodings import BaseCode, wc_initial_pattern
 from dnaswap.gates import BELL_LABELS
+from dnaswap.metrics import verify_against_reference
 from dnaswap.protocol import ProtocolConfig, run_pair, swap
 from dnaswap.statevec import StateVector
 
@@ -629,16 +631,6 @@ def test_verify_passes_on_the_reference_build(capsys):
         assert {"name", "expected", "actual", "tolerance", "passed"} <= set(check)
 
 
-def test_verify_with_identity_entangler_fails(monkeypatch):
-    monkeypatch.setattr(protocol, "_K", protocol._instrument(np.eye(4, dtype=complex)))
-    out, code = cmd_verify()
-    assert code == 1
-    doc = json.loads(out)
-    assert doc["overall"] is False
-    failed = [c["name"] for rep in doc["reports"] for c in rep["checks"] if not c["passed"]]
-    assert failed
-
-
 def test_verify_dump_reference(capsys):
     code, out, _ = run_cli(capsys, ["verify", "--dump-reference"])
     assert code == 0
@@ -658,6 +650,96 @@ def test_verify_into_a_closed_pipe_exits_141_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 141
     assert err == b"", err.decode()  # no BrokenPipeError traceback
+
+
+# --- verify's document, filled into the layouts compiled from the reference ---
+
+
+def verify_dict_doc(reports) -> dict:
+    """The verify document as a dict tree of each ``Check``'s five fields."""
+    docs = [
+        {"pair": pair, "overall": all(c.passed for c in checks), "checks": [vars(c) for c in checks]}
+        for pair, checks in reports
+    ]
+    overall = all(r["overall"] for r in docs)
+    return {"reference_version": reference.REFERENCE_VERSION, "overall": overall, "reports": docs}
+
+
+def assert_verify_json_matches_the_dict_oracle(reports) -> str:
+    out, want = _verify_json(reports), oracle.to_json(verify_dict_doc(reports))
+    assert json.loads(out) == json.loads(want)
+    assert out == want  # bytes too: == does not see the sign of a zero
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    judged=st.lists(
+        st.tuples(st.sampled_from(sorted(PAIRS)), st.sampled_from(ORIENTATIONS)),
+        min_size=1,
+        max_size=3,
+    ),
+    theta=ANGLES,
+    phi=ANGLES,
+    cleared=st.sets(st.integers(0, 15), max_size=16),
+)
+@example(
+    judged=[("AT", "AT"), ("GC", "GC")],
+    theta=protocol.DEFAULT_THETA,
+    phi=protocol.DEFAULT_PHI,
+    cleared=set(range(16)),
+)
+def test_verify_json_matches_the_dict_oracle(judged, theta, phi, cleared):
+    # Each reference judges the ensemble of any orientation, at any angles,
+    # with keep entries cleared by hand, as far as all 16.
+    cfg = ProtocolConfig(theta=theta, phi=phi)
+    reports = []
+    for pair, orientation in judged:
+        ens = run_pair(BaseCode(orientation[0]), BaseCode(orientation[1]), cfg)
+        keep = ens.keep.copy()
+        keep[sorted(cleared)] = False
+        reports.append((pair, verify_against_reference(pair, dataclasses.replace(ens, keep=keep))))
+    out = assert_verify_json_matches_the_dict_oracle(reports)
+    if len(cleared) == 16:
+        doc = json.loads(out)
+        for rep in doc["reports"]:
+            checks = {c["name"]: c["actual"] for c in rep["checks"]}
+            assert checks["row_count"] == 0
+            assert all(checks[name] is None for name in checks if name.startswith(("class", "row[")))
+
+
+def test_verify_with_identity_entangler_fails(monkeypatch):
+    monkeypatch.setattr(protocol, "_K", protocol._instrument(np.eye(4, dtype=complex)))
+    out, code = cmd_verify()
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["overall"] is False
+    failed = [c["name"] for rep in doc["reports"] for c in rep["checks"] if not c["passed"]]
+    assert failed
+    # The failing document has the dict oracle's bytes, a missing row's null too.
+    reports = [(p, verify_against_reference(p, run_pair(*bases))) for p, bases in PAIRS.items()]
+    assert out == assert_verify_json_matches_the_dict_oracle(reports)
+    assert '"actual": null' in out
+
+
+def test_verify_json_refuses_a_check_it_was_not_compiled_for():
+    checks = verify_against_reference("GC", run_pair(*PAIRS["GC"]))
+    first = checks[0]
+    for changed in [
+        dataclasses.replace(first, name="row_total"),
+        dataclasses.replace(first, expected=17),
+        dataclasses.replace(first, tolerance=0.5),
+    ]:
+        with pytest.raises(ValueError, match="not the reference's 'row_count'"):
+            _verify_json([("GC", [changed, *checks[1:]])])
+    with pytest.raises(ValueError):  # a check missing
+        _verify_json([("GC", checks[:-1])])
+    with pytest.raises(ValueError):  # the checks of the other pair
+        _verify_json([("AT", checks)])
+    # An actual that JSON cannot encode raises the writer's own TypeError.
+    odd = dataclasses.replace(first, actual={16})
+    with pytest.raises(TypeError, match="Object of type set is not JSON serializable"):
+        _verify_json([("GC", [odd, *checks[1:]])])
 
 
 def test_cli_import_loads_no_sympy_scipy_or_mpmath():

@@ -209,6 +209,9 @@ def test_gc_missing_branch_fails_its_groups_last_row(gc_ensemble):
         ((0.0, 1.0, 0.5), None, 0.25, False),
         (0.25, math.nan, 0.25, False),
         ((0.0, 1.0, 0.5), (0.0, math.nan, 0.5), 0.25, False),
+        # A row of the wrong length fails: zip would judge only the shared prefix.
+        ((1.0, 2.0, 3.0), (1.0, 2.0), 0.1, False),
+        ((1.0, 2.0), (1.0, 2.0, 3.0), 0.1, False),
     ],
 )
 def test_pass_rule(expected, actual, tol, passed):

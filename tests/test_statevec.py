@@ -57,6 +57,20 @@ def test_rejects_nonpositive_qubit_count():
         StateVector(0, [1.0])
 
 
+@pytest.mark.parametrize("n, amps", [(6.0, np.eye(64)[0]), (True, [1.0, 0.0]), (np.int64(1), [1.0, 0.0])])
+def test_state_vector_qubit_count_is_an_int(n, amps):
+    # 6.0 passed the size check (2**6.0 == 64) and then broke as_tensor.
+    with pytest.raises(ValueError, match="num_qubits must be a positive int"):
+        StateVector(n, amps)
+
+
+@pytest.mark.parametrize("n, dim", [(2.0, 4), (True, 2)])
+def test_density_matrix_qubit_count_is_an_int(n, dim):
+    # (4, 4) == (4.0, 4.0), so a float count passed the shape check.
+    with pytest.raises(ValueError, match="num_qubits must be a positive int"):
+        DensityMatrix(n, np.eye(dim) / dim)
+
+
 def test_amplitudes_are_immutable():
     s = basis_state("01")
     with pytest.raises(ValueError):
