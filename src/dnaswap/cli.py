@@ -14,13 +14,13 @@ ensemble's arrays: the bytes are the writer's own, and no command builds an
 ``OutcomeBranch``. ``verify``'s document is compiled at import the same way,
 one layout per check from the reference's fixed checks (name, expected,
 tolerance), and a run fills each layout with its ``Check``'s actual value
-and verdict. CSV uses RFC-4180 line endings and quoting.
+and verdict. CSV is written from a row layout behind a frozen header, with
+RFC-4180 line endings; its fields are integers, ``.15g`` numbers and Bell
+labels, so no field ever needs quoting.
 """
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
@@ -171,12 +171,6 @@ def to_json(doc, indent: str = "") -> str:
     return "".join(parts)
 
 
-def _csv(rows: list) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\r\n").writerows(rows)
-    return buf.getvalue()
-
-
 # The exact-mode document, compiled once. ``_write`` lays out each outcome's
 # branch at the branches' indent, with a placeholder at each float leaf, so
 # key order, indentation and separators are the writer's own. A run fills the
@@ -231,6 +225,27 @@ def _exact_json(pair: str, e: Ensemble) -> str:
     return _EXACT_DOC % (branches, *tail) if branches else _NO_BRANCHES % tail
 
 
+# CSV rows, each filled into a %-format behind its frozen header. No field
+# needs quoting: the fields are integers, ``.15g`` numbers and Bell labels.
+_EXACT_CSV_HEADER = "group_j,group_m,rank_l,a,b,P\r\n"
+_EXACT_CSV_ROW = "%d,%d,%d,%.15g,%.15g,%.15g\r\n"
+_SAMPLE_HEADER = ("bell_34", "bell_12", "count")
+_SAMPLE_CSV_HEADER = ",".join(_SAMPLE_HEADER) + "\r\n"
+_SAMPLE_CSV_ROW = "%s,%s,%d\r\n"
+
+
+def _exact_csv(rows) -> str:
+    """The exact-mode CSV of canonical table ``rows``."""
+    return _EXACT_CSV_HEADER + "".join([
+        _EXACT_CSV_ROW % (*r.group, r.rank, r.a, r.b, r.probability) for r in rows
+    ])
+
+
+def _sample_csv(rows) -> str:
+    """The sample-mode CSV of ``(bell_34, bell_12, count)`` rows."""
+    return _SAMPLE_CSV_HEADER + "".join([_SAMPLE_CSV_ROW % row for row in rows])
+
+
 def cmd_run(req: RunRequest) -> str:
     if problem := req.validate():
         raise UsageError(problem)
@@ -240,10 +255,7 @@ def cmd_run(req: RunRequest) -> str:
             return _exact_json(req.pair, ens)
         rows = canonical_table(ens)
         if req.fmt == "csv":
-            return _csv([("group_j", "group_m", "rank_l", "a", "b", "P")] + [
-                (*r.group, r.rank, f"{r.a:.15g}", f"{r.b:.15g}", f"{r.probability:.15g}")
-                for r in rows
-            ])
+            return _exact_csv(rows)
         lines = [f"{'group':<6}{'l':<3}{'a':>12}{'b':>12}{'P':>18}"]
         for r in rows:
             group = f"{r.group[0]}{r.group[1]}"
@@ -253,7 +265,6 @@ def cmd_run(req: RunRequest) -> str:
 
     # A numpy integer prints as the equal int: the JSON writer knows only int.
     shots, seed = int(req.shots), int(req.seed)
-    header = ("bell_34", "bell_12", "count")
     rows = [
         (l34.text, l12.text, count)
         for (l34, l12), count in sample(ens, shots=shots, seed=seed).items()
@@ -265,12 +276,12 @@ def cmd_run(req: RunRequest) -> str:
                 "mode": "sample",
                 "shots": shots,
                 "seed": seed,
-                "counts": [dict(zip(header, row)) for row in rows],
+                "counts": [dict(zip(_SAMPLE_HEADER, row)) for row in rows],
             }
         )
     if req.fmt == "csv":
-        return _csv([header, *rows])
-    return "\n".join("{:<9}{:<9}{:>9}".format(*row) for row in [header, *rows])
+        return _sample_csv(rows)
+    return "\n".join("{:<9}{:<9}{:>9}".format(*row) for row in [_SAMPLE_HEADER, *rows])
 
 
 # ``verify``'s document, compiled once from the reference's fixed checks: with
@@ -307,8 +318,10 @@ def _value(x) -> str:
     leaf = _LEAVES.get(type(x))
     if leaf is not None:
         return leaf(x)
-    if type(x) is tuple and tuple(map(type, x)) == (float, float, float):  # an (a, b, P) row
-        return _ROW % (_float(x[0]), _float(x[1]), _float(x[2]))
+    if type(x) is tuple and len(x) == 3:
+        a, b, p = x
+        if type(a) is type(b) is type(p) is float:  # an (a, b, P) row
+            return _ROW % (_float(a), _float(b), _float(p))
     return to_json(x, _VALUE_INDENT)  # raises the writer's TypeError where JSON has no form
 
 

@@ -70,27 +70,45 @@ def hamming_support(s: StateVector) -> set[int]:
     }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Check:
+    """One verdict of ``verify``.
+
+    ``__init__`` is written out, as ``CanonicalRow``'s is: it stores the
+    fields with one ``__dict__`` update, in place of the generated frozen
+    ``__init__``'s ``object.__setattr__`` per field.
+    """
+
     name: str
     expected: object
     actual: object
     tolerance: float
     passed: bool
 
+    def __init__(
+        self, name: str, expected: object, actual: object, tolerance: float, passed: bool
+    ) -> None:
+        self.__dict__.update(
+            name=name, expected=expected, actual=actual, tolerance=tolerance, passed=passed
+        )
+
 
 def _passes(expected, actual, tolerance: float) -> bool:
-    """A missing value fails, as does a tuple of the wrong length; each
-    number must be within ``tolerance``.
+    """A missing value fails, as does one of another shape than its
+    expectation: a tuple for a number, a number for a tuple, or a tuple of
+    another length. Each number must be within ``tolerance``.
 
     Written so that NaN fails: every comparison with NaN is False.
     """
     if actual is None:
         return False
     if not isinstance(expected, tuple):
-        expected, actual = (expected,), (actual,)
-    elif len(actual) != len(expected):
+        return not isinstance(actual, tuple) and abs(actual - expected) <= tolerance
+    if not isinstance(actual, tuple) or len(actual) != len(expected):
         return False
+    if len(expected) == 3:  # an (a, b, P) row, judged without a loop
+        (ea, eb, ep), (a, b, p) = expected, actual
+        return abs(a - ea) <= tolerance and abs(b - eb) <= tolerance and abs(p - ep) <= tolerance
     return all([abs(a - e) <= tolerance for e, a in zip(expected, actual)])
 
 

@@ -483,14 +483,19 @@ def sample(
     every live row's conditional thresholds, row r's offset by r << 53. Both
     go through one rank (``_rank``): a table indexed by the word's top bits
     (``_guide``), with ``searchsorted`` only for words in a bucket that
-    holds a threshold, about 0.1% of them. ``shots`` must be below 2**63,
-    and the ensemble must have a branch.
+    holds a threshold, about 0.1% of them. ``shots`` and ``seed`` are
+    integers but not bools, ``shots`` is below 2**63, and the ensemble must
+    have a branch.
     """
+    if isinstance(shots, bool):  # operator.index would read True as 1
+        raise TypeError("shots must be an integer, not bool")
     shots = operator.index(shots)
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     if shots >= 2**63:
         raise ValueError(f"shots must be < 2**63 (counts are int64), got {shots}")
+    if isinstance(seed, bool):
+        raise TypeError("seed must be an integer, not bool")
     seed = operator.index(seed)  # rejects 1.5 rather than truncating it
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must fit in 64 bits, got {seed}")

@@ -68,6 +68,36 @@ def _normalize(a: float, b: float) -> tuple[float, float]:
     return a, b
 
 
+def _compile(key: str) -> tuple[tuple, ...]:
+    """Every check of one pair as ``(name, expected, source, tolerance)``.
+
+    ``source`` keys the value the check reads: ``(group, rank)`` for a table
+    row, ``("p", group)`` for the probability of a group's first row,
+    ``("sum", group)`` for a group's summed probability, or ``"row_count"``
+    and ``"total_p"``.
+    """
+    if key == "AT":
+        checks = [("row_count", 4, "row_count", 0.0)]
+        for j, m in GROUPS:
+            checks += [
+                (f"class[{j}{m}]", (*AT_THIRD_PAIR, AT_CLASS_P[(j, m)]), ((j, m), 1), COARSE_TOL),
+                (f"class[{j}{m}].exact_p", AT_CLASS_P_EXACT[(j, m)], ("p", (j, m)), EXACT_TOL),
+            ]
+        return tuple(checks)
+    checks = [("row_count", 16, "row_count", 0.0)]
+    for j, m in GROUPS:
+        checks.append((f"group_p_sum[{j}{m}]", 0.25, ("sum", (j, m)), EXACT_TOL))
+        for rank, (a, b, p) in enumerate(GC_TABLE[(j, m)], start=1):
+            checks.append((f"row[{j}{m},l={rank}]", (*_normalize(a, b), p), ((j, m), rank),
+                           COARSE_TOL))
+    checks.append(("total_p", 1.0, "total_p", EXACT_TOL))
+    return tuple(checks)
+
+
+# The checks are fixed: only their actual values depend on the table.
+_CHECKS = {key: _compile(key) for key in ("AT", "GC")}
+
+
 def expectations(key: str, rows: Sequence[CanonicalRow]) -> Iterator[tuple]:
     """Yield ``(name, expected, actual, tolerance)`` for every check of one pair.
 
@@ -75,28 +105,34 @@ def expectations(key: str, rows: Sequence[CanonicalRow]) -> Iterator[tuple]:
     an ``(a, b, P)`` triple is checked against its reference, and
     ``actual`` is None where the table has no row for a reference entry.
     Any other key raises ``ValueError`` at the first item.
+
+    The checks are compiled at import; one pass over ``rows`` collects the
+    row of each ``(group, rank)`` (the last one of a repeated key) and each
+    group's probabilities, which ``sum`` adds in table order.
     """
     if key not in ("AT", "GC"):
         raise ValueError(f"no reference data for pair {key!r}")
-    slots = {(r.group, r.rank): (r.a, r.b, r.probability) for r in rows}
+    values: dict = {"row_count": len(rows)}
+    group_probs = {g: [] for g in GROUPS}
+    for r in rows:
+        p = r.probability
+        values[r.group, r.rank] = (r.a, r.b, p)
+        if (probs := group_probs.get(r.group)) is not None:
+            probs.append(p)
+    # The derived values are stored after the rows, so no row can stand in
+    # for one.
     if key == "AT":
-        yield "row_count", 4, len(rows), 0.0
-        for j, m in GROUPS:
-            row = slots.get(((j, m), 1))
-            yield f"class[{j}{m}]", (*AT_THIRD_PAIR, AT_CLASS_P[(j, m)]), row, COARSE_TOL
-            yield (f"class[{j}{m}].exact_p", AT_CLASS_P_EXACT[(j, m)],
-                   None if row is None else row[2], EXACT_TOL)
+        for g in GROUPS:
+            row = values.get((g, 1))
+            values["p", g] = None if row is None else row[2]
     else:
-        yield "row_count", 16, len(rows), 0.0
         total = 0.0
-        for j, m in GROUPS:
-            group_p = sum(r.probability for r in rows if r.group == (j, m))
+        for g, probs in group_probs.items():
+            group_p = values["sum", g] = sum(probs)
             total += group_p
-            yield f"group_p_sum[{j}{m}]", 0.25, group_p, EXACT_TOL
-            for rank, (a, b, p) in enumerate(GC_TABLE[(j, m)], start=1):
-                yield (f"row[{j}{m},l={rank}]", (*_normalize(a, b), p),
-                       slots.get(((j, m), rank)), COARSE_TOL)
-        yield "total_p", 1.0, total, EXACT_TOL
+        values["total_p"] = total
+    for name, expected, source, tol in _CHECKS[key]:
+        yield name, expected, values.get(source), tol
 
 
 def dump() -> dict:

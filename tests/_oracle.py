@@ -6,11 +6,13 @@ path from the package (which uses axis contractions), so agreement is a
 meaningful check. Shares only the public conventions: qubit 1 = MSB, the
 Bell labeling, the V construction, and the recognition-target definitions.
 
-The one exception is ``branch_swap``/``branch_table``/``branch_ensemble_doc``
-at the end: a frozen copy of the package's own swap, canonical table and
-exact-mode JSON document from when they read a list of ``OutcomeBranch``
-objects. The array ensemble must reproduce them bit for bit, errors
-included.
+The exceptions are at the end. ``branch_swap``/``branch_table``/
+``branch_ensemble_doc`` are a frozen copy of the package's own swap,
+canonical table and exact-mode JSON document from when they read a list of
+``OutcomeBranch`` objects; the array ensemble must reproduce them bit for
+bit, errors included. ``expectations`` is a frozen copy of
+``reference.expectations`` from before its checks were compiled at import;
+the compiled checks must yield the same items, bit for bit.
 """
 from __future__ import annotations
 
@@ -345,3 +347,61 @@ def branch_ensemble_doc(pair, e):
             }
         )
     return {"pair": pair, "mode": "exact", "branches": branches, "dropped_mass": e.dropped_mass}
+
+
+# --- The per-call reference checks, kept verbatim as the bit-level reference ---
+
+
+def _normalize(a, b):
+    if a < 0 or (a == 0 and b < 0):
+        return -a, -b
+    return a, b
+
+
+def expectations(key, rows):
+    """``reference.expectations`` as it formatted each check and summed each
+    group with its own pass over ``rows``, on every call."""
+    from dnaswap.reference import (
+        AT_CLASS_P,
+        AT_CLASS_P_EXACT,
+        AT_THIRD_PAIR,
+        COARSE_TOL,
+        EXACT_TOL,
+        GC_TABLE,
+        GROUPS,
+    )
+
+    if key not in ("AT", "GC"):
+        raise ValueError(f"no reference data for pair {key!r}")
+    slots = {(r.group, r.rank): (r.a, r.b, r.probability) for r in rows}
+    if key == "AT":
+        yield "row_count", 4, len(rows), 0.0
+        for j, m in GROUPS:
+            row = slots.get(((j, m), 1))
+            yield f"class[{j}{m}]", (*AT_THIRD_PAIR, AT_CLASS_P[(j, m)]), row, COARSE_TOL
+            yield (f"class[{j}{m}].exact_p", AT_CLASS_P_EXACT[(j, m)],
+                   None if row is None else row[2], EXACT_TOL)
+    else:
+        yield "row_count", 16, len(rows), 0.0
+        total = 0.0
+        for j, m in GROUPS:
+            group_p = sum(r.probability for r in rows if r.group == (j, m))
+            total += group_p
+            yield f"group_p_sum[{j}{m}]", 0.25, group_p, EXACT_TOL
+            for rank, (a, b, p) in enumerate(GC_TABLE[(j, m)], start=1):
+                yield (f"row[{j}{m},l={rank}]", (*_normalize(a, b), p),
+                       slots.get(((j, m), rank)), COARSE_TOL)
+        yield "total_p", 1.0, total, EXACT_TOL
+
+
+def passes(expected, actual, tolerance):
+    """``metrics._passes`` as it judged every check through one loop; it
+    raised on a value of another shape than its expectation, which
+    ``expectations`` never yields."""
+    if actual is None:
+        return False
+    if not isinstance(expected, tuple):
+        expected, actual = (expected,), (actual,)
+    elif len(actual) != len(expected):
+        return False
+    return all([abs(a - e) <= tolerance for e, a in zip(expected, actual)])

@@ -10,6 +10,7 @@ import math
 import subprocess
 import sys
 from decimal import ROUND_HALF_EVEN, Decimal
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -23,7 +24,9 @@ from dnaswap.cli import (
     PAIRS,
     RunRequest,
     UsageError,
+    _exact_csv,
     _exact_json,
+    _sample_csv,
     _verify_json,
     cmd_inspect,
     cmd_recognize,
@@ -35,7 +38,7 @@ from dnaswap.cli import (
 from dnaswap.encodings import BaseCode, wc_initial_pattern
 from dnaswap.gates import BELL_LABELS
 from dnaswap.metrics import verify_against_reference
-from dnaswap.protocol import ProtocolConfig, run_pair, swap
+from dnaswap.protocol import ProtocolConfig, canonical_table, run_pair, swap
 from dnaswap.statevec import StateVector
 
 
@@ -349,6 +352,62 @@ def test_exact_json_matches_the_branch_oracle_on_random_registers(kind, seed, co
     out = assert_json_matches_the_branch_oracle("AT", ens)
     if kind == "real" and conjugate:
         assert '"a_im": -0.0' in out
+
+
+# --- CSV, filled into row layouts ---
+
+
+def csv_writer_bytes(rows) -> str:
+    """``rows`` as ``csv.writer`` writes them, RFC-4180 quoting included."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerows(rows)
+    return buf.getvalue()
+
+
+# Numbers ``.15g`` writes in exponent form, a negative zero, and the non-finite.
+ODD_NUMBERS = st.sampled_from([1e-05, -2.5e-07, 5e-324, 1.5e16, -0.0, math.inf, math.nan])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pair=st.sampled_from(ORIENTATIONS),
+    theta=ANGLES,
+    phi=ANGLES,
+    cleared=st.sets(st.integers(0, 15), max_size=16),
+    odd=st.dictionaries(
+        st.tuples(st.integers(0, 15), st.sampled_from(["a", "b", "probability"])), ODD_NUMBERS
+    ),
+)
+@example(pair="GC", theta=protocol.DEFAULT_THETA, phi=protocol.DEFAULT_PHI, cleared=set(),
+         odd={(0, "a"): -0.0, (0, "b"): 1e-05, (0, "probability"): 1e-05})
+def test_exact_csv_writes_the_bytes_of_csv_writer(pair, theta, phi, cleared, odd):
+    ens = run_pair(BaseCode(pair[0]), BaseCode(pair[1]), ProtocolConfig(theta=theta, phi=phi))
+    keep = ens.keep.copy()
+    keep[sorted(cleared)] = False
+    rows = canonical_table(dataclasses.replace(ens, keep=keep))
+    # Some fields replaced by odd numbers, in rows free of CanonicalRow's checks.
+    rows = [SimpleNamespace(**vars(r)) for r in rows]
+    for (i, field), x in odd.items():
+        if i < len(rows):
+            setattr(rows[i], field, x)
+    header = ("group_j", "group_m", "rank_l", "a", "b", "P")
+    want = csv_writer_bytes([header] + [
+        (*r.group, r.rank, f"{r.a:.15g}", f"{r.b:.15g}", f"{r.probability:.15g}") for r in rows
+    ])
+    assert _exact_csv(rows) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    counts=st.dictionaries(
+        st.tuples(st.sampled_from(BELL_LABELS), st.sampled_from(BELL_LABELS)),
+        st.integers(0, 2**63 - 1),
+        max_size=16,
+    )
+)
+def test_sample_csv_writes_the_bytes_of_csv_writer(counts):
+    rows = [(l34.text, l12.text, count) for (l34, l12), count in counts.items()]
+    assert _sample_csv(rows) == csv_writer_bytes([("bell_34", "bell_12", "count"), *rows])
 
 
 def test_json_verify_and_inspect_build_no_outcome_branch(monkeypatch):

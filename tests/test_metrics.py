@@ -3,10 +3,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import _oracle as oracle
+from dnaswap import metrics, reference
 from dnaswap.encodings import BaseCode
 from dnaswap.gates import BELL_LABELS, BellLabel, bell_state
 from dnaswap.metrics import (
@@ -212,10 +218,64 @@ def test_gc_missing_branch_fails_its_groups_last_row(gc_ensemble):
         # A row of the wrong length fails: zip would judge only the shared prefix.
         ((1.0, 2.0, 3.0), (1.0, 2.0), 0.1, False),
         ((1.0, 2.0), (1.0, 2.0, 3.0), 0.1, False),
+        # So does a value of the other shape: a number for a row, a row for a number.
+        ((1.0, 2.0), 0.5, 0.1, False),
+        (0.5, (0.5,), 0.1, False),
+        ((0.0, 1.0, 0.5), 0.5, 0.25, False),
+        (0.25, (0.0, 1.0, 0.25), 0.25, False),
     ],
 )
 def test_pass_rule(expected, actual, tol, passed):
     assert _passes(expected, actual, tol) is passed
+
+
+class Row(NamedTuple):
+    """A canonical row without ``CanonicalRow``'s checks: any rank, NaN, any sign."""
+
+    group: tuple[int, int]
+    rank: int
+    a: float
+    b: float
+    probability: float
+
+
+NUMBERS = st.floats() | st.sampled_from([0.0, -0.0, 0.1, 0.2, 0.25, 0.3, 1e-05, math.nan])
+ROWS = st.lists(
+    st.builds(
+        Row,
+        # GROUPS and groups outside it; ranks above 4, and few enough values
+        # that ranks go missing and (group, rank) keys repeat.
+        group=st.tuples(st.integers(0, 2), st.integers(0, 1)),
+        rank=st.integers(1, 6),
+        a=NUMBERS,
+        b=NUMBERS,
+        probability=NUMBERS,
+    ),
+    max_size=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=ROWS)
+@example(rows=[])
+@example(rows=[Row(g, 1, 0.0, 1.0, -0.0) for g in reference.GROUPS])
+# 0.1 + 0.2 + 0.3 is not 0.3 + 0.2 + 0.1: each group is summed in table order.
+@example(rows=[Row((0, 0), rank, 0.0, 1.0, p) for rank, p in enumerate([0.1, 0.2, 0.3], 1)])
+def test_compiled_expectations_yield_the_per_call_generators_items(rows):
+    # Item for item by repr, so an int 0 group sum, a -0.0 and a NaN count too.
+    for key in ("AT", "GC"):
+        want = list(oracle.expectations(key, rows))
+        assert list(map(repr, reference.expectations(key, rows))) == list(map(repr, want))
+        with mock.patch.object(metrics, "canonical_table", lambda e: rows):
+            checks = verify_against_reference(key, None)
+        assert [repr(tuple(vars(c).values())) for c in checks] == [
+            repr((name, expected, actual, tol, oracle.passes(expected, actual, tol)))
+            for name, expected, actual, tol in want
+        ]
+    for key in ("TA", "CG", "XY", ""):
+        items = reference.expectations(key, rows)
+        with pytest.raises(ValueError, match=f"no reference data for pair {key!r}"):
+            next(items)
 
 
 def test_verification_rejects_unlabeled_or_unknown_pairs(at_ensemble, cfg):

@@ -972,6 +972,10 @@ def test_sample_validates_arguments(at_ensemble):
         sample(at_ensemble, shots=1, seed=2**64)
     with pytest.raises(TypeError):
         sample(at_ensemble, shots=1, seed=1.5)
+    # A bool is not a count or a seed, though operator.index reads True as 1.
+    for shots, seed in [(True, 1), (False, 1), (1, True), (1, False), (True, False)]:
+        with pytest.raises(TypeError, match="not bool"):
+            sample(at_ensemble, shots=shots, seed=seed)
 
 
 def test_sample_rejects_an_ensemble_with_no_branches(gc_ensemble, monkeypatch):
