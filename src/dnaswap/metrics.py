@@ -94,9 +94,10 @@ class Check:
 
 
 def _passes(expected, actual, tolerance: float) -> bool:
-    """A missing value fails, as does one of another shape than its
-    expectation: a tuple for a number, a number for a tuple, or a tuple of
-    another length. Each number must be within ``tolerance``.
+    """A check is a number or an ``(a, b, P)`` triple. A missing value
+    fails, as does one of another shape than its expectation: a tuple for a
+    number, a number for a tuple, or a tuple that is not a triple. Each
+    number must be within ``tolerance``.
 
     Written so that NaN fails: every comparison with NaN is False.
     """
@@ -104,12 +105,10 @@ def _passes(expected, actual, tolerance: float) -> bool:
         return False
     if not isinstance(expected, tuple):
         return not isinstance(actual, tuple) and abs(actual - expected) <= tolerance
-    if not isinstance(actual, tuple) or len(actual) != len(expected):
+    if not isinstance(actual, tuple) or len(actual) != 3 or len(expected) != 3:
         return False
-    if len(expected) == 3:  # an (a, b, P) row, judged without a loop
-        (ea, eb, ep), (a, b, p) = expected, actual
-        return abs(a - ea) <= tolerance and abs(b - eb) <= tolerance and abs(p - ep) <= tolerance
-    return all([abs(a - e) <= tolerance for e, a in zip(expected, actual)])
+    (ea, eb, ep), (a, b, p) = expected, actual
+    return abs(a - ea) <= tolerance and abs(b - eb) <= tolerance and abs(p - ep) <= tolerance
 
 
 def verify_against_reference(pair: str, e: Ensemble) -> list[Check]:

@@ -107,13 +107,13 @@ def expectations(key: str, rows: Sequence[CanonicalRow]) -> Iterator[tuple]:
     Any other key raises ``ValueError`` at the first item.
 
     The checks are compiled at import; one pass over ``rows`` collects the
-    row of each ``(group, rank)`` (the last one of a repeated key) and each
-    group's probabilities, which ``sum`` adds in table order.
+    row of each ``(group, rank)`` (the last one of a repeated key) and, for
+    G.C, each group's probabilities, which ``sum`` adds in table order.
     """
     if key not in ("AT", "GC"):
         raise ValueError(f"no reference data for pair {key!r}")
-    values: dict = {"row_count": len(rows)}
-    group_probs = {g: [] for g in GROUPS}
+    values: dict = {}
+    group_probs = {g: [] for g in GROUPS} if key == "GC" else {}
     for r in rows:
         p = r.probability
         values[r.group, r.rank] = (r.a, r.b, p)
@@ -121,6 +121,7 @@ def expectations(key: str, rows: Sequence[CanonicalRow]) -> Iterator[tuple]:
             probs.append(p)
     # The derived values are stored after the rows, so no row can stand in
     # for one.
+    values["row_count"] = len(rows)
     if key == "AT":
         for g in GROUPS:
             row = values.get((g, 1))

@@ -218,6 +218,9 @@ def test_gc_missing_branch_fails_its_groups_last_row(gc_ensemble):
         # A row of the wrong length fails: zip would judge only the shared prefix.
         ((1.0, 2.0, 3.0), (1.0, 2.0), 0.1, False),
         ((1.0, 2.0), (1.0, 2.0, 3.0), 0.1, False),
+        # A check is a number or a triple: any other tuple fails, even an equal one.
+        ((1.0, 2.0), (1.0, 2.0), 0.1, False),
+        ((1.0, 2.0, 3.0, 4.0), (1.0, 2.0, 3.0, 4.0), 0.1, False),
         # So does a value of the other shape: a number for a row, a row for a number.
         ((1.0, 2.0), 0.5, 0.1, False),
         (0.5, (0.5,), 0.1, False),
