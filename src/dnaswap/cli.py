@@ -4,14 +4,14 @@ Exit codes are a stable contract: 0 success, 1 verification failure,
 2 usage or input error (a ``cmd_*`` function called directly raises
 ``UsageError`` for it), 141 stdout closed by its reader before the output
 was written (128 + SIGPIPE, as a shell reports a tool that SIGPIPE ends).
-JSON is written in one pass into one list of parts: the bytes of
-``json.dumps(doc, sort_keys=True, indent=2)`` (so ASCII-escaped) with every
-float quantized to 15 significant digits, so parse/re-serialize round-trips
-are byte-identical. The exact-mode document's shape is fixed by the 16
-outcomes, so the writer compiles it at import into one text layout per
-outcome, and a run fills the kept outcomes' layouts with the numbers of the
-ensemble's arrays: the bytes are the writer's own, and no command builds an
-``OutcomeBranch``. ``verify``'s document is compiled at import the same way,
+JSON is ``to_json``'s: ``json.dumps(doc, sort_keys=True, indent=2)`` (so
+ASCII-escaped) of a copy of the document with every float quantized to 15
+significant digits, so parse/re-serialize round-trips are byte-identical.
+The exact-mode document's shape is fixed by the 16 outcomes, so it is
+compiled through ``to_json`` at import into one text layout per outcome,
+and a run fills the kept outcomes' layouts with the numbers of the
+ensemble's arrays, each written as ``to_json`` writes it: no command builds
+an ``OutcomeBranch``. ``verify``'s document is compiled at import the same way,
 one layout per check from the reference's fixed checks (name, expected,
 tolerance), and a run fills each layout with its ``Check``'s actual value
 and verdict. CSV is written from a row layout behind a frozen header, with
@@ -108,8 +108,7 @@ def _float(x: float) -> str:
     return text if "." in text else text + ".0"
 
 
-# Writers of the leaves whose exact type is a JSON scalar; subclasses (numpy
-# floats, IntEnum members) and containers take ``_write``'s isinstance chain.
+# Writers of the leaves whose exact type is a JSON scalar, for ``_value``.
 _LEAVES = {
     str: encode_basestring_ascii,
     float: _float,
@@ -119,62 +118,27 @@ _LEAVES = {
 }
 
 
-def _write(obj, indent: str, write) -> None:
-    """Append ``obj``'s JSON at nesting ``indent``; leaf items are written inline."""
-    leaf = _LEAVES.get(type(obj))
-    if leaf is not None:
-        write(leaf(obj))
-    elif isinstance(obj, str):
-        write(encode_basestring_ascii(obj))
-    elif isinstance(obj, float):
-        write(_float(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            write("{}")
-            return
-        inner = indent + "  "
-        sep = "{\n" + inner
-        for k in sorted(obj):
-            v = obj[k]
-            leaf = _LEAVES.get(type(v))
-            if leaf is None:
-                write(f"{sep}{encode_basestring_ascii(k)}: ")
-                _write(v, inner, write)
-            else:
-                write(f"{sep}{encode_basestring_ascii(k)}: {leaf(v)}")
-            sep = ",\n" + inner
-        write(f"\n{indent}}}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            write("[]")
-            return
-        inner = indent + "  "
-        sep = "[\n" + inner
-        for v in obj:
-            leaf = _LEAVES.get(type(v))
-            if leaf is None:
-                write(sep)
-                _write(v, inner, write)
-            else:
-                write(sep + leaf(v))
-            sep = ",\n" + inner
-        write(f"\n{indent}]")
-    elif isinstance(obj, int):
-        write(int.__repr__(obj))
-    else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+def _quantized(obj):
+    """A copy of ``obj`` with every float rounded to 15 significant digits."""
+    if isinstance(obj, float):
+        return float(f"{obj:.15g}")
+    if isinstance(obj, dict):
+        return {k: _quantized(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_quantized(v) for v in obj]
+    return obj
 
 
 def to_json(doc, indent: str = "") -> str:
-    parts: list[str] = []
-    _write(doc, indent, parts.append)
-    return "".join(parts)
+    """``doc``'s JSON, each line after the first indented by ``indent``."""
+    text = json.dumps(_quantized(doc), sort_keys=True, indent=2)
+    return text.replace("\n", "\n" + indent) if indent else text
 
 
-# The exact-mode document, compiled once. ``_write`` lays out each outcome's
+# The exact-mode document, compiled once. ``to_json`` lays out each outcome's
 # branch at the branches' indent, with a placeholder at each float leaf, so
-# key order, indentation and separators are the writer's own. A run fills the
-# placeholders in sorted-key order: probability, a_im, a_re, b_im, b_re.
+# key order, indentation and separators are ``json.dumps``'s own. A run fills
+# the placeholders in sorted-key order: probability, a_im, a_re, b_im, b_re.
 _SLOT = "\x00"
 _FIELD = to_json(_SLOT)
 
@@ -263,7 +227,7 @@ def cmd_run(req: RunRequest) -> str:
         lines.append(f"dropped_mass {ens.dropped_mass:.3e}")
         return "\n".join(lines)
 
-    # A numpy integer prints as the equal int: the JSON writer knows only int.
+    # A numpy integer prints as the equal int, which json.dumps can encode.
     shots, seed = int(req.shots), int(req.seed)
     rows = [
         (l34.text, l12.text, count)
@@ -322,7 +286,7 @@ def _value(x) -> str:
         a, b, p = x
         if type(a) is type(b) is type(p) is float:  # an (a, b, P) row
             return _ROW % (_float(a), _float(b), _float(p))
-    return to_json(x, _VALUE_INDENT)  # raises the writer's TypeError where JSON has no form
+    return to_json(x, _VALUE_INDENT)  # raises json's TypeError where JSON has no form
 
 
 def _verify_json(reports) -> str:
@@ -396,7 +360,7 @@ def cmd_inspect(pair: str, stage: str) -> str:
 
 
 def cmd_recognize(pattern: str, tautomers: bool) -> str:
-    if len(pattern) != 2 or any(c not in "01" for c in pattern):
+    if not isinstance(pattern, str) or len(pattern) != 2 or any(c not in "01" for c in pattern):
         raise UsageError(f"--pattern must be 2 bits, got {pattern!r}")
     edge = EdgePattern("H", tuple(int(c) for c in pattern))
     matches = recognition_matches(edge, include_rare=tautomers)

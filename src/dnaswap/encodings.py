@@ -62,9 +62,12 @@ class EdgePattern:
         if self.edge not in ("H", "WC"):
             raise ValueError(f"edge must be 'H' or 'WC', got {self.edge!r}")
         want = 2 if self.edge == "H" else 3
-        # A bit is an int 0 or 1; a bool is refused, since it would print as "True".
-        bad = any(type(b) is not int or b not in (0, 1) for b in self.bits)
-        if len(self.bits) != want or bad:
+        # Bits are a tuple, so the pattern hashes; a bit is an int 0 or 1, and a
+        # bool is refused, since it would print as "True".
+        bad = not isinstance(self.bits, tuple) or any(
+            type(b) is not int or b not in (0, 1) for b in self.bits
+        )
+        if bad or len(self.bits) != want:
             raise ValueError(f"edge {self.edge} takes {want} bits, got {self.bits}")
 
     @property

@@ -73,6 +73,11 @@ class ProtocolConfig:
     phi: float = DEFAULT_PHI
 
     def __post_init__(self) -> None:
+        for name in ("theta", "phi"):
+            angle = getattr(self, name)
+            # A bool passes the finiteness check, and True would run at 1 rad.
+            if isinstance(angle, (bool, np.bool_)):
+                raise ValueError(f"{name} must be a number, not a bool, got {angle!r}")
         if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
             raise ValueError("theta and phi must be finite")
 

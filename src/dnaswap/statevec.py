@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -110,6 +111,11 @@ def reduced_density(s: StateVector, keep: Iterable[int]) -> DensityMatrix:
 
     Row/column bit order follows ascending original qubit position.
     """
+    keep = list(keep)
+    for q in keep:
+        # 1.5 would fail in reshape, and 2.0 and True would pass as qubits 2 and 1.
+        if isinstance(q, bool) or not isinstance(q, Integral):
+            raise ValueError(f"qubit {q!r} must be an int")
     keep_sorted = sorted(set(keep))
     n = s.num_qubits
     if not keep_sorted:

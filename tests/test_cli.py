@@ -26,7 +26,10 @@ from dnaswap.cli import (
     UsageError,
     _exact_csv,
     _exact_json,
+    _VALUE_INDENT,
+    _float,
     _sample_csv,
+    _value,
     _verify_json,
     cmd_inspect,
     cmd_recognize,
@@ -424,7 +427,7 @@ def test_json_verify_and_inspect_build_no_outcome_branch(monkeypatch):
         run_pair(*PAIRS["GC"]).branches
 
 
-# --- the JSON writer ---
+# --- the JSON encoder ---
 
 FLOATS = st.one_of(
     st.floats(),
@@ -465,9 +468,9 @@ class Items(list):
     pass
 
 
-# Exact scalar types take the writer's type table, inline inside a list or a
-# dict; their subclasses (numpy floats, IntEnum members, str subclasses) and
-# container subclasses take its isinstance chain.
+# Each JSON scalar type and its subclasses (numpy floats, IntEnum members, str
+# subclasses), inside tuples, lists, dicts and their subclasses: the quantized
+# copy ``to_json`` dumps must keep what ``json.dumps`` writes of each.
 SCALARS = FLOATS | INTS | TEXT | TEXT.map(Text) | st.sampled_from(Level) | st.booleans() | st.none()
 DOCS = st.recursive(
     SCALARS,
@@ -490,7 +493,7 @@ def test_to_json_writes_the_bytes_of_the_json_dumps_oracle(doc):
 
 def test_to_json_rejects_a_value_json_cannot_encode():
     # np.bool_ is not a bool subclass: json.dumps refuses it as a leaf, a
-    # list item and a dict value, and so must the writer.
+    # list item and a dict value, and so must to_json.
     flag = np.bool_(True)
     for doc, name in [
         ({"branches": [{"corrections": {"x45"}}]}, "set"),
@@ -503,6 +506,23 @@ def test_to_json_rejects_a_value_json_cannot_encode():
             to_json(doc)
         with pytest.raises(TypeError, match=message):
             oracle.to_json(doc)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(x=FLOATS)
+@example(x=1.7976931348623151e308)  # rounds past the largest float: JSON's Infinity
+def test_float_writes_the_bytes_of_the_json_dumps_oracle(x):
+    # Every exact-mode and verify float is written by _float, not by to_json.
+    assert _float(x) == oracle.to_json(x)
+
+
+@pytest.mark.parametrize(
+    "x", [None, True, False, 7, -(2**70), (1 / 3, -0.0, 2 / 3)],
+    ids=["none", "true", "false", "int", "big-int", "row"],
+)
+def test_value_writes_the_bytes_of_the_json_dumps_oracle(x):
+    # A check's actual value or verdict, at the indent of its check's values.
+    assert _value(x) == oracle.to_json(x).replace("\n", "\n" + _VALUE_INDENT)
 
 
 # --- run, sample mode ---
@@ -651,11 +671,15 @@ def test_run_request_validation_messages():
         ),
         (lambda: cmd_recognize("2x", False), "--pattern must be 2 bits, got '2x'"),
         (lambda: cmd_recognize("012", False), "--pattern must be 2 bits, got '012'"),
+        # Two items of 0 and 1 that are not a str.
+        (lambda: cmd_recognize(b"01", False), "--pattern must be 2 bits, got b'01'"),
+        (lambda: cmd_recognize(["0", "1"], False), "--pattern must be 2 bits, got ['0', '1']"),
     ],
     ids=["run-pair", "inspect-pair", "run-mode", "run-mode-with-shots", "run-fractional-shots",
          "run-exact-fractional-seed", "run-sample-fractional-seed", "run-bool-shots",
          "run-bool-seed",
-         "recognize-full-width", "recognize-letter", "recognize-three-bits"],
+         "recognize-full-width", "recognize-letter", "recognize-three-bits",
+         "recognize-bytes", "recognize-list"],
 )
 def test_programmatic_calls_raise_the_validate_message(call, message):
     # Callers that skip ``main`` get the UsageError (a ValueError) that main
@@ -795,7 +819,7 @@ def test_verify_json_refuses_a_check_it_was_not_compiled_for():
         _verify_json([("GC", checks[:-1])])
     with pytest.raises(ValueError):  # the checks of the other pair
         _verify_json([("AT", checks)])
-    # An actual that JSON cannot encode raises the writer's own TypeError.
+    # An actual that JSON cannot encode raises json.dumps's own TypeError.
     odd = dataclasses.replace(first, actual={16})
     with pytest.raises(TypeError, match="Object of type set is not JSON serializable"):
         _verify_json([("GC", [odd, *checks[1:]])])

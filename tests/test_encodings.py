@@ -141,7 +141,10 @@ def test_edge_pattern_validation():
         EdgePattern("S", (1, 0))
 
 
-@pytest.mark.parametrize("bits", [(True, False), (1, True), (1, 2), (1.0, 0), ("1", "0")])
+# A list would construct and then fail to hash; a string is not a tuple either.
+@pytest.mark.parametrize(
+    "bits", [(True, False), (1, True), (1, 2), (1.0, 0), ("1", "0"), [0, 1], "01"]
+)
 def test_edge_pattern_refuses_bits_that_are_not_int_0_or_1(bits):
     with pytest.raises(ValueError, match=r"^edge H takes 2 bits, got "):
         EdgePattern("H", bits)

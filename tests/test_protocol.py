@@ -202,12 +202,18 @@ def test_config_rejects_non_finite_angles():
     for bad in (
         {"theta": float("inf")},
         {"phi": float("nan")},
+        # A bool is finite, but True would run at 1 rad.
+        {"theta": True},
+        {"phi": False},
+        {"theta": np.bool_(True)},
     ):
         with pytest.raises(ValueError):
             ProtocolConfig(**bad)
     with pytest.raises(TypeError):
         ProtocolConfig(bell_convention="b00=(00+11)/sqrt2")
     assert [f.name for f in dataclasses.fields(ProtocolConfig)] == ["theta", "phi"]
+    # numpy floats and ints are angles.
+    assert ProtocolConfig(theta=np.float64(0.5), phi=np.int64(1)).theta == 0.5
 
 
 # --- pair assembly ---

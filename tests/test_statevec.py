@@ -1,6 +1,8 @@
 """State-vector core: construction, the interleave, Bell outcomes, reduced and density matrices."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,21 @@ def test_reducing_to_all_qubits_gives_projector():
 def test_reduced_density_rejects_empty_subset():
     with pytest.raises(ValueError, match="non-empty"):
         reduced_density(basis_state("00"), ())
+
+
+@pytest.mark.parametrize("q", [1.5, 2.0, True, False, np.float64(1.0), "1", None])
+def test_reduced_density_rejects_a_qubit_that_is_not_an_int(q):
+    with pytest.raises(ValueError, match=rf"^qubit {re.escape(repr(q))} must be an int$"):
+        reduced_density(basis_state("00"), [q])
+    with pytest.raises(ValueError, match="must be an int"):
+        reduced_density(basis_state("00"), [1, q])
+
+
+def test_reduced_density_accepts_numpy_integer_qubits():
+    s = basis_state("01")
+    rho = reduced_density(s, [np.int64(2)])
+    assert np.array_equal(rho.matrix, reduced_density(s, [2]).matrix)
+    assert np.array_equal(rho.matrix, np.diag([0.0, 1.0]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
