@@ -1,7 +1,7 @@
 """Exact state-vector simulation of DNA base pairing as entanglement swapping."""
 
 from .encodings import BaseCode, EdgePattern, UnsupportedEncodingError
-from .gates import BellLabel, Gate
+from .gates import BellLabel
 from .protocol import (
     CanonicalRow,
     Ensemble,
@@ -26,7 +26,6 @@ __all__ = [
     "DensityMatrix",
     "EdgePattern",
     "Ensemble",
-    "Gate",
     "OutcomeBranch",
     "ProtocolConfig",
     "StateVector",

@@ -293,16 +293,17 @@ def _verify_json(reports) -> str:
     """``verify``'s document for one or more ``(pair, checks)`` items.
 
     Each check fills the layout compiled for it; a check whose name, expected
-    value or tolerance is not its layout's raises ``ValueError``, so no
-    reference value is printed for a check it was not compiled from.
+    value or tolerance is not the very object its layout holds raises
+    ``ValueError``, so no reference value is printed for another check, nor
+    for an equal one of another form (16.0 for 16, -0.0 for 0.0).
     """
     texts = []
     overall = True
     for pair, checks in reports:
         filled = []
-        for c, (key, layout) in zip(checks, _CHECK_LAYOUTS[pair], strict=True):
-            if (c.name, c.expected, c.tolerance) != key:
-                raise ValueError(f"{pair} check {c.name!r} is not the reference's {key[0]!r}")
+        for c, ((name, expected, tol), layout) in zip(checks, _CHECK_LAYOUTS[pair], strict=True):
+            if c.name is not name or c.expected is not expected or c.tolerance is not tol:
+                raise ValueError(f"{pair} check {c.name!r} is not the reference's {name!r}")
             filled.append(layout % (_value(c.actual), _value(c.passed)))
         passed = all(c.passed for c in checks)
         overall = overall and passed

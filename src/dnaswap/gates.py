@@ -12,32 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevec import NORM_ATOL, StateVector, _readonly
+from .statevec import StateVector, _readonly
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
-
-
-@dataclass(eq=False)
-class Gate:
-    """Unitary on 2 or 3 qubits, validated at construction.
-
-    The package builds two: the entangler V on 2 qubits and the recognition
-    unitary U on 3.
-    """
-
-    name: str
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        mat = np.asarray(self.matrix, dtype=complex).copy()
-        if mat.shape not in ((4, 4), (8, 8)):
-            raise ValueError(f"gate matrix must be 4x4 or 8x8, got {mat.shape}")
-        if not np.all(np.isfinite(mat)):
-            raise ValueError(f"gate {self.name!r} has a non-finite entry")
-        dev = np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))
-        if dev > NORM_ATOL:
-            raise ValueError(f"gate {self.name!r} is not unitary (deviation {dev:.3e})")
-        self.matrix = _readonly(mat)
 
 
 @dataclass(frozen=True)
@@ -61,8 +38,9 @@ class BellLabel:
 BELL_LABELS = (BellLabel(0, 0), BellLabel(0, 1), BellLabel(1, 0), BellLabel(1, 1))
 
 
-def equality_entangler() -> Gate:
-    """Two-qubit gate V: entangles a pair exactly when its bits are equal.
+def equality_entangler() -> np.ndarray:
+    """Two-qubit gate V, a read-only 4x4 matrix: entangles a pair exactly
+    when its bits are equal.
 
     Identity on span{|01>, |10>}; Hadamard-type action on the equal-bit
     subspace: |00> -> (|00>+|11>)/sqrt2 and |11> -> (|00>-|11>)/sqrt2.
@@ -77,7 +55,7 @@ def equality_entangler() -> Gate:
         ],
         dtype=complex,
     )
-    return Gate("V", mat)
+    return _readonly(mat)
 
 
 def bell_state(label: BellLabel) -> StateVector:

@@ -75,8 +75,10 @@ def basis_state(bits: str | Sequence[int]) -> StateVector:
     amps = np.zeros(2**n, dtype=complex)
     idx = 0
     for b in bits:
-        if b not in (0, 1):
-            raise ValueError(f"bits must be 0 or 1, got {b}")
+        # An int 0 or 1, as in ``EdgePattern``: True would pass as 1, and 1.0
+        # would fail in ``|`` with a bare TypeError.
+        if type(b) is not int or b not in (0, 1):
+            raise ValueError(f"bits must be the ints 0 or 1, got {b!r}")
         idx = (idx << 1) | b
     amps[idx] = 1.0
     return StateVector(n, amps)

@@ -93,7 +93,7 @@ def bell_projector(label: tuple[int, int], pair: tuple[int, int], n: int) -> np.
     return embed_two(np.outer(b, b.conj()), pair[0], pair[1], n)
 
 
-def build_u(completion: str = "ascending") -> np.ndarray:
+def build_u() -> np.ndarray:
     """Recognition unitary at the default angles, by column assignment."""
     u = np.zeros((8, 8), dtype=complex)
     u[:, 0b101] = (ket("011") - ket("101")) / S2
@@ -102,11 +102,10 @@ def build_u(completion: str = "ascending") -> np.ndarray:
     u[:, 0b100] = (ket("100") - ket("010") + ket("001")) / S3
     assigned = [0b101, 0b010, 0b011, 0b100]
     free = [i for i in range(8) if i not in assigned]
-    order = free if completion == "ascending" else free[::-1]
     fixed = [u[:, k] for k in assigned]
-    for idx, cand in zip(free, order):
+    for idx in free:
         v = np.zeros(8, dtype=complex)
-        v[cand] = 1.0
+        v[idx] = 1.0
         for c in fixed:
             v = v - np.vdot(c, v) * c
         v = v / np.linalg.norm(v)

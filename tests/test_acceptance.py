@@ -13,7 +13,7 @@ import numpy as np
 
 import _oracle as oracle
 from dnaswap.encodings import BaseCode, wc_initial_pattern, wc_initial_state
-from dnaswap.gates import Gate, bell_basis, equality_entangler
+from dnaswap.gates import bell_basis, equality_entangler
 from dnaswap.metrics import concurrence, entanglement_entropy, hamming_support
 from dnaswap.protocol import (
     DEFAULT_PHI,
@@ -29,7 +29,7 @@ from dnaswap.protocol import (
 )
 from dnaswap import protocol
 from dnaswap.cli import cmd_verify
-from dnaswap.statevec import PRUNE_DEFAULT, StateVector, reduced_density
+from dnaswap.statevec import NORM_ATOL, PRUNE_DEFAULT, StateVector, reduced_density
 
 S2 = math.sqrt(2.0)
 P_HI = (2.0 + S2) / 8.0
@@ -173,14 +173,14 @@ def test_criterion_7_completion_independence():
         pinned = [int(wc_initial_pattern(BaseCode(b)).text, 2) for b in "ATGC"]
         free = [i for i in range(8) if i not in pinned]
         u_lib = build_recognition_unitary(cfg)
-        mixed = u_lib.matrix.copy()
-        mixed[:, free] = mixed[:, free] @ mix
-        u_alt = Gate("U_alt", mixed)
-        assert np.max(np.abs(u_lib.matrix - u_alt.matrix)) > 1e-3  # genuinely different
+        u_alt = u_lib.copy()
+        u_alt[:, free] = u_alt[:, free] @ mix
+        assert np.max(np.abs(u_alt.conj().T @ u_alt - np.eye(8))) <= NORM_ATOL  # a unitary
+        assert np.max(np.abs(u_lib - u_alt)) > 1e-3  # genuinely different
         for template, incoming in ((BaseCode("A"), BaseCode("T")), (BaseCode("G"), BaseCode("C"))):
             states, tables = [], []
             for u in (u_lib, u_alt):
-                faces = [u.matrix @ wc_initial_state(b).amplitudes for b in (template, incoming)]
+                faces = [u @ wc_initial_state(b).amplitudes for b in (template, incoming)]
                 states.append(oracle.interleave(np.kron(*faces)))
                 tables.append(canonical_table(swap(StateVector(6, states[-1]))))
             assert np.array_equal(states[0], states[1])
@@ -214,9 +214,9 @@ def test_criterion_8_sampling_consistency(at_ensemble):
 
 
 def test_criterion_9_property_suite(cfg):
-    constructed = [equality_entangler().matrix, build_recognition_unitary(cfg).matrix]
+    constructed = [equality_entangler(), build_recognition_unitary(cfg)]
     constructed += [
-        build_recognition_unitary(ProtocolConfig(theta=t, phi=p)).matrix
+        build_recognition_unitary(ProtocolConfig(theta=t, phi=p))
         for t, p in zip(np.linspace(-3, 3, 7), np.linspace(3, -2, 7))
     ]
     constructed.append(np.array([b.amplitudes for b in bell_basis()]).T)

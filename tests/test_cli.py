@@ -812,6 +812,9 @@ def test_verify_json_refuses_a_check_it_was_not_compiled_for():
         dataclasses.replace(first, name="row_total"),
         dataclasses.replace(first, expected=17),
         dataclasses.replace(first, tolerance=0.5),
+        # Equal to the reference's 16 and 0.0, which the document would print instead.
+        dataclasses.replace(first, expected=16.0),
+        dataclasses.replace(first, tolerance=-0.0),
     ]:
         with pytest.raises(ValueError, match="not the reference's 'row_count'"):
             _verify_json([("GC", [changed, *checks[1:]])])

@@ -72,10 +72,15 @@ def test_entropy_is_symmetric_under_complementary_cuts():
 
 def test_entropy_rejects_trivial_cuts():
     s = basis_state("00")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-empty"):
         entanglement_entropy(s, ())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="strict subset"):
         entanglement_entropy(s, (1, 2))
+    # Each qubit is checked before duplicates merge: a set kept the first of
+    # 1 and True, or of 2 and 2.0, so only [True, 1] was refused.
+    for cut in ([1, True], [True, 1], [2, 2.0]):
+        with pytest.raises(ValueError, match="must be an int"):
+            entanglement_entropy(s, cut)
 
 
 def test_pre_swap_intrabase_entanglement(at_state, gc_state):

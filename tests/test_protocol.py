@@ -99,7 +99,7 @@ def test_recognized_states_match_printed_rows(cfg):
 
 
 def unitarity_deviation(u) -> float:
-    return float(np.max(np.abs(u.matrix.conj().T @ u.matrix - np.eye(8))))
+    return float(np.max(np.abs(u.conj().T @ u - np.eye(8))))
 
 
 @pytest.mark.parametrize("phi", [DEFAULT_PHI, 0.0, 1.3], ids=lambda v: f"phi={v:.4g}")
@@ -136,7 +136,7 @@ def test_recognition_reads_the_pinned_columns_of_a_unitary_u(theta, phi):
     u = build_recognition_unitary(cfg)
     assert unitarity_deviation(u) <= 1e-12
     for code in (A, T, G, C):
-        column = u.matrix @ wc_initial_state(code).amplitudes
+        column = u @ wc_initial_state(code).amplitudes
         assert np.array_equal(column, recognize(code, cfg).amplitudes), code
 
 
@@ -146,7 +146,7 @@ PINNED = [int(wc_initial_pattern(code).text, 2) for code in (A, T, G, C)]
 
 
 def pinned_columns(cfg: ProtocolConfig) -> dict[int, np.ndarray]:
-    u = build_recognition_unitary(cfg).matrix
+    u = build_recognition_unitary(cfg)
     return {k: u[:, k] for k in PINNED}
 
 
@@ -155,14 +155,14 @@ def pinned_columns(cfg: ProtocolConfig) -> dict[int, np.ndarray]:
 def test_recognition_unitary_conserves_weight_and_is_orthogonal(theta, phi):
     # A tautomer moves a proton, never adds or removes one: U maps each ket
     # only onto kets of its own Hamming weight.
-    u = build_recognition_unitary(ProtocolConfig(theta=theta, phi=phi)).matrix
+    u = build_recognition_unitary(ProtocolConfig(theta=theta, phi=phi))
     assert np.all(u[WEIGHT[:, None] != WEIGHT[None, :]] == 0)
     assert np.all(u.imag == 0)
     assert np.max(np.abs(u.real.T @ u.real - np.eye(8))) <= 1e-12
 
 
 def test_recognition_unitary_matches_the_oracle_at_the_default_angles(cfg):
-    assert np.max(np.abs(build_recognition_unitary(cfg).matrix - oracle.build_u())) <= 1e-15
+    assert np.max(np.abs(build_recognition_unitary(cfg) - oracle.build_u())) <= 1e-15
 
 
 def test_recognition_targets_stay_orthonormal_off_default_angles():
@@ -206,8 +206,16 @@ def test_config_rejects_non_finite_angles():
         {"theta": True},
         {"phi": False},
         {"theta": np.bool_(True)},
+        # Not a real number, or no finite float: math.isfinite raised a bare
+        # TypeError or OverflowError for these.
+        {"theta": "0.5"},
+        {"phi": 1 + 0j},
+        {"theta": None},
+        {"phi": 10**400},
+        {"theta": -(10**400)},
     ):
-        with pytest.raises(ValueError):
+        (name,) = bad
+        with pytest.raises(ValueError, match=rf"^{name} must be"):
             ProtocolConfig(**bad)
     with pytest.raises(TypeError):
         ProtocolConfig(bell_convention="b00=(00+11)/sqrt2")
@@ -276,7 +284,7 @@ def test_assembly_is_the_interleaved_product_of_the_recognized_faces(theta, phi,
     cfg = ProtocolConfig(theta=theta, phi=phi)
     template, incoming = pair
     got = assemble_pair(template, incoming, cfg).amplitudes
-    u = build_recognition_unitary(cfg).matrix
+    u = build_recognition_unitary(cfg)
     x = u[:, int(wc_initial_pattern(template).text, 2)]
     y = u[:, int(wc_initial_pattern(incoming).text, 2)]
     assert np.array_equal(got, oracle.interleave(np.kron(x, y)))
@@ -534,7 +542,7 @@ def test_swap_instrument_is_sparse_real_and_read_only():
 def test_explicit_default_entangler_gives_a_bit_identical_ensemble(pair, cfg, monkeypatch):
     state = assemble_pair(*pair, cfg)
     built = swap(state)
-    monkeypatch.setattr(protocol, "_K", protocol._instrument(equality_entangler().matrix))
+    monkeypatch.setattr(protocol, "_K", protocol._instrument(equality_entangler()))
     explicit = swap(state)
     assert built.dropped_mass == explicit.dropped_mass
     assert len(built.branches) == len(explicit.branches) == 16

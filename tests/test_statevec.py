@@ -79,6 +79,14 @@ def test_amplitudes_are_immutable():
         s.amplitudes[0] = 1.0
 
 
+@pytest.mark.parametrize("bits", [[True, False], [1.0, 0], [np.int64(1), 0]])
+def test_basis_state_bits_are_the_ints_0_and_1(bits):
+    # True passed as 1, giving |10>; 1.0 passed the check and then failed in ``|``.
+    message = rf"^bits must be the ints 0 or 1, got {re.escape(repr(bits[0]))}$"
+    with pytest.raises(ValueError, match=message):
+        basis_state(bits)
+
+
 def test_supports_twelve_qubits():
     amps = np.zeros(2**12)
     amps[0] = 1.0
@@ -95,7 +103,7 @@ def test_interleave_maps_product_ket_to_paired_order():
 
 
 def test_entangler_on_qubits_3_and_5():
-    v35 = oracle.embed_two(equality_entangler().matrix, 3, 5, 6)
+    v35 = oracle.embed_two(equality_entangler(), 3, 5, 6)
     out = v35 @ basis_state("001110").amplitudes
     expected = (basis_state("000100").amplitudes - basis_state("001110").amplitudes) / np.sqrt(2)
     assert np.allclose(out, expected, atol=1e-12)
