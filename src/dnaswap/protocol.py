@@ -7,8 +7,8 @@ Pipeline for a template/incoming base pair:
    columns at the initial kets matter, so recognition reads them directly.
 2. The two 3-qubit states are laid side by side so that bonded atom pairs
    sit next to each other: template qubits land on positions (1, 3, 5),
-   incoming qubits on (2, 4, 6). This is one fixed gather of the Kronecker
-   product of the two columns of U.
+   incoming qubits on (2, 4, 6). Each amplitude is one entry of each base's
+   column of U, so the register is the product of two fixed gathers from U.
 3. The swap protocol S runs: the entangler V on qubits (3, 5); a Bell
    measurement on (3, 4); on outcome b00/b10, Pauli-X on qubits 4 and 5;
    a Bell measurement on (1, 2); on outcome b00/b10, Pauli-X on 2 and 5.
@@ -22,7 +22,7 @@ import math
 import operator
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from numbers import Real
 
@@ -86,6 +86,11 @@ class ProtocolConfig:
                 finite = False
             if not finite:
                 raise ValueError(f"{name} must be finite, got {angle!r}")
+
+
+# The config ``recognize``, ``assemble_pair`` and ``build_recognition_unitary``
+# read when given none: built once, as its checks cost more than the lookup.
+_DEFAULT_CONFIG = ProtocolConfig()
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,6 +174,9 @@ class Ensemble:
     probabilities: np.ndarray
     residuals: np.ndarray
     keep: np.ndarray
+    # The summed probability of the outcomes ``keep`` leaves out, which the
+    # mass rule reads: set once, by ``__post_init__``.
+    dropped_mass: float = field(init=False)
 
     def __post_init__(self) -> None:
         shapes = (self.probabilities.shape, self.residuals.shape, self.keep.shape)
@@ -177,14 +185,11 @@ class Ensemble:
                 "ensemble arrays must have shapes (16,), (16, 2, 2), (16,) and a boolean"
                 f" keep mask, got {shapes} and a {self.keep.dtype} mask"
             )
-        total = sum(self.probabilities[self.keep].tolist()) + self.dropped_mass
+        dropped = float(self.probabilities[~self.keep].sum())
+        total = sum(self.probabilities[self.keep].tolist()) + dropped
         if not abs(total - 1.0) <= _MASS_ATOL:
             raise ValueError(f"branch probabilities + dropped mass must be 1, got {total}")
-
-    @cached_property
-    def dropped_mass(self) -> float:
-        """The summed probability of the outcomes ``keep`` leaves out."""
-        return float(self.probabilities[~self.keep].sum())
+        object.__setattr__(self, "dropped_mass", dropped)
 
     @cached_property
     def branches(self) -> list[OutcomeBranch]:
@@ -205,9 +210,9 @@ class CanonicalRow:
     descending probability, ties broken by descending |a|.
 
     ``__init__`` is written out: it runs the checks and stores the fields
-    with one ``__dict__`` update, at a little over half the cost of the
-    generated frozen ``__init__``, which calls ``object.__setattr__`` once
-    per field.
+    in ``__dict__`` one item at a time. That costs less than the generated
+    frozen ``__init__``, which calls ``object.__setattr__`` once per field,
+    and less than one keyword ``__dict__.update``.
     A NaN ``a`` or ``b`` is not phase-normalized, and a NaN ``probability``
     is refused.
     """
@@ -227,7 +232,12 @@ class CanonicalRow:
             raise ValueError("row probability is NaN")
         if rank < 1:
             raise ValueError("rank is 1-based")
-        self.__dict__.update(group=group, rank=rank, a=a, b=b, probability=probability)
+        d = self.__dict__
+        d["group"] = group
+        d["rank"] = rank
+        d["a"] = a
+        d["b"] = b
+        d["probability"] = probability
 
 
 def _recognition_matrix(cfg: ProtocolConfig) -> np.ndarray:
@@ -271,15 +281,25 @@ def _column(b: BaseCode) -> int:
 
 def build_recognition_unitary(cfg: ProtocolConfig | None = None) -> np.ndarray:
     """The 3-qubit recognition unitary U, read-only (see ``_recognition_matrix``)."""
-    return _readonly(_recognition_matrix(cfg or ProtocolConfig()))
+    return _readonly(_recognition_matrix(cfg or _DEFAULT_CONFIG))
 
 
 def recognize(b: BaseCode, cfg: ProtocolConfig | None = None) -> StateVector:
     """A base's post-recognition pairing face: U's column at its initial ket."""
-    return StateVector(3, _recognition_matrix(cfg or ProtocolConfig())[:, _column(b)])
+    return StateVector(3, _recognition_matrix(cfg or _DEFAULT_CONFIG)[:, _column(b)])
 
 
-_SUPPORTED_PAIRS = {("A", "T"), ("T", "A"), ("G", "C"), ("C", "G")}
+# _FACTORS[(t, i)] gathers the pair's two factors from the flattened U: entry
+# k of the register is u[fac_t[k]] * u[fac_i[k]]. It reads product entry
+# p = _INTERLEAVE_INDEX[k], whose template row is p >> 3 and incoming row p & 7.
+# Its keys are the supported orientations.
+_FACTORS = {
+    (t, i): (
+        _readonly(8 * (_INTERLEAVE_INDEX >> 3) + _COLUMN[t]),
+        _readonly(8 * (_INTERLEAVE_INDEX & 7) + _COLUMN[i]),
+    )
+    for t, i in (("A", "T"), ("T", "A"), ("G", "C"), ("C", "G"))
+}
 
 
 def assemble_pair(
@@ -292,11 +312,11 @@ def assemble_pair(
         raise UnsupportedEncodingError(
             f"pairing is defined for canonical bases only, got {template}.{incoming}"
         )
-    if (template.base, incoming.base) not in _SUPPORTED_PAIRS:
+    factors = _FACTORS.get((template.base, incoming.base))
+    if factors is None:
         raise ValueError(f"unsupported pairing {template}.{incoming}")
-    u = _recognition_matrix(cfg or ProtocolConfig())
-    x, y = u[:, _column(template)], u[:, _column(incoming)]
-    return StateVector(6, np.multiply.outer(x, y).reshape(-1)[_INTERLEAVE_INDEX])
+    u = _recognition_matrix(cfg or _DEFAULT_CONFIG).ravel()
+    return StateVector(6, u[factors[0]] * u[factors[1]])
 
 
 def _instrument(v: np.ndarray) -> np.ndarray:
@@ -392,11 +412,19 @@ def canonical_table(e: Ensemble) -> list[CanonicalRow]:
     ``_GROUP_MEMBERS``, each outcome in ascending index. The arrays are read
     once as Python numbers: over 16 entries, element-wise numpy costs more
     per call than this loop.
+
+    The phase is keyed on a, or on b when |a| <= ``ZERO_ATOL``. A finite
+    third pair whose imaginary parts are both zero, as every ``run_pair``
+    pair is (U, V, the Bell basis and K are real), has phase s = +-1: its
+    row is (|a|, s*b), or (0, |b|) when keyed on b, with the same zero snaps,
+    which is exactly what dividing by s +- 0j returns. Any other pair is
+    divided by its complex phase and must come out real within ``_IMAG_ATOL``.
     """
     keep = e.keep.tolist()
     # Columns 1 and 2 of a flattened residual are its (0, 1) and (1, 0) entries.
     third = e.residuals.reshape(16, 4)[:, 1:3].tolist()
     probs = e.probabilities.tolist()
+    inf = math.inf
     out: list[CanonicalRow] = []
     for group, members in _GROUP_MEMBERS:
         rows: list[list[float]] = []
@@ -404,27 +432,47 @@ def canonical_table(e: Ensemble) -> list[CanonicalRow]:
             if not keep[i]:
                 continue
             a, b = third[i]
-            if abs(a) > ZERO_ATOL:
-                phase = a / abs(a)
-            elif abs(b) > ZERO_ATOL:
-                phase = b / abs(b)
+            ar, br = a.real, b.real
+            ma, mb = abs(ar), abs(br)
+            if a.imag == 0.0 and b.imag == 0.0 and ma < inf and mb < inf:
+                if ma > ZERO_ATOL:
+                    af = ma
+                    bf = 0.0 if mb <= ZERO_ATOL else (br if ar > 0 else -br)
+                else:
+                    af, bf = 0.0, (mb if mb > ZERO_ATOL else 0.0)
             else:
-                phase = 1.0
-            an, bn = a / phase, b / phase
-            if abs(an.imag) > _IMAG_ATOL or abs(bn.imag) > _IMAG_ATOL:
-                raise ValueError("third-pair amplitudes have a non-real relative phase")
-            af = 0.0 if abs(an.real) <= ZERO_ATOL else float(an.real)
-            bf = 0.0 if abs(bn.real) <= ZERO_ATOL else float(bn.real)
+                af, bf = _divide_phase(a, b)
             for row in rows:
                 if abs(row[0] - af) <= _MERGE_ATOL and abs(row[1] - bf) <= _MERGE_ATOL:
                     row[2] += probs[i]
                     break
             else:
                 rows.append([af, bf, probs[i]])
-        rows.sort(key=lambda r: (-r[2], -abs(r[0])))
+        if len(rows) > 1:
+            rows.sort(key=lambda r: (-r[2], -abs(r[0])))
         for rank, (a, b, p) in enumerate(rows, start=1):
             out.append(CanonicalRow(group, rank, a, b, p))
     return out
+
+
+def _divide_phase(a: complex, b: complex) -> tuple[float, float]:
+    """A complex or non-finite third pair divided by its phase, as floats.
+
+    Raises if the divided pair keeps an imaginary part above ``_IMAG_ATOL``.
+    A non-finite entry can come out as a NaN, which ``CanonicalRow`` refuses.
+    """
+    ma = abs(a)
+    if ma > ZERO_ATOL:
+        phase = a / ma
+    else:
+        mb = abs(b)
+        phase = b / mb if mb > ZERO_ATOL else 1.0
+    an, bn = a / phase, b / phase
+    if abs(an.imag) > _IMAG_ATOL or abs(bn.imag) > _IMAG_ATOL:
+        raise ValueError("third-pair amplitudes have a non-real relative phase")
+    af = 0.0 if abs(an.real) <= ZERO_ATOL else float(an.real)
+    bf = 0.0 if abs(bn.real) <= ZERO_ATOL else float(bn.real)
+    return af, bf
 
 
 def _word_thresholds(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
