@@ -56,9 +56,6 @@ _SAMPLE_WORKERS = min(
 )
 # Generator.random keeps the top 53 bits of each 64-bit Philox word.
 _WORD_BITS = 53
-# ``sample`` looks most words up in a table indexed by their top bits.
-_BUCKET_BITS = 12
-_BUCKET_SHIFT = _WORD_BITS - _BUCKET_BITS
 
 
 @dataclass(frozen=True)
@@ -492,27 +489,39 @@ def _word_thresholds(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return live, np.ceil(np.ldexp(cdf, _WORD_BITS)).astype(np.int64)
 
 
-def _guide(t: np.ndarray, buckets: int) -> np.ndarray:
-    """Guide table for ``searchsorted(t, k, side="right")``, k < buckets << _BUCKET_SHIFT.
-
-    Entry h covers the words k with ``k >> _BUCKET_SHIFT == h``. It holds the
-    search result, which is the same for every word of the bucket when no
-    threshold falls in (first word, last word]; it holds -1 when one does,
-    and those words need the search itself (Chen & Asau, 1974).
+def _cell_table(row_t: np.ndarray, col_t: np.ndarray) -> np.ndarray:
+    """Entry ``(h1 << 8) | h2`` is ``sample``'s index into ``col_t`` for every shot
+    whose 53-bit words k have ``k >> 45`` equal to h1 and h2, or -1 where a
+    threshold splits either bucket, falling in (first word, last word]: those
+    shots need the two searches themselves (a guide table, Chen & Asau, 1974).
     """
-    first = np.arange(buckets, dtype=np.int64) << _BUCKET_SHIFT
-    lo = np.searchsorted(t, first, side="right")
-    hi = np.searchsorted(t, first + ((1 << _BUCKET_SHIFT) - 1), side="right")
-    return np.where(lo == hi, lo, -1)
+    edges = (np.arange(256, dtype=np.int64) << 45) + [[0], [2**45 - 1]]  # first, last words
+
+    def ranks(t: np.ndarray, offset: int) -> np.ndarray:
+        lo, hi = np.searchsorted(t, offset + edges, side="right")
+        return np.where(lo == hi, lo, -1)
+
+    row = ranks(row_t, 0)  # the live row each first-word bucket picks, or -1
+    table = np.full((256, 256), -1, dtype=np.int8)
+    for r in range(len(row_t)):  # row by row: no 256 x 256 int64 intermediate
+        table[row == r] = ranks(col_t, r << _WORD_BITS)
+    return table.reshape(-1)
 
 
-def _rank(guide: np.ndarray, t: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``searchsorted(t, w, side="right")``, read from ``guide = _guide(t, .)``
-    for all words but those of the buckets a threshold splits."""
-    rank = guide[w >> _BUCKET_SHIFT]
-    miss = np.flatnonzero(rank < 0)
-    rank[miss] = np.searchsorted(t, w[miss], side="right")
-    return rank
+def _count_chunk(
+    words: np.ndarray, table: np.ndarray, row_t: np.ndarray, col_t: np.ndarray
+) -> np.ndarray:
+    """Shots per entry of ``col_t`` in one chunk, two raw words a shot: each shot's entry
+    is ``table[(w1 >> 56) << 8 | (w2 >> 56)]``, searched for where the table holds -1."""
+    byte = words.astype("<u8", copy=False).view(np.uint8)  # no copy on little-endian hosts
+    index = np.empty(len(words) // 2, dtype="<u2")
+    index.view(np.uint8)[1::2], index.view(np.uint8)[::2] = byte[7::16], byte[15::16]
+    cell = table.take(index)
+    miss = np.flatnonzero(cell < 0)
+    k = (words.reshape(-1, 2)[miss] >> np.uint64(64 - _WORD_BITS)).view(np.int64)
+    row = np.searchsorted(row_t, k[:, 0], side="right")
+    cell[miss] = np.searchsorted(col_t, (row << _WORD_BITS) + k[:, 1], side="right")
+    return np.bincount(cell, minlength=len(col_t))
 
 
 def sample(
@@ -539,12 +548,12 @@ def sample(
 
     The (3,4) outcome ranks the first word k1 among exact integer
     thresholds of the marginal; the (1,2) outcome ranks (r << 53) + k2 among
-    every live row's conditional thresholds, row r's offset by r << 53. Both
-    go through one rank (``_rank``): a table indexed by the word's top bits
-    (``_guide``), with ``searchsorted`` only for words in a bucket that
-    holds a threshold, about 0.1% of them. ``shots`` and ``seed`` are
-    integers but not bools, ``shots`` is below 2**63, and the ensemble must
-    have a branch.
+    every live row's conditional thresholds, row r's offset by r << 53.
+    ``_count_chunk`` ranks each shot once, from a 256 x 256 int8 table
+    (``_cell_table``, 64 KB per call) keyed by both words' top bytes, and
+    runs ``searchsorted`` only on the ~1.2% of shots in a bucket that a
+    threshold splits. ``shots`` and ``seed`` are integers but not bools,
+    ``shots`` is below 2**63, and the ensemble must have a branch.
     """
     if isinstance(shots, bool):  # operator.index would read True as 1
         raise TypeError("shots must be an integer, not bool")
@@ -564,17 +573,12 @@ def sample(
     joint = np.where(keep, ensemble.probabilities, 0.0).reshape(4, 4)
 
     rows, row_t = _word_thresholds(joint.sum(axis=1))
-    # Row r's column thresholds are offset by r << 53, so (r << 53) + k2
-    # ranks inside row r's block, and one guide covers every row's words;
-    # cells[i] is the outcome (4 * i34 + i12) of the i-th threshold.
-    col_t, cells = [], []
-    for r, i34 in enumerate(rows):
-        cols, t = _word_thresholds(joint[i34])
-        col_t.append((r << _WORD_BITS) + t)
-        cells.append(4 * i34 + cols)
-    col_t, cells = np.concatenate(col_t), np.concatenate(cells)
-    g1 = _guide(row_t, 1 << _BUCKET_BITS)
-    g2 = _guide(col_t, len(rows) << _BUCKET_BITS)
+    # Row r's column thresholds are offset by r << 53, so (r << 53) + k2 ranks
+    # inside row r's block; cells[i] is the outcome (4 * i34 + i12) of col_t[i].
+    per_row = [_word_thresholds(joint[i34]) for i34 in rows]
+    cells = np.concatenate([4 * i34 + cols for i34, (cols, _) in zip(rows, per_row)])
+    col_t = np.concatenate([(r << _WORD_BITS) + t for r, (_, t) in enumerate(per_row)])
+    table = _cell_table(row_t, col_t)
 
     def count(start: int, stop: int) -> np.ndarray:
         # Shot i reads words 2i and 2i + 1; advance(d) skips 4d words.
@@ -586,13 +590,8 @@ def sample(
         for lo in range(start, stop, _SAMPLE_CHUNK):
             if halt.is_set():
                 break  # the run has failed: these counts are never read
-            n = min(_SAMPLE_CHUNK, stop - lo)
-            words = bitgen.random_raw(2 * n)
-            words >>= 64 - _WORD_BITS
-            k = words.view(np.int64).reshape(n, 2)
-            row = _rank(g1, row_t, k[:, 0])
-            cell = _rank(g2, col_t, (row << _WORD_BITS) + k[:, 1])
-            hits += np.bincount(cell, minlength=len(cells))
+            words = bitgen.random_raw(2 * min(_SAMPLE_CHUNK, stop - lo))
+            hits += _count_chunk(words, table, row_t, col_t)
         return hits
 
     # Contiguous spans cut at chunk boundaries: the caller counts the first,

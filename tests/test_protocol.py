@@ -1097,7 +1097,7 @@ def test_sample_rejects_an_ensemble_with_no_branches(gc_ensemble, monkeypatch):
         raise AssertionError("thresholds built for an empty ensemble")
 
     monkeypatch.setattr(protocol, "_word_thresholds", no_tables)
-    monkeypatch.setattr(protocol, "_guide", no_tables)
+    monkeypatch.setattr(protocol, "_cell_table", no_tables)
     with pytest.raises(ValueError, match="no branches"):
         sample(empty, shots=10, seed=1)
 
@@ -1167,15 +1167,12 @@ def test_streaming_sample_equals_the_whole_run_sampler_at_the_defaults(
 
 # Probability vectors with zeros, dyadic cdf values (thresholds on bucket
 # edges) and subnormals (thresholds that collide after ceil).
-PROBS = st.lists(
-    st.one_of(
-        st.just(0.0),
-        st.sampled_from([0.5, 0.25, 1 / 3, 1e-300, 5e-324]),
-        st.floats(0.0, 1.0),
-    ),
-    min_size=1,
-    max_size=16,
-).filter(lambda p: sum(p) > 0)
+PROB = st.one_of(
+    st.just(0.0),
+    st.sampled_from([0.5, 0.25, 1 / 3, 1e-300, 5e-324]),
+    st.floats(0.0, 1.0),
+)
+PROBS = st.lists(PROB, min_size=1, max_size=16).filter(lambda p: sum(p) > 0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -1234,10 +1231,10 @@ def sample_words(monkeypatch, ens, words: np.ndarray) -> dict:
     return sample(ens, shots=len(words), seed=0)
 
 
-def bucket_edges() -> np.ndarray:
-    """The first and the last 53-bit word of every guide-table bucket."""
-    first = np.arange(1 << protocol._BUCKET_BITS, dtype=np.int64) << protocol._BUCKET_SHIFT
-    return np.concatenate([first, first + (1 << protocol._BUCKET_SHIFT) - 1])
+# sample's table keys a 53-bit word k by its top byte, k >> 45: the first and
+# the last word of each of its 256 buckets.
+BUCKET = 1 << 45
+BUCKET_EDGES = np.concatenate([np.arange(256) * BUCKET, np.arange(1, 257) * BUCKET - 1])
 
 
 @pytest.mark.parametrize("pair", ["AT", "GC"])
@@ -1253,7 +1250,7 @@ def test_sample_reads_every_bucket_edge_like_the_float_sampler(
     joint = joint_of(ens)
     rows, row_t = protocol._word_thresholds(joint.sum(axis=1))
     t = np.concatenate([row_t, *(protocol._word_thresholds(joint[i])[1] for i in rows)])
-    k = np.concatenate([bucket_edges(), t - 1, t, t + 1])
+    k = np.concatenate([BUCKET_EDGES, t - 1, t, t + 1])
     k = np.unique(np.clip(k, 0, 2**53 - 1))
     rank = np.searchsorted(row_t, k, side="right")
     blocks = [np.stack([k, np.roll(k, len(k) // 2)], axis=1)]
@@ -1269,47 +1266,77 @@ def test_sample_reads_every_bucket_edge_like_the_float_sampler(
         )
 
 
+def last_word(bucket: int) -> float:
+    """A probability whose threshold, ceil(p * 2**53), is the bucket's last word."""
+    return ((bucket + 1) * BUCKET - 1) / 2**53
+
+
 @settings(max_examples=200, deadline=None)
 @given(
+    marginal=st.lists(PROB, min_size=1, max_size=4).filter(lambda p: sum(p) > 0),
     rows=st.lists(PROBS, min_size=1, max_size=4),
-    row=st.integers(0, 3),
-    random_words=st.lists(st.integers(0, 2**53 - 1), max_size=64),
+    random_words=st.lists(st.integers(0, 2**53 - 1), max_size=16),
 )
-@example(rows=[[0.5, 1e-300, 0.5], [1 / 3, 1 / 3, 1 / 3]], row=1, random_words=[])
+@example(marginal=[1 / 3, 1 / 3, 1 / 3], rows=[[0.5, 1e-300, 0.5]], random_words=[])
 # The rounded cumsum passes 1 before the 1e-300 tail: thresholds must stay sorted.
-@example(rows=[[0.5] * 6 + [0.25] + [0.5] * 5 + [0.25, 1e-300], [0.5]], row=1, random_words=[])
-# A threshold on the last word of bucket 4: it splits that bucket only.
-@example(rows=[[(5 * 2**41 - 1) / 2**53, 1 - (5 * 2**41 - 1) / 2**53]], row=0, random_words=[])
-def test_guide_table_ranks_words_like_searchsorted(rows, row, random_words):
-    # Stacked like sample's col_t, row r's block offset by r << 53.
-    r = row % len(rows)
-    stacked = np.concatenate(
-        [(i << 53) + protocol._word_thresholds(np.array(p))[1] for i, p in enumerate(rows)]
-    )
-    t = stacked - (r << 53)
-    bits = protocol._BUCKET_BITS
-    g = protocol._guide(t, 1 << bits)
-    assert g.shape == (1 << bits,)
-    # sample's one guide over the stacked words is the per-row guides side by side.
-    per_row = [protocol._guide(stacked - (i << 53), 1 << bits) for i in range(len(rows))]
-    np.testing.assert_array_equal(
-        protocol._guide(stacked, len(rows) << bits), np.concatenate(per_row)
-    )
+@example(
+    marginal=[0.5, 0.5], rows=[[0.5] * 6 + [0.25] + [0.5] * 5 + [0.25, 1e-300]], random_words=[]
+)
+# Thresholds on a bucket's first word (2**51 and 2**52, multiples of 2**45) split none.
+@example(marginal=[0.25, 0.75], rows=[[0.5, 0.5]], random_words=[])
+# A threshold on the last word of bucket 4 splits that bucket only.
+@example(marginal=[last_word(4), 1 - last_word(4)], rows=[[0.5, 0.5]], random_words=[])
+@example(marginal=[0.5, 0.5], rows=[[last_word(200), 1 - last_word(200)]], random_words=[])
+# Thresholds at 2**53 before the last one: past every word, they split none.
+@example(marginal=[1.0, 1e-300], rows=[[1.0, 5e-324, 0.0]], random_words=[2**53 - 1])
+def test_cell_table_ranks_word_pairs_like_searchsorted(marginal, rows, random_words):
+    # Stacked like sample's col_t: live row r has the thresholds of
+    # rows[r % len(rows)], offset by r << 53.
+    row_t = protocol._word_thresholds(np.array(marginal))[1]
+    own = [protocol._word_thresholds(np.array(rows[r % len(rows)]))[1] for r in range(len(row_t))]
+    col_t = np.concatenate([(r << 53) + t for r, t in enumerate(own)])
+    table = protocol._cell_table(row_t, col_t)
+    assert table.dtype == np.int8 and table.shape == (1 << 16,)
 
-    own = t[(t > 0) & (t <= 2**53)]
-    k = np.concatenate([own - 1, own, own + 1, bucket_edges(), random_words])
+    # Every pair of words from the bucket edges, t - 1, t and t + 1 of every
+    # threshold t, and a few random words, as (k1, k2).
+    t = np.concatenate([row_t, *own])
+    k = np.concatenate([BUCKET_EDGES, t - 1, t, t + 1, random_words])
     k = np.unique(np.clip(k, 0, 2**53 - 1)).astype(np.int64)
-    entry = g[k >> protocol._BUCKET_SHIFT]
-    rank = np.searchsorted(t, k, side="right")
+    k1, k2 = (w.ravel() for w in np.meshgrid(k, k, indexing="ij"))
+    row = np.searchsorted(row_t, k1, side="right")
+    rank = np.searchsorted(col_t, (row << 53) + k2, side="right")
+    entry = table[(k1 >> 45) << 8 | (k2 >> 45)]
     np.testing.assert_array_equal(np.where(entry < 0, rank, entry), rank)
 
-    # -1 exactly in the buckets whose words a threshold splits: t in
-    # (first word, last word], so a threshold on a bucket's first word or
-    # at 2**53 splits none.
-    split = np.zeros(len(g), dtype=bool)
-    inside = t[(t >= 0) & (t < 2**53) & (t % (1 << protocol._BUCKET_SHIFT) != 0)]
-    split[inside >> protocol._BUCKET_SHIFT] = True
-    np.testing.assert_array_equal(g < 0, split)
+    # -1 exactly where a threshold t splits a bucket, t in (first word, last
+    # word]: one of the first search in h1's bucket, or, in the row that h1
+    # picks, one of the second search in h2's. So a threshold on a bucket's
+    # first word, or at 2**53, splits none.
+    def split(t: np.ndarray) -> np.ndarray:
+        buckets = np.zeros(256, dtype=bool)
+        buckets[t[(t < 2**53) & (t % BUCKET != 0)] // BUCKET] = True
+        return buckets
+
+    picked = np.searchsorted(row_t, np.arange(256) * BUCKET, side="right")
+    expected = [split(own[picked[h]]) for h in range(256)]
+    expected = np.array(expected) | split(row_t)[:, None]
+    np.testing.assert_array_equal(table.reshape(256, 256) < 0, expected)
+
+
+@pytest.mark.parametrize("order", ["<u8", ">u8"])
+def test_a_shot_reads_the_table_at_its_words_top_bytes(order):
+    # With a table whose entries are their own indices, _count_chunk counts
+    # table keys, so a one-shot chunk names the key its shot read. The key
+    # must be ((w1 >> 56) << 8) | (w2 >> 56), in either byte order of the words.
+    edges = [0, 2**56 - 1, 2**56, 2**64 - 1]
+    drawn = np.random.default_rng(5).integers(0, 2**64, 64, dtype=np.uint64).tolist()
+    pairs = [(w1, w2) for w1 in edges for w2 in edges] + list(zip(drawn[::2], drawn[1::2]))
+    keys, t = np.arange(1 << 16), np.array([2**53])
+    for w1, w2 in pairs:
+        counts = protocol._count_chunk(np.array([w1, w2], dtype=order), keys, t, t)
+        assert np.flatnonzero(counts).tolist() == [((w1 >> 56) << 8) | (w2 >> 56)]
+        assert counts.sum() == 1
 
 
 @pytest.mark.parametrize("key", [0, 1, 42, 2**64 - 1])
@@ -1411,40 +1438,41 @@ def test_sample_reraises_a_helper_thread_error(at_ensemble, monkeypatch):
 SPAN_CHUNKS = 200  # chunks per span in the stop tests below
 
 
-def chunk_counting_rank(monkeypatch, gate: threading.Event, failing: str | None) -> dict:
-    """Patch ``protocol._rank`` to count its calls per span, "caller" and "helper".
+def chunk_counting_helper(monkeypatch, gate: threading.Event, failing: str | None) -> dict:
+    """Patch ``protocol._count_chunk`` to count its calls per span, "caller" and "helper".
 
-    ``_rank`` runs twice per chunk. The ``failing`` span raises at its
+    ``_count_chunk`` runs once per chunk. The ``failing`` span raises at its
     second chunk, setting ``gate`` first. The other span, or the helper when
     none fails, waits at its first call until ``gate`` is set, so it cannot
     run ahead of the failure.
     """
-    rank, calls, caller = protocol._rank, {"caller": 0, "helper": 0}, threading.get_ident()
+    count_chunk, caller = protocol._count_chunk, threading.get_ident()
+    calls = {"caller": 0, "helper": 0}
     waiting = "caller" if failing == "helper" else "helper"
 
     def counted(*args):
         me = "caller" if threading.get_ident() == caller else "helper"
         calls[me] += 1
-        if me == failing and calls[me] == 3:
+        if me == failing and calls[me] == 2:
             gate.set()
             raise RuntimeError("span failed")
         if me == waiting and calls[me] == 1:
             assert gate.wait(10)
-        return rank(*args)
+        return count_chunk(*args)
 
     monkeypatch.setattr(protocol, "_SAMPLE_CHUNK", 64)
     monkeypatch.setattr(protocol, "_SAMPLE_WORKERS", 2)
-    monkeypatch.setattr(protocol, "_rank", counted)
+    monkeypatch.setattr(protocol, "_count_chunk", counted)
     return calls
 
 
 @pytest.mark.parametrize("failing", ["caller", "helper"])
 def test_sample_stops_every_span_at_the_first_failure(at_ensemble, monkeypatch, failing):
-    calls = chunk_counting_rank(monkeypatch, threading.Event(), failing)
+    calls = chunk_counting_helper(monkeypatch, threading.Event(), failing)
     with pytest.raises(RuntimeError, match="span failed"):
         sample(at_ensemble, shots=2 * SPAN_CHUNKS * 64, seed=1)
     other = calls["helper" if failing == "caller" else "caller"]
-    assert other < 2 * SPAN_CHUNKS // 10  # a span is 2 * SPAN_CHUNKS calls
+    assert other < SPAN_CHUNKS // 10  # a span is SPAN_CHUNKS calls
 
 
 def test_sample_stops_the_helper_when_the_caller_is_interrupted_in_join(
@@ -1452,7 +1480,7 @@ def test_sample_stops_the_helper_when_the_caller_is_interrupted_in_join(
 ):
     # A Ctrl-C arrives while the caller waits in join, its own span done.
     join, joined, gate = threading.Thread.join, [], threading.Event()
-    calls = chunk_counting_rank(monkeypatch, gate, None)
+    calls = chunk_counting_helper(monkeypatch, gate, None)
 
     def interrupted(self, timeout=None):
         joined.append(self)
@@ -1463,8 +1491,8 @@ def test_sample_stops_the_helper_when_the_caller_is_interrupted_in_join(
     with pytest.raises(KeyboardInterrupt):
         sample(at_ensemble, shots=2 * SPAN_CHUNKS * 64, seed=1)
     join(*joined)
-    assert calls["caller"] == 2 * SPAN_CHUNKS
-    assert calls["helper"] < 2 * SPAN_CHUNKS // 10
+    assert calls["caller"] == SPAN_CHUNKS
+    assert calls["helper"] < SPAN_CHUNKS // 10
 
 
 # --- mutation sanity: a broken entangler destroys the reference ensemble ---
