@@ -27,7 +27,6 @@ import os
 import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from numbers import Integral
 
 from . import reference
 from .encodings import (
@@ -46,7 +45,7 @@ from .protocol import (
     run_pair,
     sample,
 )
-from .statevec import ZERO_ATOL
+from .statevec import ZERO_ATOL, _is_integer
 
 PAIRS = {
     "AT": (BaseCode("A"), BaseCode("T")),
@@ -70,10 +69,7 @@ class RunRequest:
     fmt: str = "table"
 
     def validate(self) -> str | None:
-        """Return an error message for an invalid field or field combination.
-
-        ``shots`` and ``seed`` take any integral value but a bool.
-        """
+        """Return an error message for an invalid field or field combination."""
         if self.pair not in PAIRS:
             return f"pair must be one of {sorted(PAIRS)}, got {self.pair!r}"
         if self.mode not in MODES:
@@ -83,7 +79,7 @@ class RunRequest:
         if self.mode == "sample":
             if self.shots is None:
                 return "--shots is required in sample mode"
-            if isinstance(self.shots, bool) or not isinstance(self.shots, Integral):
+            if not _is_integer(self.shots):
                 return f"--shots must be an integer, got {self.shots!r}"
             if self.shots < 1:
                 return f"--shots must be >= 1, got {self.shots}"
@@ -91,7 +87,7 @@ class RunRequest:
                 return f"--shots must be < 2**63, got {self.shots}"
         elif self.shots is not None:
             return "--shots is only valid in sample mode"
-        if isinstance(self.seed, bool) or not isinstance(self.seed, Integral):
+        if not _is_integer(self.seed):
             return f"--seed must be an integer, got {self.seed!r}"
         if not 0 <= self.seed < 2**64:
             return f"--seed must fit in 64 bits, got {self.seed}"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .statevec import StateVector, basis_state
+from .statevec import StateVector, _is_integer, basis_state
 
 BASES = ("A", "T", "G", "C")
 
@@ -62,12 +62,9 @@ class EdgePattern:
         if self.edge not in ("H", "WC"):
             raise ValueError(f"edge must be 'H' or 'WC', got {self.edge!r}")
         want = 2 if self.edge == "H" else 3
-        # Bits are a tuple, so the pattern hashes; a bit is an int 0 or 1, and a
-        # bool is refused, since it would print as "True".
-        bad = not isinstance(self.bits, tuple) or any(
-            type(b) is not int or b not in (0, 1) for b in self.bits
-        )
-        if bad or len(self.bits) != want:
+        # Bits are a tuple, so the pattern hashes.
+        if not (isinstance(self.bits, tuple) and len(self.bits) == want
+                and all(_is_integer(b) and b in (0, 1) for b in self.bits)):
             raise ValueError(f"edge {self.edge} takes {want} bits, got {self.bits}")
 
     @property

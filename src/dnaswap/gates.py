@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevec import StateVector, _readonly
+from .statevec import StateVector, _is_integer, _readonly
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -25,9 +25,7 @@ class BellLabel:
     k: int
 
     def __post_init__(self) -> None:
-        # An int 0 or 1, as in ``EdgePattern``: True or 1.0 would equal and hash
-        # as 1, yet print as "bTrue0" or "b1.00".
-        if any(type(b) is not int or b not in (0, 1) for b in (self.j, self.k)):
+        if not all(_is_integer(b) and b in (0, 1) for b in (self.j, self.k)):
             raise ValueError(f"Bell label bits must be 0 or 1, got ({self.j}, {self.k})")
 
     @property

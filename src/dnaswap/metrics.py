@@ -33,7 +33,6 @@ def entanglement_entropy(s: StateVector, cut: Iterable[int]) -> float:
     kept eigenvalue is 1 +- eps, whose term is rounding of either sign, while
     any second kept eigenvalue (> ZERO_ATOL) adds more than 3.9e-11.
     """
-    # ``reduced_density`` checks each qubit before its set would merge True into 1.
     rho = reduced_density(s, cut)
     if rho.num_qubits >= s.num_qubits:
         raise ValueError("cut must be a strict subset of the qubits")

@@ -19,18 +19,16 @@ them to reference rows, and ``sample`` draws shots from them.
 from __future__ import annotations
 
 import math
-import operator
 import os
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property
-from numbers import Real
 
 import numpy as np
 
 from .encodings import WC_INITIAL, BaseCode, UnsupportedEncodingError, wc_initial_pattern
 from .gates import BELL_LABELS, BellLabel, bell_basis, equality_entangler
-from .statevec import PRUNE_DEFAULT, ZERO_ATOL, StateVector, _readonly
+from .statevec import PRUNE_DEFAULT, ZERO_ATOL, StateVector, _is_finite_real, _is_integer, _readonly
 
 DEFAULT_THETA = math.acos(math.sqrt(2.0) / math.sqrt(3.0))
 DEFAULT_PHI = math.acos(1.0 / math.sqrt(2.0))
@@ -71,18 +69,9 @@ class ProtocolConfig:
     phi: float = DEFAULT_PHI
 
     def __post_init__(self) -> None:
-        for name in ("theta", "phi"):
-            angle = getattr(self, name)
-            # A bool is finite, and True would run at 1 rad; np.bool_ is no Real.
-            # A float skips the ABC check, which costs about 0.4 us per angle.
-            if not (type(angle) is float or isinstance(angle, Real) and type(angle) is not bool):
-                raise ValueError(f"{name} must be a real number, got {angle!r}")
-            try:
-                finite = math.isfinite(angle)
-            except OverflowError:  # an int beyond the float range, such as 10**400
-                finite = False
-            if not finite:
-                raise ValueError(f"{name} must be finite, got {angle!r}")
+        for name, angle in (("theta", self.theta), ("phi", self.phi)):
+            if not _is_finite_real(angle):
+                raise ValueError(f"{name} must be a finite real number, got {angle!r}")
 
 
 # The config ``recognize``, ``assemble_pair`` and ``build_recognition_unitary``
@@ -552,19 +541,17 @@ def sample(
     ``_count_chunk`` ranks each shot once, from a 256 x 256 int8 table
     (``_cell_table``, 64 KB per call) keyed by both words' top bytes, and
     runs ``searchsorted`` only on the ~1.2% of shots in a bucket that a
-    threshold splits. ``shots`` and ``seed`` are integers but not bools,
-    ``shots`` is below 2**63, and the ensemble must have a branch.
+    threshold splits. ``shots`` < 2**63 and ``seed`` < 2**64 follow README's
+    "Input values" rule, and the ensemble must have a branch.
     """
-    if isinstance(shots, bool):  # operator.index would read True as 1
-        raise TypeError("shots must be an integer, not bool")
-    shots = operator.index(shots)
+    for name, value in (("shots", shots), ("seed", seed)):
+        if not _is_integer(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    shots, seed = int(shots), int(seed)
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     if shots >= 2**63:
         raise ValueError(f"shots must be < 2**63 (counts are int64), got {shots}")
-    if isinstance(seed, bool):
-        raise TypeError("seed must be an integer, not bool")
-    seed = operator.index(seed)  # rejects 1.5 rather than truncating it
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must fit in 64 bits, got {seed}")
     keep = ensemble.keep

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -33,10 +33,34 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _check_qubit_count(n) -> None:
-    # Only an int: 6.0 and True pass size checks, since 2**6.0 == 64 and 2**True == 2.
-    if type(n) is not int or n < 1:
-        raise ValueError(f"num_qubits must be a positive int, got {n!r}")
+def _is_integer(x) -> bool:
+    """The one input rule (README, "Input values") for a count, qubit, bit,
+    shot number or seed; ``_is_finite_real`` holds it for an angle.
+
+    A numpy integer counts as the equal int. A bool is never a number: True
+    would pass as 1 yet print as "True" (``np.bool_`` is no ``numbers`` ABC).
+    A float is never an integer, not even 2.0: 2**6.0 == 64 would pass a size
+    check, and 1.0 equals and hashes as 1. An exact int skips the ABC test.
+    """
+    return type(x) is int or type(x) is not bool and isinstance(x, Integral)
+
+
+def _is_finite_real(x) -> bool:
+    """A real number but a bool, under ``_is_integer``'s rule, and a finite
+    float: NaN, the infinities and 10**400 are refused."""
+    if type(x) is not float and (type(x) is bool or not isinstance(x, Real)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _qubit_count(n) -> int:
+    # A state holds 2**n amplitudes, and a numpy array fewer than 2**63 entries.
+    if not (_is_integer(n) and 1 <= n < 63):
+        raise ValueError(f"num_qubits must be a positive int below 63, got {n!r}")
+    return int(n)
 
 
 @dataclass(eq=False)
@@ -47,7 +71,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        _check_qubit_count(self.num_qubits)
+        self.num_qubits = _qubit_count(self.num_qubits)
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1).copy()
         if amps.size != 2**self.num_qubits:
             raise ValueError(
@@ -66,20 +90,18 @@ class StateVector:
 
 
 def basis_state(bits: str | Sequence[int]) -> StateVector:
-    """Computational basis state |b1 b2 ... bn> from a bitstring."""
+    """Computational basis state |b1 b2 ... bn> from bits 0 and 1, or a string of them."""
     if isinstance(bits, str):
-        bits = [int(c) for c in bits]
+        bits = [int(c) if c in "01" else c for c in bits]  # any other character is refused below
     n = len(bits)
     if n == 0:
         raise ValueError("empty bitstring")
     amps = np.zeros(2**n, dtype=complex)
     idx = 0
     for b in bits:
-        # An int 0 or 1, as in ``EdgePattern``: True would pass as 1, and 1.0
-        # would fail in ``|`` with a bare TypeError.
-        if type(b) is not int or b not in (0, 1):
+        if not (_is_integer(b) and b in (0, 1)):
             raise ValueError(f"bits must be the ints 0 or 1, got {b!r}")
-        idx = (idx << 1) | b
+        idx = (idx << 1) | int(b)
     amps[idx] = 1.0
     return StateVector(n, amps)
 
@@ -92,7 +114,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        _check_qubit_count(self.num_qubits)
+        self.num_qubits = _qubit_count(self.num_qubits)
         dim = 2**self.num_qubits
         mat = np.asarray(self.matrix, dtype=complex).copy()
         if mat.shape != (dim, dim):
@@ -114,17 +136,15 @@ def reduced_density(s: StateVector, keep: Iterable[int]) -> DensityMatrix:
     Row/column bit order follows ascending original qubit position.
     """
     keep = list(keep)
-    for q in keep:
-        # 1.5 would fail in reshape, and 2.0 and True would pass as qubits 2 and 1.
-        if isinstance(q, bool) or not isinstance(q, Integral):
-            raise ValueError(f"qubit {q!r} must be an int")
-    keep_sorted = sorted(set(keep))
     n = s.num_qubits
-    if not keep_sorted:
-        raise ValueError("keep must be a non-empty subset of qubits")
-    for q in keep_sorted:
+    for q in keep:
+        if not _is_integer(q):
+            raise ValueError(f"qubit {q!r} must be an int")
         if not 1 <= q <= n:
             raise ValueError(f"qubit {q} out of range 1..{n}")
+    keep_sorted = sorted(set(keep))
+    if not keep_sorted:
+        raise ValueError("keep must be a non-empty subset of qubits")
     traced = [q - 1 for q in range(1, n + 1) if q not in keep_sorted]
     t = s.as_tensor()
     rho = np.tensordot(t, t.conj(), axes=(traced, traced))

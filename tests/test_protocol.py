@@ -1075,17 +1075,17 @@ def test_sample_validates_arguments(at_ensemble):
         sample(at_ensemble, shots=2**63, seed=1)
     with pytest.raises(ValueError, match="shots"):
         sample(at_ensemble, shots=2**70, seed=1)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match=r"^shots must be an integer, got 1\.5$"):
         sample(at_ensemble, shots=1.5, seed=1)
     with pytest.raises(ValueError, match="seed"):
         sample(at_ensemble, shots=1, seed=-1)
     with pytest.raises(ValueError, match="seed"):
         sample(at_ensemble, shots=1, seed=2**64)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match=r"^seed must be an integer, got 1\.5$"):
         sample(at_ensemble, shots=1, seed=1.5)
-    # A bool is not a count or a seed, though operator.index reads True as 1.
+    # A bool is not a count or a seed, though it compares as 0 or 1.
     for shots, seed in [(True, 1), (False, 1), (1, True), (1, False), (True, False)]:
-        with pytest.raises(TypeError, match="not bool"):
+        with pytest.raises(ValueError, match="must be an integer, got (True|False)$"):
             sample(at_ensemble, shots=shots, seed=seed)
 
 

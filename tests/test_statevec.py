@@ -59,11 +59,26 @@ def test_rejects_nonpositive_qubit_count():
         StateVector(0, [1.0])
 
 
-@pytest.mark.parametrize("n, amps", [(6.0, np.eye(64)[0]), (True, [1.0, 0.0]), (np.int64(1), [1.0, 0.0])])
+@pytest.mark.parametrize("n, amps", [(6.0, np.eye(64)[0]), (True, [1.0, 0.0])])
 def test_state_vector_qubit_count_is_an_int(n, amps):
     # 6.0 passed the size check (2**6.0 == 64) and then broke as_tensor.
     with pytest.raises(ValueError, match="num_qubits must be a positive int"):
         StateVector(n, amps)
+
+
+def test_qubit_count_takes_a_numpy_integer():
+    # Held as the equal int: 2**np.int8(7) would overflow int8.
+    s = StateVector(np.int8(7), np.eye(128)[0])
+    assert type(s.num_qubits) is int and s.as_tensor().shape == (2,) * 7
+    assert DensityMatrix(np.int64(1), np.eye(2) / 2).num_qubits == 1
+
+
+def test_qubit_count_beyond_any_array_is_refused():
+    # 2**(2**70) amplitudes were computed for the size check.
+    with pytest.raises(ValueError, match="num_qubits must be a positive int below 63"):
+        StateVector(2**70, [1.0, 0.0])
+    with pytest.raises(ValueError, match="num_qubits must be a positive int below 63"):
+        DensityMatrix(63, np.eye(2))
 
 
 @pytest.mark.parametrize("n, dim", [(2.0, 4), (True, 2)])
@@ -79,10 +94,27 @@ def test_amplitudes_are_immutable():
         s.amplitudes[0] = 1.0
 
 
-@pytest.mark.parametrize("bits", [[True, False], [1.0, 0], [np.int64(1), 0]])
+@pytest.mark.parametrize("bits", [[True, False], [1.0, 0]])
 def test_basis_state_bits_are_the_ints_0_and_1(bits):
     # True passed as 1, giving |10>; 1.0 passed the check and then failed in ``|``.
     message = rf"^bits must be the ints 0 or 1, got {re.escape(repr(bits[0]))}$"
+    with pytest.raises(ValueError, match=message):
+        basis_state(bits)
+
+
+def test_basis_state_takes_numpy_integer_bits():
+    want = basis_state("10").amplitudes
+    assert np.array_equal(basis_state([np.int64(1), 0]).amplitudes, want)
+    # A uint8 bit is read as the equal int, so the index does not wrap at 8 bits.
+    nine = [np.uint8(1)] + [np.uint8(0)] * 8
+    assert np.array_equal(basis_state(nine).amplitudes, basis_state("1" + "0" * 8).amplitudes)
+
+
+@pytest.mark.parametrize("bits", ["\uff11\uff10", "0a", "0 1", "+1"])
+def test_basis_state_string_takes_only_ascii_0_and_1(bits):
+    # int() read full-width digits as bits, and "0a" raised int()'s own message.
+    bad = next(c for c in bits if c not in "01")
+    message = rf"^bits must be the ints 0 or 1, got {re.escape(repr(bad))}$"
     with pytest.raises(ValueError, match=message):
         basis_state(bits)
 
