@@ -40,12 +40,14 @@ from .metrics import verify_against_reference
 from .protocol import (
     OUTCOMES,
     Ensemble,
+    _check_seed,
+    _check_shots,
     assemble_pair,
     canonical_table,
     run_pair,
     sample,
 )
-from .statevec import ZERO_ATOL, _is_integer
+from .statevec import ZERO_ATOL
 
 PAIRS = {
     "AT": (BaseCode("A"), BaseCode("T")),
@@ -76,21 +78,16 @@ class RunRequest:
             return f"mode must be one of {list(MODES)}, got {self.mode!r}"
         if self.fmt not in FORMATS:
             return f"format must be one of {list(FORMATS)}, got {self.fmt!r}"
-        if self.mode == "sample":
-            if self.shots is None:
-                return "--shots is required in sample mode"
-            if not _is_integer(self.shots):
-                return f"--shots must be an integer, got {self.shots!r}"
-            if self.shots < 1:
-                return f"--shots must be >= 1, got {self.shots}"
-            if self.shots >= 2**63:
-                return f"--shots must be < 2**63, got {self.shots}"
-        elif self.shots is not None:
+        if self.mode == "sample" and self.shots is None:
+            return "--shots is required in sample mode"
+        if self.mode != "sample" and self.shots is not None:
             return "--shots is only valid in sample mode"
-        if not _is_integer(self.seed):
-            return f"--seed must be an integer, got {self.seed!r}"
-        if not 0 <= self.seed < 2**64:
-            return f"--seed must fit in 64 bits, got {self.seed}"
+        try:  # ``sample``'s own range checks, their messages under the option names
+            if self.shots is not None:
+                _check_shots(self.shots)
+            _check_seed(self.seed)
+        except ValueError as exc:
+            return f"--{exc}"
         return None
 
 

@@ -5,10 +5,10 @@ Pipeline for a template/incoming base pair:
 1. Each base's 3-qubit pairing face is promoted from its initial basis ket
    to a tautomer superposition by the recognition unitary U. Only U's four
    columns at the initial kets matter, so recognition reads them directly.
-2. The two 3-qubit states are laid side by side so that bonded atom pairs
-   sit next to each other: template qubits land on positions (1, 3, 5),
-   incoming qubits on (2, 4, 6). Each amplitude is one entry of each base's
-   column of U, so the register is the product of two fixed gathers from U.
+2. An incoming base that recognition selects for the template is laid
+   beside it, bonded atom pairs next to each other: template qubits land on
+   positions (1, 3, 5), incoming qubits on (2, 4, 6). Each amplitude is the
+   product of one entry of each base's column of U, read by a fixed gather.
 3. The swap protocol S runs: the entangler V on qubits (3, 5); a Bell
    measurement on (3, 4); on outcome b00/b10, Pauli-X on qubits 4 and 5;
    a Bell measurement on (1, 2); on outcome b00/b10, Pauli-X on 2 and 5.
@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .encodings import WC_INITIAL, BaseCode, UnsupportedEncodingError, wc_initial_pattern
+from .encodings import WC_INITIAL, BaseCode, h_edge_pattern, recognition_matches, wc_initial_pattern
 from .gates import BELL_LABELS, BellLabel, bell_basis, equality_entangler
 from .statevec import PRUNE_DEFAULT, ZERO_ATOL, StateVector, _is_finite_real, _is_integer, _readonly
 
@@ -37,10 +37,12 @@ DEFAULT_PHI = math.acos(1.0 / math.sqrt(2.0))
 # odd positions, incoming (4,5,6) to even positions.
 INTERLEAVE = (1, 4, 2, 5, 3, 6)
 # Entry k of the interleaved register reads entry _INTERLEAVE_INDEX[k] of the
-# product |t1 t2 t3 i1 i2 i3>: the qubit reorder INTERLEAVE as one gather.
+# product |t1 t2 t3 i1 i2 i3>: the qubit reorder INTERLEAVE as one gather. That
+# entry's template row of U is _TEMPLATE_ROW[k], its incoming row _INCOMING_ROW[k].
 _INTERLEAVE_INDEX = _readonly(
     np.arange(64).reshape([2] * 6).transpose(np.subtract(INTERLEAVE, 1)).reshape(-1)
 )
+_TEMPLATE_ROW, _INCOMING_ROW = map(_readonly, np.divmod(_INTERLEAVE_INDEX, 8))
 
 _MERGE_ATOL = 1e-10
 _MASS_ATOL = 1e-10
@@ -254,12 +256,11 @@ def _recognition_matrix(cfg: ProtocolConfig) -> np.ndarray:
     ).reshape(8, 8).astype(complex)
 
 
-# Index of U's column at each canonical base's initial pairing-face ket.
 _COLUMN = {base: 4 * q1 + 2 * q2 + q3 for base, (q1, q2, q3) in WC_INITIAL.items()}
 
 
 def _column(b: BaseCode) -> int:
-    """Index of U's column at a base's initial pairing-face ket."""
+    """U's column index at a base's initial ket; the one place a rare tautomer is refused."""
     if b.rare:
         wc_initial_pattern(b)  # raises: a rare tautomer has no pairing-face pattern
     return _COLUMN[b.base]
@@ -275,17 +276,9 @@ def recognize(b: BaseCode, cfg: ProtocolConfig | None = None) -> StateVector:
     return StateVector(3, _recognition_matrix(cfg or _DEFAULT_CONFIG)[:, _column(b)])
 
 
-# _FACTORS[(t, i)] gathers the pair's two factors from the flattened U: entry
-# k of the register is u[fac_t[k]] * u[fac_i[k]]. It reads product entry
-# p = _INTERLEAVE_INDEX[k], whose template row is p >> 3 and incoming row p & 7.
-# Its keys are the supported orientations.
-_FACTORS = {
-    (t, i): (
-        _readonly(8 * (_INTERLEAVE_INDEX >> 3) + _COLUMN[t]),
-        _readonly(8 * (_INTERLEAVE_INDEX & 7) + _COLUMN[i]),
-    )
-    for t, i in (("A", "T"), ("T", "A"), ("G", "C"), ("C", "G"))
-}
+_PAIRED = frozenset(
+    (t, i.base) for t in WC_INITIAL for i in recognition_matches(h_edge_pattern(BaseCode(t)))
+)
 
 
 def assemble_pair(
@@ -293,16 +286,12 @@ def assemble_pair(
     incoming: BaseCode,
     cfg: ProtocolConfig | None = None,
 ) -> StateVector:
-    """Interleaved 6-qubit state of a recognized complementary base pair."""
-    if template.rare or incoming.rare:
-        raise UnsupportedEncodingError(
-            f"pairing is defined for canonical bases only, got {template}.{incoming}"
-        )
-    factors = _FACTORS.get((template.base, incoming.base))
-    if factors is None:
+    """Interleaved 6-qubit state of a template and the incoming base it selects."""
+    t, i = _column(template), _column(incoming)
+    if (template.base, incoming.base) not in _PAIRED:
         raise ValueError(f"unsupported pairing {template}.{incoming}")
-    u = _recognition_matrix(cfg or _DEFAULT_CONFIG).ravel()
-    return StateVector(6, u[factors[0]] * u[factors[1]])
+    u = _recognition_matrix(cfg or _DEFAULT_CONFIG)
+    return StateVector(6, u[:, t][_TEMPLATE_ROW] * u[:, i][_INCOMING_ROW])
 
 
 def _instrument(v: np.ndarray) -> np.ndarray:
@@ -513,6 +502,28 @@ def _count_chunk(
     return np.bincount(cell, minlength=len(col_t))
 
 
+def _check_shots(shots) -> int:
+    """``shots`` as an int from 1 to 2**63 - 1, or ``ValueError`` (README, "Input values")."""
+    if not _is_integer(shots):
+        raise ValueError(f"shots must be an integer, got {shots!r}")
+    shots = int(shots)
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
+    if shots >= 2**63:  # the counts are int64
+        raise ValueError(f"shots must be < 2**63, got {shots}")
+    return shots
+
+
+def _check_seed(seed) -> int:
+    """``seed`` as an int from 0 to 2**64 - 1, or ``ValueError`` (README, "Input values")."""
+    if not _is_integer(seed):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    seed = int(seed)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must fit in 64 bits, got {seed}")
+    return seed
+
+
 def sample(
     ensemble: Ensemble,
     shots: int = 1,
@@ -541,19 +552,10 @@ def sample(
     ``_count_chunk`` ranks each shot once, from a 256 x 256 int8 table
     (``_cell_table``, 64 KB per call) keyed by both words' top bytes, and
     runs ``searchsorted`` only on the ~1.2% of shots in a bucket that a
-    threshold splits. ``shots`` < 2**63 and ``seed`` < 2**64 follow README's
-    "Input values" rule, and the ensemble must have a branch.
+    threshold splits. ``shots`` and ``seed`` must pass ``_check_shots`` and
+    ``_check_seed``, and the ensemble must have a branch.
     """
-    for name, value in (("shots", shots), ("seed", seed)):
-        if not _is_integer(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    shots, seed = int(shots), int(seed)
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    if shots >= 2**63:
-        raise ValueError(f"shots must be < 2**63 (counts are int64), got {shots}")
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must fit in 64 bits, got {seed}")
+    shots, seed = _check_shots(shots), _check_seed(seed)
     keep = ensemble.keep
     if not keep.any():
         raise ValueError("the ensemble has no branches; nothing to sample")

@@ -41,7 +41,7 @@ from dnaswap.cli import (
 from dnaswap.encodings import BaseCode, wc_initial_pattern
 from dnaswap.gates import BELL_LABELS
 from dnaswap.metrics import verify_against_reference
-from dnaswap.protocol import ProtocolConfig, canonical_table, run_pair, swap
+from dnaswap.protocol import ProtocolConfig, canonical_table, run_pair, sample, swap
 from dnaswap.statevec import StateVector
 
 
@@ -631,6 +631,27 @@ def test_run_request_validation_messages():
     # Programmatic callers get the parser's choices too.
     assert RunRequest(pair="AT", mode="Sample").validate().startswith("mode")
     assert RunRequest(pair="AT", fmt="xml").validate().startswith("format")
+
+
+_RANGE_CASES = [0, 2**63, 2**70, 1.5, True, -3, 2**64]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [{slot: v} for slot in ("shots", "seed") for v in _RANGE_CASES] + [{"shots": 0, "seed": 1.5}],
+    ids=lambda args: ",".join(f"{k}={v!r}" for k, v in args.items()),
+)
+def test_run_request_states_samples_range_messages(at_ensemble, args):
+    # ``sample`` owns the shots and seed ranges: the CLI refuses what it
+    # refuses, with its message after "--", and accepts what it accepts.
+    args = {"shots": 3, "seed": 0, **args}
+    try:
+        sample(at_ensemble, **args)
+    except ValueError as exc:
+        want = f"--{exc}"
+    else:
+        want = None
+    assert RunRequest(pair="AT", mode="sample", **args).validate() == want
 
 
 @pytest.mark.parametrize(

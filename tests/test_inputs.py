@@ -2,7 +2,8 @@
 
 A numpy integer or float counts as the equal Python int or float, a bool or
 ``np.bool_`` is never a number, a float is never an integer, and every
-refusal is a ``ValueError`` (README, "Input values").
+refusal is a ``ValueError`` (README, "Input values"). The ``shots`` and
+``seed`` ranges are written once, in ``protocol``'s two range checks.
 """
 from __future__ import annotations
 
@@ -107,6 +108,19 @@ _SRC = Path(dnaswap.__file__).parent
 _CHECKS = {("statevec", "_is_integer"), ("statevec", "_is_finite_real")}
 
 
+def _walk(tree: ast.AST):
+    """Yield (enclosing function name or None, node) for each node of a tree."""
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        yield func, node
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, func)
+
+    yield from visit(tree, None)
+
+
 def _number_type_tests(tree: ast.AST):
     """Yield (function, rule) for each number-type test in a module's tree."""
 
@@ -117,9 +131,7 @@ def _number_type_tests(tree: ast.AST):
     def calls(node, name):
         return isinstance(node, ast.Call) and names(node.func) == {name}
 
-    def visit(node, func):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            func = node.name
+    for func, node in _walk(tree):
         if isinstance(node, ast.Attribute) and node.attr == "index":
             if names(node.value) == {"operator"}:
                 yield func, "operator.index"
@@ -134,10 +146,29 @@ def _number_type_tests(tree: ast.AST):
             number = any(isinstance(o, ast.Name) and o.id in ("int", "float") for o in operands)
             if number and any(calls(o, "type") for o in operands):
                 yield func, "type is"
-        for child in ast.iter_child_nodes(node):
-            yield from visit(child, func)
 
-    yield from visit(tree, None)
+
+# The bounds of ``shots`` (below 2**63) and ``seed`` (below 2**64), as a
+# literal or one past it.
+_BOUNDS = {2**63 - 1, 2**63, 2**64 - 1, 2**64}
+
+
+def _range_bounds(tree: ast.AST):
+    """Yield (function, bound) for each shots or seed bound written in a module's
+    tree: an int literal, or a power or shift of two int literals."""
+    for func, node in _walk(tree):
+        value = None
+        if isinstance(node, ast.Constant) and type(node.value) is int:
+            value = node.value
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Pow, ast.LShift)):
+            left, right = node.left, node.right
+            if all(isinstance(o, ast.Constant) and type(o.value) is int for o in (left, right)):
+                if isinstance(node.op, ast.Pow):
+                    value = left.value ** right.value
+                else:
+                    value = left.value << right.value
+        if value in _BOUNDS:
+            yield func, value
 
 
 def test_only_the_two_checks_test_number_types():
@@ -165,3 +196,24 @@ def f(x):
     rules = sorted(rule for _, rule in _number_type_tests(ast.parse(code)))
     assert rules == ["isinstance", "isinstance", "operator.index", "operator.index",
                      "type is", "type is"]
+
+
+def test_only_protocols_range_checks_write_the_shots_and_seed_bounds():
+    found = {
+        (path.stem, func)
+        for path in sorted(_SRC.glob("*.py"))
+        for func, _ in _range_bounds(ast.parse(path.read_text(), str(path)))
+    }
+    # Each range is written once: ``sample`` and the CLI both call these checks.
+    assert found == {("protocol", "_check_shots"), ("protocol", "_check_seed")}
+
+
+def test_the_bound_guard_finds_each_form():
+    code = """
+def f(x):
+    return (x < 2**63, x < 2 ** 64, x < 1 << 63, x <= 2**64 - 1, x <= 9223372036854775807,
+            x <= 0xFFFFFFFFFFFFFFFF, x < 2**62, x < 63)
+"""
+    assert sorted(bound for _, bound in _range_bounds(ast.parse(code))) == sorted(
+        [2**63, 2**64, 2**63, 2**64, 2**63 - 1, 2**64 - 1]
+    )

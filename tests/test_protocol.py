@@ -265,8 +265,11 @@ def test_assemble_rejects_non_complementary_pairs(cfg):
 
 
 def test_assemble_rejects_rare_tautomers(cfg):
-    with pytest.raises(UnsupportedEncodingError):
-        assemble_pair(A, BaseCode("C", rare=True), cfg)
+    rare = {b: BaseCode(b, rare=True) for b in "ATC"}
+    pairs = [(A, rare["C"]), (rare["A"], T), (A, rare["T"]), (rare["A"], rare["T"])]
+    for template, incoming in pairs:
+        with pytest.raises(UnsupportedEncodingError):
+            assemble_pair(template, incoming, cfg)
 
 
 def test_assemble_accepts_both_orientations(cfg):
