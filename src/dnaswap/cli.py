@@ -72,7 +72,7 @@ class RunRequest:
 
     def validate(self) -> str | None:
         """Return an error message for an invalid field or field combination."""
-        if self.pair not in PAIRS:
+        if self.pair not in tuple(PAIRS):  # a tuple: an unhashable pair is refused too
             return f"pair must be one of {sorted(PAIRS)}, got {self.pair!r}"
         if self.mode not in MODES:
             return f"mode must be one of {list(MODES)}, got {self.mode!r}"

@@ -110,7 +110,7 @@ def expectations(key: str, rows: Sequence[CanonicalRow]) -> Iterator[tuple]:
     row of each ``(group, rank)`` (the last one of a repeated key) and, for
     G.C, each group's probabilities, which ``sum`` adds in table order.
     """
-    if key not in _CHECKS:
+    if key not in tuple(_CHECKS):  # a tuple: an unhashable key is refused too
         raise ValueError(f"no reference data for pair {key!r}")
     values: dict = {}
     group_probs = {g: [] for g in GROUPS} if key == "GC" else {}

@@ -1,51 +1,37 @@
-"""Independent brute-force reference implementation for cross-checks.
+"""Independent references the tests compare the package against.
 
-Everything here is rebuilt from first principles with explicit full-register
-matrices assembled by Kronecker products - deliberately a different code
-path from the package (which uses axis contractions), so agreement is a
-meaningful check. Shares only the public conventions: qubit 1 = MSB, the
-Bell labeling, the V construction, and the recognition-target definitions.
+The Kronecker-product layer is ``perfbench/dense.py``, the evaluation the
+benchmark checks against too, loaded by file path under a private name so
+that no benchmark module joins the import path. Its operators, Bell vectors
+and (theta, phi) targets back ``bell_projector``, ``build_u``,
+``pair_state`` and ``run_swap``; ``interleave`` and ``canonical_rows`` are
+the oracle's own.
 
-The exceptions are at the end. ``branch_swap``/``branch_table``/
-``branch_ensemble_doc`` are a frozen copy of the package's own swap,
-canonical table and exact-mode JSON document from when they read a list of
-``OutcomeBranch`` objects; the array ensemble must reproduce them bit for
-bit, errors included. ``expectations`` is a frozen copy of
-``reference.expectations`` from before its checks were compiled at import;
-the compiled checks must yield the same items, bit for bit.
+The rest are frozen copies of the package's earlier code, which it must
+reproduce bit for bit, errors included: ``branch_swap``, ``branch_table``
+and ``branch_ensemble_doc`` (from when the ensemble was a list of
+``OutcomeBranch``), the sampler's ``sample_reference`` and
+``counts_from_uniforms``, ``to_json`` (``json.dumps``), and the per-call
+reference checks ``expectations`` and ``passes``.
 """
 from __future__ import annotations
 
+import importlib.util
 import json
-from functools import reduce
-from itertools import product
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 
+_spec = importlib.util.spec_from_file_location(
+    "_dense_reference", Path(__file__).resolve().parents[1] / "perfbench" / "dense.py"
+)
+dense = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(dense)
+
 S2 = np.sqrt(2.0)
-S3 = np.sqrt(3.0)
 
-I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
-
-# Elementary transition matrices |r><c|.
-E = {(r, c): np.zeros((2, 2), dtype=complex) for r in range(2) for c in range(2)}
-for (r, c), m in E.items():
-    m[r, c] = 1.0
-
-
-def ket(bits: str) -> np.ndarray:
-    v = np.zeros(2 ** len(bits), dtype=complex)
-    v[int(bits, 2)] = 1.0
-    return v
-
-
-BELL = {
-    (0, 0): (ket("00") + ket("11")) / S2,
-    (1, 0): (ket("00") - ket("11")) / S2,
-    (0, 1): (ket("01") + ket("10")) / S2,
-    (1, 1): (ket("01") - ket("10")) / S2,
-}
 
 V = np.array(
     [
@@ -60,50 +46,22 @@ V = np.array(
 WC_INITIAL = {"A": "101", "T": "010", "G": "011", "C": "100"}
 
 
-def kron_chain(factors: list[np.ndarray]) -> np.ndarray:
-    return reduce(np.kron, factors)
+@cache  # run_swap reads the same 8 projectors on every call
+def bell_projector(label: tuple[int, int], pair: tuple[int, int]) -> np.ndarray:
+    b = dense.BELL[label]
+    return dense.on_qubits(np.outer(b, b.conj()), pair)
 
 
-def embed_one(mat: np.ndarray, q: int, n: int) -> np.ndarray:
-    """1-qubit operator on qubit q (1-based) as a full 2^n matrix."""
-    return kron_chain([mat if k == q else I2 for k in range(1, n + 1)])
-
-
-def embed_two(mat: np.ndarray, i: int, j: int, n: int) -> np.ndarray:
-    """2-qubit operator on (i, j) as a full matrix, via elementary sums."""
-    total = np.zeros((2**n, 2**n), dtype=complex)
-    for (r1, r2), (c1, c2) in product(product(range(2), repeat=2), repeat=2):
-        coeff = mat[2 * r1 + r2, 2 * c1 + c2]
-        if coeff == 0:
-            continue
-        factors = []
-        for q in range(1, n + 1):
-            if q == i:
-                factors.append(E[(r1, c1)])
-            elif q == j:
-                factors.append(E[(r2, c2)])
-            else:
-                factors.append(I2)
-        total += coeff * kron_chain(factors)
-    return total
-
-
-def bell_projector(label: tuple[int, int], pair: tuple[int, int], n: int) -> np.ndarray:
-    b = BELL[label]
-    return embed_two(np.outer(b, b.conj()), pair[0], pair[1], n)
-
-
-def build_u() -> np.ndarray:
-    """Recognition unitary at the default angles, by column assignment."""
+def build_u(theta: float = dense.DEFAULT_THETA, phi: float = dense.DEFAULT_PHI) -> np.ndarray:
+    """Recognition unitary: dense's targets as the pinned columns, the free
+    columns completed by Gram-Schmidt over the unit kets."""
+    pinned = {int(WC_INITIAL[b], 2): col for b, col in dense.targets(theta, phi).items()}
     u = np.zeros((8, 8), dtype=complex)
-    u[:, 0b101] = (ket("011") - ket("101")) / S2
-    u[:, 0b010] = (ket("010") + ket("100")) / S2
-    u[:, 0b011] = (ket("011") + ket("101") + ket("110")) / S3
-    u[:, 0b100] = (ket("100") - ket("010") + ket("001")) / S3
-    assigned = [0b101, 0b010, 0b011, 0b100]
-    free = [i for i in range(8) if i not in assigned]
-    fixed = [u[:, k] for k in assigned]
-    for idx in free:
+    fixed = list(pinned.values())
+    for idx in range(8):
+        if idx in pinned:
+            u[:, idx] = pinned[idx]
+            continue
         v = np.zeros(8, dtype=complex)
         v[idx] = 1.0
         for c in fixed:
@@ -128,46 +86,44 @@ def interleave(prod_state: np.ndarray) -> np.ndarray:
     return out
 
 
-def pair_state(template: str, incoming: str, u: np.ndarray | None = None) -> np.ndarray:
-    u = build_u() if u is None else u
-    q1 = u @ ket(WC_INITIAL[template])
-    q2 = u @ ket(WC_INITIAL[incoming])
-    return interleave(np.kron(q1, q2))
+def pair_state(template: str, incoming: str, theta: float = dense.DEFAULT_THETA,
+               phi: float = dense.DEFAULT_PHI) -> np.ndarray:
+    """The assembled register at (theta, phi), from dense's recognition targets."""
+    faces = dense.targets(theta, phi)
+    return interleave(np.kron(faces[template], faces[incoming]))
 
 
 def run_swap(psi0: np.ndarray, v_mat: np.ndarray = V) -> list[dict]:
-    """Full enumeration of the five-step protocol on a 6-qubit state."""
-    n = 6
-    psi = embed_two(v_mat, 3, 5, n) @ psi0
-    x4x5 = embed_one(X, 4, n) @ embed_one(X, 5, n)
-    x2x5 = embed_one(X, 2, n) @ embed_one(X, 5, n)
+    """Full enumeration of the five-step protocol on a 6-qubit state: each
+    kept branch's probability, (a, b) on qubits (5, 6) and full register."""
+    psi = dense.on_qubits(v_mat, (3, 5)) @ psi0
+    x4x5 = dense.on_qubits(np.kron(X, X), (4, 5))
+    x2x5 = dense.on_qubits(np.kron(X, X), (2, 5))
     out = []
-    for lab34 in BELL:
-        phi = bell_projector(lab34, (3, 4), n) @ psi
+    for lab34 in dense.BELL:
+        phi = bell_projector(lab34, (3, 4)) @ psi
         p34 = float(np.vdot(phi, phi).real)
         if p34 < 1e-14:
             continue
         phi = phi / np.sqrt(p34)
         if lab34[1] == 0:
             phi = x4x5 @ phi
-        for lab12 in BELL:
-            chi = bell_projector(lab12, (1, 2), n) @ phi
+        for lab12 in dense.BELL:
+            chi = bell_projector(lab12, (1, 2)) @ phi
             p12 = float(np.vdot(chi, chi).real)
             if p12 < 1e-14:
                 continue
             chi = chi / np.sqrt(p12)
             if lab12[1] == 0:
                 chi = x2x5 @ chi
-            f12, f34 = (lab12[0], 1), (lab34[0], 1)
-            ref01 = kron_chain([BELL[f12], BELL[f34], ket("01")])
-            ref10 = kron_chain([BELL[f12], BELL[f34], ket("10")])
+            bonds = np.kron(dense.BELL[(lab12[0], 1)], dense.BELL[(lab34[0], 1)])
             out.append(
                 {
                     "raw34": lab34,
                     "raw12": lab12,
                     "p": p34 * p12,
-                    "a": complex(np.vdot(ref01, chi)),
-                    "b": complex(np.vdot(ref10, chi)),
+                    "a": complex(np.vdot(np.kron(bonds, dense.ket("01")), chi)),
+                    "b": complex(np.vdot(np.kron(bonds, dense.ket("10")), chi)),
                     "state": chi,
                 }
             )

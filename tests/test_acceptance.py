@@ -128,9 +128,9 @@ def test_criterion_5_proton_conservation(at_state, gc_state):
         for br in ens.branches:
             assert hamming_support(br.final_state) == {3}
         # The register after the (3,4) measurement, before its correction.
-        stage1 = oracle.embed_two(oracle.V, 3, 5, 6) @ state.amplitudes
-        for label in oracle.BELL:
-            post = oracle.bell_projector(label, (3, 4), 6) @ stage1
+        stage1 = oracle.dense.on_qubits(oracle.V, (3, 5)) @ state.amplitudes
+        for label in oracle.dense.BELL:
+            post = oracle.bell_projector(label, (3, 4)) @ stage1
             p = np.vdot(post, post).real
             if p < PRUNE_DEFAULT:
                 continue

@@ -659,6 +659,9 @@ def test_run_request_states_samples_range_messages(at_ensemble, args):
     [
         (lambda: cmd_run(RunRequest(pair="XY")), RunRequest(pair="XY").validate()),
         (lambda: cmd_inspect("XY", "O"), RunRequest(pair="XY").validate()),
+        # Unhashable: membership is tested against a tuple, not hashed.
+        (lambda: cmd_run(RunRequest(pair=["AT"])), "pair must be one of ['AT', 'GC'], got ['AT']"),
+        (lambda: cmd_inspect(["AT"], "O"), "pair must be one of ['AT', 'GC'], got ['AT']"),
         (
             lambda: cmd_run(RunRequest(pair="AT", mode="Sample")),
             RunRequest(pair="AT", mode="Sample").validate(),
@@ -696,9 +699,9 @@ def test_run_request_states_samples_range_messages(at_ensemble, args):
         (lambda: cmd_recognize(b"01", False), "--pattern must be 2 bits, got b'01'"),
         (lambda: cmd_recognize(["0", "1"], False), "--pattern must be 2 bits, got ['0', '1']"),
     ],
-    ids=["run-pair", "inspect-pair", "run-mode", "run-mode-with-shots", "run-fractional-shots",
-         "run-exact-fractional-seed", "run-sample-fractional-seed", "run-bool-shots",
-         "run-bool-seed",
+    ids=["run-pair", "inspect-pair", "run-list-pair", "inspect-list-pair", "run-mode",
+         "run-mode-with-shots", "run-fractional-shots", "run-exact-fractional-seed",
+         "run-sample-fractional-seed", "run-bool-shots", "run-bool-seed",
          "recognize-full-width", "recognize-letter", "recognize-three-bits",
          "recognize-bytes", "recognize-list"],
 )

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
 from typing import NamedTuple
 from unittest import mock
@@ -288,11 +289,11 @@ def test_compiled_expectations_yield_the_per_call_generators_items(rows):
 
 def test_verification_rejects_unlabeled_or_unknown_pairs(at_ensemble, cfg):
     # Only "AT" and "GC" have reference tables: a reversed orientation, an
-    # unknown key or an empty one raises rather than running the G.C checks.
+    # unknown, empty or unhashable key raises rather than running the G.C checks.
     ta = run_pair(BaseCode("T"), BaseCode("A"), cfg)
-    for key in ("TA", "CG", "XY", ""):
+    for key in ("TA", "CG", "XY", "", ["AT"]):
         for ens in (ta, at_ensemble):
-            with pytest.raises(ValueError, match=f"no reference data for pair {key!r}"):
+            with pytest.raises(ValueError, match=re.escape(f"no reference data for pair {key!r}")):
                 verify_against_reference(key, ens)
 
 

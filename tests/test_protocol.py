@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import pickle
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -174,18 +175,13 @@ def test_recognition_targets_stay_orthonormal_off_default_angles():
         assert np.max(np.abs(gram - np.eye(4))) <= 1e-12
 
 
-def test_recognition_target_amplitude_pattern_off_default():
-    cfg = ProtocolConfig(theta=0.3, phi=0.9)
-    targets = pinned_columns(cfg)
-    ct, st = math.cos(0.3), math.sin(0.3)
-    cp, sp_ = math.cos(0.9), math.sin(0.9)
-    g_row = targets[0b011]
-    assert g_row[0b011] == pytest.approx(ct * sp_, abs=1e-15)
-    assert g_row[0b101] == pytest.approx(ct * cp, abs=1e-15)
-    assert g_row[0b110] == pytest.approx(st, abs=1e-15)
-    a_row = targets[0b101]
-    assert a_row[0b011] == pytest.approx(cp, abs=1e-15)
-    assert a_row[0b101] == pytest.approx(-sp_, abs=1e-15)
+@settings(max_examples=200, deadline=None)
+@given(theta=ANGLES, phi=ANGLES)
+def test_recognition_target_amplitude_pattern_off_default(theta, phi):
+    columns = pinned_columns(ProtocolConfig(theta=theta, phi=phi))
+    targets = oracle.dense.targets(theta, phi)
+    for code, k in zip("ATGC", PINNED):
+        assert np.max(np.abs(columns[k] - targets[code])) <= 1e-15, code
 
 
 def test_recognize_rejects_rare_tautomers(cfg):
@@ -413,11 +409,15 @@ def test_correction_flags_track_raw_outcomes(at_ensemble):
 
 
 @pytest.mark.parametrize("pair", ["AT", "GC"])
-def test_swap_agrees_with_independent_enumeration(pair, at_ensemble, gc_ensemble):
-    ens = at_ensemble if pair == "AT" else gc_ensemble
+@settings(max_examples=25, deadline=None)
+@given(theta=ANGLES, phi=ANGLES, reverse=st.booleans())
+@example(theta=DEFAULT_THETA, phi=DEFAULT_PHI, reverse=False)
+def test_swap_agrees_with_independent_enumeration(pair, theta, phi, reverse):
+    template, incoming = pair[::-1] if reverse else pair
+    ens = run_pair(BaseCode(template), BaseCode(incoming), ProtocolConfig(theta=theta, phi=phi))
     ref = {
         (d["raw34"], d["raw12"]): d
-        for d in oracle.run_swap(oracle.pair_state(pair[0], pair[1]))
+        for d in oracle.run_swap(oracle.pair_state(template, incoming, theta, phi))
     }
     assert len(ens.branches) == len(ref)
     for br in ens.branches:
@@ -426,6 +426,41 @@ def test_swap_agrees_with_independent_enumeration(pair, at_ensemble, gc_ensemble
         assert np.allclose(br.final_state.amplitudes, d["state"], atol=1e-12)
         assert abs(br.third_pair[0] - d["a"]) <= 1e-12
         assert abs(br.third_pair[1] - d["b"]) <= 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(pair=st.sampled_from(["AT", "TA", "GC", "CG"]), theta=ANGLES, phi=ANGLES)
+def test_dense_reference_agrees_with_the_oracle_enumeration(pair, theta, phi):
+    # perfbench checks the package against dense.branches: a fault there must
+    # fail here too. sqrt(p) * a, as normalizing a faint branch magnifies rounding.
+    ref = {
+        ("b{}{}".format(*d["raw34"]), "b{}{}".format(*d["raw12"])): d
+        for d in oracle.run_swap(oracle.pair_state(*pair, theta, phi))
+    }
+    got = oracle.dense.branches(*pair, theta, phi)
+    assert len(got) == 16 and set(ref) <= set(got)
+    for key, (p, a, b) in got.items():
+        if key not in ref:
+            assert p <= 1e-13, key
+            continue
+        d = ref[key]
+        assert abs(p - d["p"]) <= 1e-13, key
+        for x, y in ((a, d["a"]), (b, d["b"])):
+            assert abs(math.sqrt(p) * x - math.sqrt(d["p"]) * y) <= 1e-12, key
+
+
+def test_dense_reference_imports_no_dnaswap_module():
+    # Tier-1 and the benchmark trust dense.py as an independent evaluation:
+    # loaded alone in a fresh interpreter, it must not reach the package.
+    code = (
+        "import importlib.util as u, sys; s = u.spec_from_file_location('d', sys.argv[1]); "
+        "s.loader.exec_module(u.module_from_spec(s)); "
+        "print([m for m in sys.modules if 'dnaswap' in m])"
+    )
+    argv = [sys.executable, "-c", code, oracle.dense.__file__]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def random_unitary(seed: int) -> np.ndarray:
@@ -614,22 +649,22 @@ def test_swap_rejects_a_non_finite_instrument(at_state, monkeypatch):
 
 def test_measuring_back_pair_first_gives_identical_ensemble(at_state, gc_state):
     # Steps 4-5 commute with steps 2-3: disjoint supports up to the X on
-    # qubit 5, which is applied by both corrections. The oracle's operators,
-    # with the (1,2) measurement and its correction first.
-    x2x5 = oracle.embed_one(oracle.X, 2, 6) @ oracle.embed_one(oracle.X, 5, 6)
-    x4x5 = oracle.embed_one(oracle.X, 4, 6) @ oracle.embed_one(oracle.X, 5, 6)
+    # qubit 5, which is applied by both corrections. Dense's operators, with
+    # the (1,2) measurement and its correction first.
+    x2x5 = oracle.dense.on_qubits(np.kron(oracle.X, oracle.X), (2, 5))
+    x4x5 = oracle.dense.on_qubits(np.kron(oracle.X, oracle.X), (4, 5))
     for state in (at_state, gc_state):
         reordered = {}
-        stage1 = oracle.embed_two(oracle.V, 3, 5, 6) @ state.amplitudes
-        for label12 in oracle.BELL:
-            mid = oracle.bell_projector(label12, (1, 2), 6) @ stage1
+        stage1 = oracle.dense.on_qubits(oracle.V, (3, 5)) @ state.amplitudes
+        for label12 in oracle.dense.BELL:
+            mid = oracle.bell_projector(label12, (1, 2)) @ stage1
             p12 = np.vdot(mid, mid).real
             if p12 < PRUNE_DEFAULT:
                 continue
             if label12[1] == 0:
                 mid = x2x5 @ mid
-            for label34 in oracle.BELL:
-                final = oracle.bell_projector(label34, (3, 4), 6) @ mid
+            for label34 in oracle.dense.BELL:
+                final = oracle.bell_projector(label34, (3, 4)) @ mid
                 p = np.vdot(final, final).real
                 if p / p12 < PRUNE_DEFAULT:
                     continue
@@ -700,9 +735,13 @@ def test_sign_flipped_groups_normalize_identically(gc_ensemble):
             assert p1 == pytest.approx(p2, abs=1e-12)
 
 
-def test_canonical_table_agrees_with_independent_enumeration(gc_ensemble):
-    ref = oracle.canonical_rows(oracle.run_swap(oracle.pair_state("G", "C")))
-    rows = canonical_table(gc_ensemble)
+@settings(max_examples=50, deadline=None)
+@given(pair=st.sampled_from(["AT", "TA", "GC", "CG"]), theta=ANGLES, phi=ANGLES)
+@example(pair="GC", theta=DEFAULT_THETA, phi=DEFAULT_PHI)
+def test_canonical_table_agrees_with_independent_enumeration(pair, theta, phi):
+    ref = oracle.canonical_rows(oracle.run_swap(oracle.pair_state(*pair, theta, phi)))
+    rows = canonical_table(run_pair(*map(BaseCode, pair), ProtocolConfig(theta=theta, phi=phi)))
+    assert len(rows) == sum(len(group) for group in ref.values())
     for row in rows:
         a, b, p = ref[row.group][row.rank - 1]
         assert row.a == pytest.approx(a, abs=1e-12)

@@ -135,7 +135,7 @@ def test_interleave_maps_product_ket_to_paired_order():
 
 
 def test_entangler_on_qubits_3_and_5():
-    v35 = oracle.embed_two(equality_entangler(), 3, 5, 6)
+    v35 = oracle.dense.on_qubits(equality_entangler(), (3, 5))
     out = v35 @ basis_state("001110").amplitudes
     expected = (basis_state("000100").amplitudes - basis_state("001110").amplitudes) / np.sqrt(2)
     assert np.allclose(out, expected, atol=1e-12)
