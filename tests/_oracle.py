@@ -52,10 +52,11 @@ def bell_projector(label: tuple[int, int], pair: tuple[int, int]) -> np.ndarray:
     return dense.on_qubits(np.outer(b, b.conj()), pair)
 
 
-def build_u(theta: float = dense.DEFAULT_THETA, phi: float = dense.DEFAULT_PHI) -> np.ndarray:
-    """Recognition unitary: dense's targets as the pinned columns, the free
-    columns completed by Gram-Schmidt over the unit kets."""
-    pinned = {int(WC_INITIAL[b], 2): col for b, col in dense.targets(theta, phi).items()}
+def build_u() -> np.ndarray:
+    """Recognition unitary, at the default angles only: dense's targets as the
+    pinned columns, the free columns completed by Gram-Schmidt over unit kets."""
+    targets = dense.targets(dense.DEFAULT_THETA, dense.DEFAULT_PHI)
+    pinned = {int(WC_INITIAL[b], 2): col for b, col in targets.items()}
     u = np.zeros((8, 8), dtype=complex)
     fixed = list(pinned.values())
     for idx in range(8):
@@ -86,8 +87,7 @@ def interleave(prod_state: np.ndarray) -> np.ndarray:
     return out
 
 
-def pair_state(template: str, incoming: str, theta: float = dense.DEFAULT_THETA,
-               phi: float = dense.DEFAULT_PHI) -> np.ndarray:
+def pair_state(template: str, incoming: str, theta: float, phi: float) -> np.ndarray:
     """The assembled register at (theta, phi), from dense's recognition targets."""
     faces = dense.targets(theta, phi)
     return interleave(np.kron(faces[template], faces[incoming]))
