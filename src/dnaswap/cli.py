@@ -12,11 +12,11 @@ compiled through ``to_json`` at import into one text layout per outcome,
 and a run fills the kept outcomes' layouts with the numbers of the
 ensemble's arrays, each written as ``to_json`` writes it: no command builds
 an ``OutcomeBranch``. ``verify``'s document is compiled at import the same way,
-one layout per check from the reference's fixed checks (name, expected,
-tolerance), and a run fills each layout with its ``Check``'s actual value
-and verdict. CSV is written from a row layout behind a frozen header, with
-RFC-4180 line endings; its fields are integers, ``.15g`` numbers and Bell
-labels, so no field ever needs quoting.
+as one layout from both pairs' fixed reference checks (name, expected,
+tolerance), and a run fills it with each ``Check``'s actual value and verdict
+and the verdicts of each pair and of the whole. CSV is written from a row
+layout behind a frozen header, with RFC-4180 line endings; its fields are
+integers, ``.15g`` numbers and Bell labels, so no field ever needs quoting.
 """
 from __future__ import annotations
 
@@ -142,11 +142,6 @@ def _layout(doc, indent: str = "") -> str:
     return to_json(doc, indent).replace(_FIELD, "%s")
 
 
-def _separator(indent: str) -> str:
-    """The text between two items of a list written at nesting ``indent``."""
-    return _layout([_SLOT, _SLOT], indent).split("%s")[1]
-
-
 _BRANCH_LAYOUTS = tuple(
     _layout(
         {
@@ -160,7 +155,7 @@ _BRANCH_LAYOUTS = tuple(
     )
     for o in OUTCOMES
 )
-_BRANCH_SEP = _separator("  ")
+_BRANCH_SEP = _layout([_SLOT, _SLOT], "  ").split("%s")[1]  # between two branches
 _EXACT_DOC, _NO_BRANCHES = (
     _layout({"pair": _SLOT, "mode": "exact", "branches": branches, "dropped_mass": _SLOT})
     for branches in ([_SLOT], [])
@@ -243,31 +238,27 @@ def cmd_run(req: RunRequest) -> str:
 
 # ``verify``'s document, compiled once from the reference's fixed checks: with
 # no rows, ``expectations`` still yields each check's name, expected value and
-# tolerance, which no run changes. A run fills each check's layout with its
-# actual value and verdict, in sorted-key order: actual, passed.
-_CHECK_INDENT = " " * 8
-_VALUE_INDENT = _CHECK_INDENT + "  "
-_CHECK_LAYOUTS = {
-    pair: tuple(
-        (
-            (name, expected, tol),
-            _layout(
-                {"name": name, "expected": expected, "actual": _SLOT, "tolerance": tol,
-                 "passed": _SLOT},
-                _CHECK_INDENT,
-            ),
-        )
-        for name, expected, _, tol in reference.expectations(pair, ())
-    )
+# tolerance, which no run changes. A run fills the layout in sorted-key order:
+# the overall verdict, then per pair each check's actual value and verdict,
+# then the pair's verdict.
+_CHECKS = {
+    pair: tuple((name, exp, tol) for name, exp, _, tol in reference.expectations(pair, ()))
     for pair in PAIRS
 }
+_VERIFY_DOC = _layout({
+    "reference_version": reference.REFERENCE_VERSION,
+    "overall": _SLOT,
+    "reports": [
+        {"pair": pair, "overall": _SLOT, "checks": [
+            {"name": name, "expected": expected, "actual": _SLOT, "tolerance": tol,
+             "passed": _SLOT}
+            for name, expected, tol in checks
+        ]}
+        for pair, checks in _CHECKS.items()
+    ],
+})
+_VALUE_INDENT = " " * 10  # the nesting of a check's keys, where its values are written
 _ROW = _layout([_SLOT, _SLOT, _SLOT], _VALUE_INDENT)
-_CHECK_SEP = _separator("      ")
-_REPORT = _layout({"pair": _SLOT, "overall": _SLOT, "checks": [_SLOT]}, "    ")
-_REPORT_SEP = _separator("  ")
-_VERIFY_DOC = _layout(
-    {"reference_version": reference.REFERENCE_VERSION, "overall": _SLOT, "reports": [_SLOT]}
-)
 
 
 def _value(x) -> str:
@@ -283,26 +274,25 @@ def _value(x) -> str:
 
 
 def _verify_json(reports) -> str:
-    """``verify``'s document for one or more ``(pair, checks)`` items.
+    """``verify``'s document for ``cmd_verify``'s ``(pair, checks)`` reports,
+    one per pair in ``PAIRS`` order (A·T, then G·C).
 
-    Each check fills the layout compiled for it; a check whose name, expected
-    value or tolerance is not the very object its layout holds raises
-    ``ValueError``, so no reference value is printed for another check, nor
-    for an equal one of another form (16.0 for 16, -0.0 for 0.0).
+    Any other list of reports raises ``ValueError``, and so does a check whose
+    name, expected value or tolerance is not the very object the layout holds,
+    so no reference value is printed for another check, nor for an equal one
+    of another form (16.0 for 16, -0.0 for 0.0).
     """
-    texts = []
-    overall = True
+    if [pair for pair, _ in reports] != list(PAIRS):
+        raise ValueError(f"verify reports one check list per pair of {list(PAIRS)}, in order")
+    values = []
     for pair, checks in reports:
-        filled = []
-        for c, ((name, expected, tol), layout) in zip(checks, _CHECK_LAYOUTS[pair], strict=True):
+        for c, (name, expected, tol) in zip(checks, _CHECKS[pair], strict=True):
             if c.name is not name or c.expected is not expected or c.tolerance is not tol:
                 raise ValueError(f"{pair} check {c.name!r} is not the reference's {name!r}")
-            filled.append(layout % (_value(c.actual), _value(c.passed)))
-        passed = all(c.passed for c in checks)
-        overall = overall and passed
-        texts.append(_REPORT % (_CHECK_SEP.join(filled), _value(passed),
-                                encode_basestring_ascii(pair)))
-    return _VERIFY_DOC % (_value(overall), _REPORT_SEP.join(texts))
+            values += (_value(c.actual), _value(c.passed))
+        values.append(_value(all(c.passed for c in checks)))
+    overall = all(c.passed for _, checks in reports for c in checks)
+    return _VERIFY_DOC % (_value(overall), *values)
 
 
 def cmd_verify(dump_reference: bool = False) -> tuple[str, int]:

@@ -1,9 +1,7 @@
 """Unitaries and measurement bases used by the pairing protocol.
 
-The Bell labeling convention is frozen here and referenced everywhere else:
-
-    b00 = (|00> + |11>)/sqrt(2)      b01 = (|01> + |10>)/sqrt(2)
-    b10 = (|00> - |11>)/sqrt(2)      b11 = (|01> - |10>)/sqrt(2)
+The Bell labeling convention is frozen here, as the rows of ``BELL``, and
+referenced everywhere else.
 """
 from __future__ import annotations
 
@@ -14,7 +12,7 @@ import numpy as np
 
 from .statevec import StateVector, _is_integer, _readonly
 
-_SQRT1_2 = 1.0 / math.sqrt(2.0)
+_H = 1.0 / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -35,38 +33,24 @@ class BellLabel:
 
 BELL_LABELS = (BellLabel(0, 0), BellLabel(0, 1), BellLabel(1, 0), BellLabel(1, 1))
 
+# The two-qubit gate V, which entangles a pair exactly when its bits are
+# equal: identity on span{|01>, |10>}, |00> -> b00 and |11> -> b10.
+V = _readonly(np.array(
+    [[_H, 0, 0, _H], [0, 1, 0, 0], [0, 0, 1, 0], [_H, 0, 0, -_H]], dtype=complex
+))
 
-def equality_entangler() -> np.ndarray:
-    """Two-qubit gate V, a read-only 4x4 matrix: entangles a pair exactly
-    when its bits are equal.
-
-    Identity on span{|01>, |10>}; Hadamard-type action on the equal-bit
-    subspace: |00> -> (|00>+|11>)/sqrt2 and |11> -> (|00>-|11>)/sqrt2.
-    """
-    h = _SQRT1_2
-    mat = np.array(
-        [
-            [h, 0, 0, h],
-            [0, 1, 0, 0],
-            [0, 0, 1, 0],
-            [h, 0, 0, -h],
-        ],
-        dtype=complex,
-    )
-    return _readonly(mat)
+# BELL[i] holds the amplitudes over |00>, |01>, |10>, |11> of b_jk = BELL_LABELS[i].
+BELL = _readonly(np.array(
+    [
+        [_H, 0, 0, _H],  # b00
+        [0, _H, _H, 0],  # b01
+        [_H, 0, 0, -_H],  # b10
+        [0, _H, -_H, 0],  # b11
+    ],
+    dtype=complex,
+))
 
 
 def bell_state(label: BellLabel) -> StateVector:
-    """The 2-qubit Bell state b_jk under the frozen convention."""
-    amps = np.zeros(4, dtype=complex)
-    sign = -1.0 if label.j else 1.0
-    if label.k == 0:
-        amps[0b00], amps[0b11] = _SQRT1_2, sign * _SQRT1_2
-    else:
-        amps[0b01], amps[0b10] = _SQRT1_2, sign * _SQRT1_2
-    return StateVector(2, amps)
-
-
-def bell_basis() -> list[StateVector]:
-    """The four Bell states in BELL_LABELS order (b00, b01, b10, b11)."""
-    return [bell_state(label) for label in BELL_LABELS]
+    """The 2-qubit Bell state b_jk: row 2j + k of ``BELL``."""
+    return StateVector(2, BELL[2 * label.j + label.k])

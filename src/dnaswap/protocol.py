@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .encodings import WC_INITIAL, BaseCode, h_edge_pattern, recognition_matches, wc_initial_pattern
-from .gates import BELL_LABELS, BellLabel, bell_basis, equality_entangler
+from .gates import BELL, BELL_LABELS, V, BellLabel
 from .statevec import PRUNE_DEFAULT, ZERO_ATOL, StateVector, _is_finite_real, _is_integer, _readonly
 
 DEFAULT_THETA = math.acos(math.sqrt(2.0) / math.sqrt(3.0))
@@ -260,7 +260,10 @@ _COLUMN = {base: 4 * q1 + 2 * q2 + q3 for base, (q1, q2, q3) in WC_INITIAL.items
 
 
 def _column(b: BaseCode) -> int:
-    """U's column index at a base's initial ket; the one place a rare tautomer is refused."""
+    """U's column index at a base's initial ket; the one place a value that is
+    not a ``BaseCode``, or a rare tautomer, is refused."""
+    if not isinstance(b, BaseCode):
+        raise ValueError(f"a base must be a BaseCode, got {b!r}")
     if b.rare:
         wc_initial_pattern(b)  # raises: a rare tautomer has no pairing-face pattern
     return _COLUMN[b.base]
@@ -309,8 +312,8 @@ def _instrument(v: np.ndarray) -> np.ndarray:
 
 # _BELL[i] is the 2x2 amplitude array of BELL_LABELS[i]; _K is the swap
 # instrument of the paper's entangler V, built once.
-_BELL = _readonly(np.array([b.amplitudes.reshape(2, 2) for b in bell_basis()]))
-_K = _readonly(_instrument(equality_entangler()))
+_BELL = BELL.reshape(4, 2, 2)
+_K = _readonly(_instrument(V))
 # Outcome i has X on qubit 5, which swaps its residual's rows, exactly when
 # one of its two corrections fires. Entry (q5, q6) of outcome i's corrected
 # residual is entry _ORDER[i, q5, q6] of ``K @ psi``: the corrections as one

@@ -63,26 +63,30 @@ def _qubit_count(n) -> int:
     return int(n)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class StateVector:
-    """Normalized complex amplitude vector over ``num_qubits`` qubits."""
+    """Normalized complex amplitude vector over ``num_qubits`` qubits.
+
+    ``__init__`` is written out, as ``protocol.CanonicalRow``'s is: it stores
+    the checked fields in ``__dict__``, which costs less than the generated
+    frozen ``__init__`` and its ``object.__setattr__`` per field.
+    """
 
     num_qubits: int
     amplitudes: np.ndarray
 
-    def __post_init__(self) -> None:
-        self.num_qubits = _qubit_count(self.num_qubits)
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1).copy()
-        if amps.size != 2**self.num_qubits:
-            raise ValueError(
-                f"expected {2**self.num_qubits} amplitudes for "
-                f"{self.num_qubits} qubits, got {amps.size}"
-            )
+    def __init__(self, num_qubits: int, amplitudes) -> None:
+        n = _qubit_count(num_qubits)
+        amps = np.asarray(amplitudes, dtype=complex).reshape(-1).copy()
+        if amps.size != 2**n:
+            raise ValueError(f"expected {2**n} amplitudes for {n} qubits, got {amps.size}")
         norm = math.sqrt(np.vdot(amps, amps).real)
         # Written so that NaN fails: every comparison with NaN is False.
         if not abs(norm - 1.0) <= NORM_ATOL:
             raise ValueError(f"state not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
-        self.amplitudes = _readonly(amps)
+        d = self.__dict__
+        d["num_qubits"] = n
+        d["amplitudes"] = _readonly(amps)
 
     def as_tensor(self) -> np.ndarray:
         """View the amplitudes as an n-axis tensor, one axis per qubit."""
@@ -106,17 +110,18 @@ def basis_state(bits: str | Sequence[int]) -> StateVector:
     return StateVector(n, amps)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive semidefinite matrix on ``num_qubits``."""
+    """Hermitian, unit-trace, positive semidefinite matrix on ``num_qubits``;
+    ``__init__`` is written out as ``StateVector``'s is."""
 
     num_qubits: int
     matrix: np.ndarray
 
-    def __post_init__(self) -> None:
-        self.num_qubits = _qubit_count(self.num_qubits)
-        dim = 2**self.num_qubits
-        mat = np.asarray(self.matrix, dtype=complex).copy()
+    def __init__(self, num_qubits: int, matrix) -> None:
+        n = _qubit_count(num_qubits)
+        dim = 2**n
+        mat = np.asarray(matrix, dtype=complex).copy()
         if mat.shape != (dim, dim):
             raise ValueError(f"expected {dim}x{dim} matrix, got {mat.shape}")
         if not np.all(np.isfinite(mat)):
@@ -127,7 +132,9 @@ class DensityMatrix:
             raise ValueError(f"trace must be 1, got {np.trace(mat)}")
         if np.min(np.linalg.eigvalsh(mat)) < -PSD_ATOL:
             raise ValueError("density matrix has a negative eigenvalue")
-        self.matrix = _readonly(mat)
+        d = self.__dict__
+        d["num_qubits"] = n
+        d["matrix"] = _readonly(mat)
 
 
 def reduced_density(s: StateVector, keep: Iterable[int]) -> DensityMatrix:

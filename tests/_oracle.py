@@ -205,7 +205,7 @@ def to_json(doc: dict) -> str:
 # --- The per-branch ensemble, kept verbatim as the bit-level reference ---
 
 
-def branch_swap(pair_state, pair=None):
+def branch_swap(pair_state):
     """``protocol.swap`` as it built 16 ``OutcomeBranch`` objects one by one.
 
     Returns ``(branches, dropped_mass)`` and raises what it raised, the list
@@ -288,7 +288,8 @@ def branch_table(branches):
 
 
 def branch_ensemble_doc(pair, e):
-    """``cli.ensemble_doc`` as it read ``Ensemble.branches``."""
+    """The exact-mode document as a dict, built as the CLI built it from
+    ``Ensemble.branches`` before the document's layouts were compiled."""
     branches = []
     for br in e.branches:
         a, b = br.third_pair

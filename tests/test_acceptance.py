@@ -13,7 +13,7 @@ import numpy as np
 
 import _oracle as oracle
 from dnaswap.encodings import BaseCode, wc_initial_pattern, wc_initial_state
-from dnaswap.gates import bell_basis, equality_entangler
+from dnaswap.gates import BELL, V
 from dnaswap.metrics import concurrence, entanglement_entropy, hamming_support
 from dnaswap.protocol import (
     DEFAULT_PHI,
@@ -214,12 +214,12 @@ def test_criterion_8_sampling_consistency(at_ensemble):
 
 
 def test_criterion_9_property_suite(cfg):
-    constructed = [equality_entangler(), build_recognition_unitary(cfg)]
+    constructed = [V, build_recognition_unitary(cfg)]
     constructed += [
         build_recognition_unitary(ProtocolConfig(theta=t, phi=p))
         for t, p in zip(np.linspace(-3, 3, 7), np.linspace(3, -2, 7))
     ]
-    constructed.append(np.array([b.amplitudes for b in bell_basis()]).T)
+    constructed.append(BELL.T)
     for m in constructed:
         assert np.max(np.abs(m.conj().T @ m - np.eye(len(m)))) <= 1e-12
 

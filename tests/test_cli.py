@@ -779,37 +779,28 @@ def assert_verify_json_matches_the_dict_oracle(reports) -> str:
     return out
 
 
+RUNS = st.tuples(st.sampled_from(ORIENTATIONS), ANGLES, ANGLES, st.sets(st.integers(0, 15)))
+
+
 @settings(max_examples=200, deadline=None)
-@given(
-    judged=st.lists(
-        st.tuples(st.sampled_from(sorted(PAIRS)), st.sampled_from(ORIENTATIONS)),
-        min_size=1,
-        max_size=3,
-    ),
-    theta=ANGLES,
-    phi=ANGLES,
-    cleared=st.sets(st.integers(0, 15), max_size=16),
-)
+@given(at=RUNS, gc=RUNS)
 @example(
-    judged=[("AT", "AT"), ("GC", "GC")],
-    theta=protocol.DEFAULT_THETA,
-    phi=protocol.DEFAULT_PHI,
-    cleared=set(range(16)),
+    at=("AT", protocol.DEFAULT_THETA, protocol.DEFAULT_PHI, set(range(16))),
+    gc=("GC", protocol.DEFAULT_THETA, protocol.DEFAULT_PHI, set(range(16))),
 )
-def test_verify_json_matches_the_dict_oracle(judged, theta, phi, cleared):
+def test_verify_json_matches_the_dict_oracle(at, gc):
     # Each reference judges the ensemble of any orientation, at any angles,
     # with keep entries cleared by hand, as far as all 16.
-    cfg = ProtocolConfig(theta=theta, phi=phi)
     reports = []
-    for pair, orientation in judged:
+    for pair, (orientation, theta, phi, cleared) in zip(PAIRS, (at, gc)):
+        cfg = ProtocolConfig(theta=theta, phi=phi)
         ens = run_pair(BaseCode(orientation[0]), BaseCode(orientation[1]), cfg)
         keep = ens.keep.copy()
         keep[sorted(cleared)] = False
         reports.append((pair, verify_against_reference(pair, dataclasses.replace(ens, keep=keep))))
     out = assert_verify_json_matches_the_dict_oracle(reports)
-    if len(cleared) == 16:
-        doc = json.loads(out)
-        for rep in doc["reports"]:
+    for rep, (*_, cleared) in zip(json.loads(out)["reports"], (at, gc)):
+        if len(cleared) == 16:
             checks = {c["name"]: c["actual"] for c in rep["checks"]}
             assert checks["row_count"] == 0
             assert all(checks[name] is None for name in checks if name.startswith(("class", "row[")))
@@ -830,6 +821,7 @@ def test_verify_with_identity_entangler_fails(monkeypatch):
 
 
 def test_verify_json_refuses_a_check_it_was_not_compiled_for():
+    at = verify_against_reference("AT", run_pair(*PAIRS["AT"]))
     checks = verify_against_reference("GC", run_pair(*PAIRS["GC"]))
     first = checks[0]
     for changed in [
@@ -841,15 +833,19 @@ def test_verify_json_refuses_a_check_it_was_not_compiled_for():
         dataclasses.replace(first, tolerance=-0.0),
     ]:
         with pytest.raises(ValueError, match="not the reference's 'row_count'"):
-            _verify_json([("GC", [changed, *checks[1:]])])
+            _verify_json([("AT", at), ("GC", [changed, *checks[1:]])])
     with pytest.raises(ValueError):  # a check missing
-        _verify_json([("GC", checks[:-1])])
+        _verify_json([("AT", at), ("GC", checks[:-1])])
     with pytest.raises(ValueError):  # the checks of the other pair
-        _verify_json([("AT", checks)])
+        _verify_json([("AT", checks), ("GC", checks)])
+    # Only the reports ``cmd_verify`` makes: one per pair, A·T first.
+    for reports in ([("GC", checks)], [("GC", checks), ("AT", at)], [("AT", at)] * 2, []):
+        with pytest.raises(ValueError, match="one check list per pair of"):
+            _verify_json(reports)
     # An actual that JSON cannot encode raises json.dumps's own TypeError.
     odd = dataclasses.replace(first, actual={16})
     with pytest.raises(TypeError, match="Object of type set is not JSON serializable"):
-        _verify_json([("GC", [odd, *checks[1:]])])
+        _verify_json([("AT", at), ("GC", [odd, *checks[1:]])])
 
 
 def test_cli_import_loads_no_sympy_scipy_or_mpmath():

@@ -7,13 +7,7 @@ import numpy as np
 import pytest
 
 import _oracle as oracle
-from dnaswap.gates import (
-    BELL_LABELS,
-    BellLabel,
-    bell_basis,
-    bell_state,
-    equality_entangler,
-)
+from dnaswap.gates import BELL, BELL_LABELS, V, BellLabel, bell_state
 from dnaswap.protocol import ProtocolConfig, build_recognition_unitary
 
 S2 = math.sqrt(2.0)
@@ -21,7 +15,7 @@ S2 = math.sqrt(2.0)
 
 def test_all_protocol_gates_pass_unitarity():
     angles = ((0.7, 1.3), (-2.0, 0.4))
-    gates = [equality_entangler(), build_recognition_unitary()]
+    gates = [V, build_recognition_unitary()]
     gates += [build_recognition_unitary(ProtocolConfig(t, p)) for t, p in angles]
     for g in gates:
         assert type(g) is np.ndarray and g.dtype == complex and not g.flags.writeable
@@ -33,20 +27,17 @@ def test_all_protocol_gates_pass_unitarity():
 
 
 def test_entangler_fixes_unequal_bits():
-    v = equality_entangler()
-    assert np.allclose(v @ [0, 1, 0, 0], [0, 1, 0, 0])
-    assert np.allclose(v @ [0, 0, 1, 0], [0, 0, 1, 0])
+    assert np.allclose(V @ [0, 1, 0, 0], [0, 1, 0, 0])
+    assert np.allclose(V @ [0, 0, 1, 0], [0, 0, 1, 0])
 
 
 def test_entangler_splits_equal_bits():
-    v = equality_entangler()
-    assert np.allclose(v @ [1, 0, 0, 0], [1 / S2, 0, 0, 1 / S2], atol=1e-15)
-    assert np.allclose(v @ [0, 0, 0, 1], [1 / S2, 0, 0, -1 / S2], atol=1e-15)
+    assert np.allclose(V @ [1, 0, 0, 0], [1 / S2, 0, 0, 1 / S2], atol=1e-15)
+    assert np.allclose(V @ [0, 0, 0, 1], [1 / S2, 0, 0, -1 / S2], atol=1e-15)
 
 
 def test_entangler_is_an_involution():
-    v = equality_entangler()
-    assert np.allclose(v @ v, np.eye(4), atol=1e-15)
+    assert np.allclose(V @ V, np.eye(4), atol=1e-15)
 
 
 # --- Bell states ---
@@ -60,11 +51,11 @@ def test_bell_states_match_frozen_convention():
     assert np.allclose(bell_state(BellLabel(1, 1)).amplitudes, [0, h, -h, 0])
 
 
-def test_bell_basis_is_orthonormal():
-    basis = bell_basis()
-    for i, a in enumerate(basis):
-        for j, b in enumerate(basis):
-            overlap = np.vdot(a.amplitudes, b.amplitudes)
+def test_bell_rows_are_orthonormal():
+    assert type(BELL) is np.ndarray and BELL.dtype == complex and not BELL.flags.writeable
+    for i, a in enumerate(BELL):
+        for j, b in enumerate(BELL):
+            overlap = np.vdot(a, b)
             assert abs(overlap - (1.0 if i == j else 0.0)) <= 1e-12
 
 

@@ -27,7 +27,7 @@ from dnaswap.encodings import (
     wc_initial_pattern,
     wc_initial_state,
 )
-from dnaswap.gates import BELL_LABELS, BellLabel, equality_entangler
+from dnaswap.gates import BELL_LABELS, V, BellLabel
 from dnaswap.protocol import (
     DEFAULT_PHI,
     DEFAULT_THETA,
@@ -266,6 +266,11 @@ def test_assemble_rejects_rare_tautomers(cfg):
     for template, incoming in pairs:
         with pytest.raises(UnsupportedEncodingError):
             assemble_pair(template, incoming, cfg)
+    # A base slot takes a BaseCode only: a letter raised AttributeError in ``_column``.
+    for call in (lambda: run_pair("A", "T"), lambda: assemble_pair("A", "T"),
+                 lambda: recognize("A")):
+        with pytest.raises(ValueError, match="^a base must be a BaseCode, got 'A'$"):
+            call()
 
 
 def test_assemble_accepts_both_orientations(cfg):
@@ -293,17 +298,17 @@ def test_assembly_is_the_interleaved_product_of_the_recognized_faces(theta, phi,
 
 def test_run_pair_builds_one_state_and_reads_the_targets_once(monkeypatch):
     calls = {"states": 0, "targets": 0}
-    post_init, matrix = StateVector.__post_init__, protocol._recognition_matrix
+    init, matrix = StateVector.__init__, protocol._recognition_matrix
 
-    def counted_post_init(self):
+    def counted_init(self, *args):
         calls["states"] += 1
-        post_init(self)
+        init(self, *args)
 
     def counted_matrix(cfg):
         calls["targets"] += 1
         return matrix(cfg)
 
-    monkeypatch.setattr(StateVector, "__post_init__", counted_post_init)
+    monkeypatch.setattr(StateVector, "__init__", counted_init)
     monkeypatch.setattr(protocol, "_recognition_matrix", counted_matrix)
     for template, incoming in ((A, T), (G, C)):
         calls.update(states=0, targets=0)
@@ -582,7 +587,7 @@ def test_swap_instrument_is_sparse_real_and_read_only():
 def test_explicit_default_entangler_gives_a_bit_identical_ensemble(pair, cfg, monkeypatch):
     state = assemble_pair(*pair, cfg)
     built = swap(state)
-    monkeypatch.setattr(protocol, "_K", protocol._instrument(equality_entangler()))
+    monkeypatch.setattr(protocol, "_K", protocol._instrument(V))
     explicit = swap(state)
     assert built.dropped_mass == explicit.dropped_mass
     assert len(built.branches) == len(explicit.branches) == 16

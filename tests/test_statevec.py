@@ -1,6 +1,7 @@
 """State-vector core: construction, the interleave, Bell outcomes, reduced and density matrices."""
 from __future__ import annotations
 
+import dataclasses
 import re
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 import _oracle as oracle
 from dnaswap.encodings import BaseCode
-from dnaswap.gates import bell_basis, bell_state, BellLabel, equality_entangler
+from dnaswap.gates import BELL, V, bell_state, BellLabel
 from dnaswap.protocol import _INTERLEAVE_INDEX, recognize, swap
 from dnaswap.statevec import DensityMatrix, StateVector, basis_state, reduced_density
 
@@ -57,6 +58,9 @@ def test_rejects_wrong_amplitude_count():
 def test_rejects_nonpositive_qubit_count():
     with pytest.raises(ValueError):
         StateVector(0, [1.0])
+    for bits in ("", []):
+        with pytest.raises(ValueError, match="^empty bitstring$"):
+            basis_state(bits)
 
 
 @pytest.mark.parametrize("n, amps", [(6.0, np.eye(64)[0]), (True, [1.0, 0.0])])
@@ -92,6 +96,13 @@ def test_amplitudes_are_immutable():
     s = basis_state("01")
     with pytest.raises(ValueError):
         s.amplitudes[0] = 1.0
+    # Neither field of either type can be reassigned, which would skip its checks.
+    rho = DensityMatrix(1, np.eye(2) / 2)
+    for value, field, new in [(s, "amplitudes", np.zeros(4)), (s, "num_qubits", 5),
+                              (rho, "matrix", np.zeros((2, 2))), (rho, "num_qubits", 2)]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, field, new)
+    assert s.num_qubits == 2 and np.array_equal(s.amplitudes, [0, 1, 0, 0])
 
 
 @pytest.mark.parametrize("bits", [[True, False], [1.0, 0]])
@@ -135,7 +146,7 @@ def test_interleave_maps_product_ket_to_paired_order():
 
 
 def test_entangler_on_qubits_3_and_5():
-    v35 = oracle.dense.on_qubits(equality_entangler(), (3, 5))
+    v35 = oracle.dense.on_qubits(V, (3, 5))
     out = v35 @ basis_state("001110").amplitudes
     expected = (basis_state("000100").amplitudes - basis_state("001110").amplitudes) / np.sqrt(2)
     assert np.allclose(out, expected, atol=1e-12)
@@ -145,8 +156,8 @@ def test_entangler_on_qubits_3_and_5():
 
 
 def bell_probabilities(amps: np.ndarray) -> np.ndarray:
-    """|<b_k|psi>|^2 for the 2-qubit register psi, in bell_basis() order."""
-    return np.array([abs(np.vdot(b.amplitudes, amps)) ** 2 for b in bell_basis()])
+    """|<b_k|psi>|^2 for the 2-qubit register psi, in BELL_LABELS order."""
+    return np.array([abs(np.vdot(b, amps)) ** 2 for b in BELL])
 
 
 def test_measuring_an_eigenstate_gives_single_branch():
