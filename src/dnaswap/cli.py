@@ -12,9 +12,10 @@ compiled through ``to_json`` at import into one text layout per outcome,
 and a run fills the kept outcomes' layouts with the numbers of the
 ensemble's arrays, each written as ``to_json`` writes it: no command builds
 an ``OutcomeBranch``. ``verify``'s document is compiled at import the same way,
-as one layout from both pairs' fixed reference checks (name, expected,
-tolerance), and a run fills it with each ``Check``'s actual value and verdict
-and the verdicts of each pair and of the whole. CSV is written from a row
+as one layout read from the reference's one check table (each check's name,
+expected value and tolerance, from ``reference.expectations(pair, ())``), and
+a run fills it with each ``Check``'s actual value and verdict and the verdicts
+of each pair and of the whole. CSV is written from a row
 layout behind a frozen header, with RFC-4180 line endings; its fields are
 integers, ``.15g`` numbers and Bell labels, so no field ever needs quoting.
 """
@@ -241,10 +242,6 @@ def cmd_run(req: RunRequest) -> str:
 # tolerance, which no run changes. A run fills the layout in sorted-key order:
 # the overall verdict, then per pair each check's actual value and verdict,
 # then the pair's verdict.
-_CHECKS = {
-    pair: tuple((name, exp, tol) for name, exp, _, tol in reference.expectations(pair, ()))
-    for pair in PAIRS
-}
 _VERIFY_DOC = _layout({
     "reference_version": reference.REFERENCE_VERSION,
     "overall": _SLOT,
@@ -252,9 +249,9 @@ _VERIFY_DOC = _layout({
         {"pair": pair, "overall": _SLOT, "checks": [
             {"name": name, "expected": expected, "actual": _SLOT, "tolerance": tol,
              "passed": _SLOT}
-            for name, expected, tol in checks
+            for name, expected, _, tol in reference.expectations(pair, ())
         ]}
-        for pair, checks in _CHECKS.items()
+        for pair in PAIRS
     ],
 })
 _VALUE_INDENT = " " * 10  # the nesting of a check's keys, where its values are written
@@ -273,37 +270,27 @@ def _value(x) -> str:
     return to_json(x, _VALUE_INDENT)  # raises json's TypeError where JSON has no form
 
 
-def _verify_json(reports) -> str:
-    """``verify``'s document for ``cmd_verify``'s ``(pair, checks)`` reports,
-    one per pair in ``PAIRS`` order (A·T, then G·C).
-
-    Any other list of reports raises ``ValueError``, and so does a check whose
-    name, expected value or tolerance is not the very object the layout holds,
-    so no reference value is printed for another check, nor for an equal one
-    of another form (16.0 for 16, -0.0 for 0.0).
-    """
-    if [pair for pair, _ in reports] != list(PAIRS):
-        raise ValueError(f"verify reports one check list per pair of {list(PAIRS)}, in order")
-    values = []
-    for pair, checks in reports:
-        for c, (name, expected, tol) in zip(checks, _CHECKS[pair], strict=True):
-            if c.name is not name or c.expected is not expected or c.tolerance is not tol:
-                raise ValueError(f"{pair} check {c.name!r} is not the reference's {name!r}")
+def _verify_json(reports) -> tuple[str, bool]:
+    """``verify``'s document for ``{pair: checks}``, read in ``PAIRS`` order,
+    and the overall verdict it prints."""
+    values, overall = [], True
+    for pair in PAIRS:
+        checks = reports[pair]
+        for c in checks:
             values += (_value(c.actual), _value(c.passed))
-        values.append(_value(all(c.passed for c in checks)))
-    overall = all(c.passed for _, checks in reports for c in checks)
-    return _VERIFY_DOC % (_value(overall), *values)
+        passed = all(c.passed for c in checks)
+        values.append(_value(passed))
+        overall = overall and passed
+    return _VERIFY_DOC % (_value(overall), *values), overall
 
 
 def cmd_verify(dump_reference: bool = False) -> tuple[str, int]:
     if dump_reference:
         return to_json(reference.dump()), 0
-    reports = [
-        (pair, verify_against_reference(pair, run_pair(*bases)))
-        for pair, bases in PAIRS.items()
-    ]
-    overall = all(c.passed for _, checks in reports for c in checks)
-    return _verify_json(reports), 0 if overall else 1
+    out, overall = _verify_json(
+        {pair: verify_against_reference(pair, run_pair(*bases)) for pair, bases in PAIRS.items()}
+    )
+    return out, 0 if overall else 1
 
 
 def _state_entry(label: str, state) -> dict:

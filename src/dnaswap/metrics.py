@@ -6,8 +6,7 @@ proton-count bookkeeping of the protocol assertable.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -69,27 +68,14 @@ def hamming_support(s: StateVector) -> set[int]:
     }
 
 
-@dataclass(frozen=True, init=False)
-class Check:
-    """One verdict of ``verify``.
-
-    ``__init__`` is written out, as ``CanonicalRow``'s is: it stores the
-    fields with one ``__dict__`` update, in place of the generated frozen
-    ``__init__``'s ``object.__setattr__`` per field.
-    """
+class Check(NamedTuple):
+    """One verdict of ``verify``."""
 
     name: str
     expected: object
     actual: object
     tolerance: float
     passed: bool
-
-    def __init__(
-        self, name: str, expected: object, actual: object, tolerance: float, passed: bool
-    ) -> None:
-        self.__dict__.update(
-            name=name, expected=expected, actual=actual, tolerance=tolerance, passed=passed
-        )
 
 
 def _passes(expected, actual, tolerance: float) -> bool:

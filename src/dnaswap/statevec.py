@@ -56,6 +56,15 @@ def _is_finite_real(x) -> bool:
         return False
 
 
+def _listed(items, what: str) -> list:
+    """``items`` as a list; a value Python cannot iterate, such as None, a bool
+    or an int, is refused with a ``ValueError`` that shows it."""
+    try:
+        return list(items)
+    except TypeError:
+        raise ValueError(f"{what} must be an iterable, got {items!r}") from None
+
+
 def _qubit_count(n) -> int:
     # A state holds 2**n amplitudes, and a numpy array fewer than 2**63 entries.
     if not (_is_integer(n) and 1 <= n < 63):
@@ -97,6 +106,8 @@ def basis_state(bits: str | Sequence[int]) -> StateVector:
     """Computational basis state |b1 b2 ... bn> from bits 0 and 1, or a string of them."""
     if isinstance(bits, str):
         bits = [int(c) if c in "01" else c for c in bits]  # any other character is refused below
+    else:
+        bits = _listed(bits, "bits")
     n = len(bits)
     if n == 0:
         raise ValueError("empty bitstring")
@@ -142,7 +153,7 @@ def reduced_density(s: StateVector, keep: Iterable[int]) -> DensityMatrix:
 
     Row/column bit order follows ascending original qubit position.
     """
-    keep = list(keep)
+    keep = _listed(keep, "keep")
     n = s.num_qubits
     for q in keep:
         if not _is_integer(q):

@@ -277,7 +277,7 @@ def test_compiled_expectations_yield_the_per_call_generators_items(rows):
         assert list(map(repr, reference.expectations(key, rows))) == list(map(repr, want))
         with mock.patch.object(metrics, "canonical_table", lambda e: rows):
             checks = verify_against_reference(key, None)
-        assert [repr(tuple(vars(c).values())) for c in checks] == [
+        assert [repr(tuple(c)) for c in checks] == [
             repr((name, expected, actual, tol, oracle.passes(expected, actual, tol)))
             for name, expected, actual, tol in want
         ]

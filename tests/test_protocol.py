@@ -17,8 +17,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import _oracle as oracle
+import _philox
 from dnaswap import protocol
-from dnaswap.cli import _exact_json
+from dnaswap.cli import PAIRS, RunRequest, _exact_json, cmd_run
 from dnaswap.encodings import (
     BaseCode,
     UnsupportedEncodingError,
@@ -1386,6 +1387,27 @@ def test_a_shot_reads_the_table_at_its_words_top_bytes(order):
         assert counts.sum() == 1
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), skip=st.integers(0, 2**256 - 1) | st.integers(0, 64), n=st.integers(1, 24))
+@example(seed=0, skip=0, n=16)
+@example(seed=1, skip=5, n=16)
+@example(seed=12345, skip=0, n=16)
+@example(seed=2**63 + 7, skip=5, n=16)
+@example(seed=2**64 - 1, skip=5, n=16)
+@example(seed=2**64 - 1, skip=2**64 - 1, n=8)  # the counter's first carry
+@example(seed=2**64 - 1, skip=2**256 - 1, n=8)  # and its wrap
+@example(seed=2**127 + 5, skip=0, n=8)  # the key's high word
+def test_numpy_philox_is_the_reference_philox4x64_10(seed, skip, n):
+    # sample reads numpy's stream; a numpy release that changed the stream or
+    # what advance skips would otherwise move every sample digest, and the
+    # whole-run oracle, which also reads numpy, would follow it.
+    want = _philox.words(seed, n, skip)
+    bitgen = np.random.Philox(key=seed)
+    if skip:
+        bitgen.advance(skip)
+    assert bitgen.random_raw(n).tolist() == want
+
+
 @pytest.mark.parametrize("key", [0, 1, 42, 2**64 - 1])
 def test_raw_philox_words_are_the_generator_uniforms(key):
     # sample reads words, the sampler it replaced read Generator.random; a
@@ -1393,8 +1415,10 @@ def test_raw_philox_words_are_the_generator_uniforms(key):
     # counts silently.
     n = 1001
     words = np.random.Philox(key=key).random_raw(n)
+    assert words.tolist() == _philox.words(key, n)
     uniforms = np.random.Generator(np.random.Philox(key=key)).random(n)
     np.testing.assert_array_equal((words >> 11) * 2.0**-53, uniforms)
+    assert uniforms.tolist() == [(w >> 11) * 2**-53 for w in _philox.words(key, n)]
     bitgen = np.random.Philox(key=key)
     chunked = np.concatenate([bitgen.random_raw(7), bitgen.random_raw(n - 7)])
     np.testing.assert_array_equal(chunked, words)
@@ -1410,6 +1434,22 @@ def test_philox_advance_skips_four_words_per_step(key, d):
     bitgen = np.random.Philox(key=key)
     bitgen.advance(d)
     np.testing.assert_array_equal(bitgen.random_raw(n), words[4 * d :])
+
+
+@pytest.mark.parametrize("seed, shots", [(0, 1), (2**64 - 1, 12_345)])
+def test_golden_sample_counts_are_those_of_the_reference_stream(seed, shots):
+    # The golden cases run-sample-*-json-0-1 and -max-12345, whose digests
+    # test_golden freezes, print the counts that the Python Philox's words give
+    # through the whole-run oracle: shot i reads words 2i and 2i + 1, each as
+    # the uniform (w >> 11) * 2**-53.
+    words = _philox.words(seed, 2 * shots)
+    uniforms = np.array([(w >> 11) * 2**-53 for w in words]).reshape(shots, 2)
+    for pair, bases in PAIRS.items():
+        ens = run_pair(*bases)
+        want = keyed_counts(ens, oracle.counts_from_uniforms(joint_of(ens), uniforms))
+        doc = json.loads(cmd_run(RunRequest(pair, "sample", shots, seed, "json")))
+        got = {(c["bell_34"], c["bell_12"]): c["count"] for c in doc["counts"]}
+        assert got == {(l34.text, l12.text): count for (l34, l12), count in want.items()}
 
 
 def test_sample_memory_does_not_grow_with_shots(at_ensemble, monkeypatch):

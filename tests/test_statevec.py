@@ -119,6 +119,8 @@ def test_basis_state_takes_numpy_integer_bits():
     # A uint8 bit is read as the equal int, so the index does not wrap at 8 bits.
     nine = [np.uint8(1)] + [np.uint8(0)] * 8
     assert np.array_equal(basis_state(nine).amplitudes, basis_state("1" + "0" * 8).amplitudes)
+    for bits in [(1, 0), np.array([1, 0]), np.array([1, 0], dtype=np.uint8)]:
+        assert np.array_equal(basis_state(bits).amplitudes, want)
 
 
 @pytest.mark.parametrize("bits", ["\uff11\uff10", "0a", "0 1", "+1"])
@@ -128,6 +130,17 @@ def test_basis_state_string_takes_only_ascii_0_and_1(bits):
     message = rf"^bits must be the ints 0 or 1, got {re.escape(repr(bad))}$"
     with pytest.raises(ValueError, match=message):
         basis_state(bits)
+
+
+@pytest.mark.parametrize("call, value", [
+    (basis_state, True), (basis_state, None), (basis_state, 5), (basis_state, np.array(1)),
+    (lambda keep: reduced_density(basis_state("01"), keep), 5),
+    (lambda keep: reduced_density(basis_state("01"), keep), None),
+], ids=["bits-True", "bits-None", "bits-5", "bits-0d-array", "keep-5", "keep-None"])
+def test_a_container_argument_that_is_not_iterable_is_refused_with_its_value(call, value):
+    # Each raised a bare TypeError ("has no len()", "not iterable").
+    with pytest.raises(ValueError, match=rf"must be an iterable, got {re.escape(repr(value))}$"):
+        call(value)
 
 
 def test_supports_twelve_qubits():
@@ -215,6 +228,7 @@ def test_reduced_density_accepts_numpy_integer_qubits():
     s = basis_state("01")
     rho = reduced_density(s, [np.int64(2)])
     assert np.array_equal(rho.matrix, reduced_density(s, [2]).matrix)
+    assert np.array_equal(rho.matrix, reduced_density(s, np.array([2])).matrix)
     assert np.array_equal(rho.matrix, np.diag([0.0, 1.0]))
 
 
