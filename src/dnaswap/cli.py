@@ -37,7 +37,6 @@ from .encodings import (
     recognition_matches,
     wc_initial_state,
 )
-from .metrics import verify_against_reference
 from .protocol import (
     OUTCOMES,
     Ensemble,
@@ -48,6 +47,7 @@ from .protocol import (
     run_pair,
     sample,
 )
+from .reference import verify_against_reference
 from .statevec import ZERO_ATOL
 
 PAIRS = {
@@ -238,7 +238,7 @@ def cmd_run(req: RunRequest) -> str:
 
 
 # ``verify``'s document, compiled once from the reference's fixed checks: with
-# no rows, ``expectations`` still yields each check's name, expected value and
+# no rows, ``expectations`` still gives each check's name, expected value and
 # tolerance, which no run changes. A run fills the layout in sorted-key order:
 # the overall verdict, then per pair each check's actual value and verdict,
 # then the pair's verdict.
@@ -247,9 +247,9 @@ _VERIFY_DOC = _layout({
     "overall": _SLOT,
     "reports": [
         {"pair": pair, "overall": _SLOT, "checks": [
-            {"name": name, "expected": expected, "actual": _SLOT, "tolerance": tol,
+            {"name": c.name, "expected": c.expected, "actual": _SLOT, "tolerance": c.tolerance,
              "passed": _SLOT}
-            for name, expected, _, tol in reference.expectations(pair, ())
+            for c in reference.expectations(pair, ())
         ]}
         for pair in PAIRS
     ],
@@ -285,6 +285,8 @@ def _verify_json(reports) -> tuple[str, bool]:
 
 
 def cmd_verify(dump_reference: bool = False) -> tuple[str, int]:
+    if type(dump_reference) is not bool:
+        raise UsageError(f"--dump-reference must be a bool, got {dump_reference!r}")
     if dump_reference:
         return to_json(reference.dump()), 0
     out, overall = _verify_json(
@@ -333,6 +335,8 @@ def cmd_inspect(pair: str, stage: str) -> str:
 def cmd_recognize(pattern: str, tautomers: bool) -> str:
     if not isinstance(pattern, str) or len(pattern) != 2 or any(c not in "01" for c in pattern):
         raise UsageError(f"--pattern must be 2 bits, got {pattern!r}")
+    if type(tautomers) is not bool:
+        raise UsageError(f"--tautomers must be a bool, got {tautomers!r}")
     edge = EdgePattern("H", tuple(int(c) for c in pattern))
     matches = recognition_matches(edge, include_rare=tautomers)
     return to_json(

@@ -105,6 +105,8 @@ def recognition_matches(pattern: EdgePattern, include_rare: bool = False) -> lis
     This is the selection rule for an incoming nucleotide: it pairs with a
     template whose exposed pattern is the bitwise complement of its own.
     """
+    if type(include_rare) is not bool:  # as ``BaseCode.rare``: "no" would be truthy
+        raise ValueError(f"include_rare must be a bool, got {include_rare!r}")
     target = complement_pattern(pattern).bits
     return [
         c

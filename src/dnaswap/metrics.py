@@ -6,13 +6,11 @@ proton-count bookkeeping of the protocol assertable.
 """
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
-from .protocol import Ensemble, canonical_table
 from .statevec import ZERO_ATOL, DensityMatrix, StateVector, reduced_density
-from . import reference
 
 _YY = np.array(
     [
@@ -67,39 +65,3 @@ def hamming_support(s: StateVector) -> set[int]:
         if abs(amp) > ZERO_ATOL
     }
 
-
-class Check(NamedTuple):
-    """One verdict of ``verify``."""
-
-    name: str
-    expected: object
-    actual: object
-    tolerance: float
-    passed: bool
-
-
-def _passes(expected, actual, tolerance: float) -> bool:
-    """A check is a number or an ``(a, b, P)`` triple. A missing value
-    fails, as does one of another shape than its expectation: a tuple for a
-    number, a number for a tuple, or a tuple that is not a triple. Each
-    number must be within ``tolerance``.
-
-    Written so that NaN fails: every comparison with NaN is False.
-    """
-    if actual is None:
-        return False
-    if not isinstance(expected, tuple):
-        return not isinstance(actual, tuple) and abs(actual - expected) <= tolerance
-    if not isinstance(actual, tuple) or len(actual) != 3 or len(expected) != 3:
-        return False
-    (ea, eb, ep), (a, b, p) = expected, actual
-    return abs(a - ea) <= tolerance and abs(b - eb) <= tolerance and abs(p - ep) <= tolerance
-
-
-def verify_against_reference(pair: str, e: Ensemble) -> list[Check]:
-    """Judge ``e``, the ensemble of ``pair`` ("AT" or "GC"), on every check
-    ``reference.expectations`` states, each by ``_passes``."""
-    return [
-        Check(name, expected, actual, tol, _passes(expected, actual, tol))
-        for name, expected, actual, tol in reference.expectations(pair, canonical_table(e))
-    ]

@@ -5,15 +5,15 @@ probabilities are (2 +/- sqrt 2)/8 and whose third bonded pair is |10>;
 the G.C ensemble has four rows per (j, m) group. Amplitudes and
 probabilities below are the two-decimal reference values; comparisons
 happen after the same phase normalization that ``canonical_table`` applies
-(a real and >= 0, falling back to b when a vanishes).
+(a real and >= 0, falling back to b when a vanishes). Each check is stated,
+read from a canonical table and judged here, and nowhere else.
 """
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import NamedTuple, Sequence
 
-if TYPE_CHECKING:
-    from .protocol import CanonicalRow
+from . import protocol
 
 REFERENCE_VERSION = "1"
 
@@ -98,13 +98,23 @@ def _compile(key: str) -> tuple[tuple, ...]:
 _CHECKS = {key: _compile(key) for key in ("AT", "GC")}
 
 
-def expectations(key: str, rows: Sequence[CanonicalRow]) -> Iterator[tuple]:
-    """Yield ``(name, expected, actual, tolerance)`` for every check of one pair.
+class Check(NamedTuple):
+    """One verdict of ``verify``."""
 
-    ``key`` is "AT" or "GC" and ``rows`` its canonical table; a number or
-    an ``(a, b, P)`` triple is checked against its reference, and
-    ``actual`` is None where the table has no row for a reference entry.
-    Any other key raises ``ValueError`` at the first item.
+    name: str
+    expected: object
+    actual: object
+    tolerance: float
+    passed: bool
+
+
+def expectations(key: str, rows: Sequence[protocol.CanonicalRow]) -> list[Check]:
+    """Every check of one pair, judged on its canonical table ``rows``.
+
+    ``key`` is "AT" or "GC"; any other key raises ``ValueError``. A check
+    reads a number or an ``(a, b, P)`` triple, and passes when each of its
+    numbers lies within ``tolerance`` of the reference; ``actual`` is None,
+    and the check fails, where the table has no row for a reference entry.
 
     The checks are compiled at import; one pass over ``rows`` collects the
     row of each ``(group, rank)`` (the last one of a repeated key) and, for
@@ -132,8 +142,24 @@ def expectations(key: str, rows: Sequence[CanonicalRow]) -> Iterator[tuple]:
             group_p = values["sum", g] = sum(probs)
             total += group_p
         values["total_p"] = total
+    checks = []
     for name, expected, source, tol in _CHECKS[key]:
-        yield name, expected, values.get(source), tol
+        actual = values.get(source)  # NaN fails: every comparison with NaN is False
+        if actual is None:
+            passed = False
+        elif isinstance(expected, tuple):
+            (ea, eb, ep), (a, b, p) = expected, actual
+            passed = abs(a - ea) <= tol and abs(b - eb) <= tol and abs(p - ep) <= tol
+        else:
+            passed = abs(actual - expected) <= tol
+        checks.append(Check(name, expected, actual, tol, passed))
+    return checks
+
+
+def verify_against_reference(pair: str, e: protocol.Ensemble) -> list[Check]:
+    """The judged checks of ``e``, the ensemble of ``pair`` ("AT" or "GC")."""
+    # Through the module, so a patch of ``protocol.canonical_table`` sees this call.
+    return expectations(pair, protocol.canonical_table(e))
 
 
 def dump() -> dict:

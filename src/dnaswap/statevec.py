@@ -13,6 +13,7 @@ compiled swap instrument.
 from __future__ import annotations
 
 import math
+from collections.abc import Set
 from dataclasses import dataclass
 from numbers import Integral, Real
 from typing import Iterable, Sequence
@@ -106,6 +107,8 @@ def basis_state(bits: str | Sequence[int]) -> StateVector:
     """Computational basis state |b1 b2 ... bn> from bits 0 and 1, or a string of them."""
     if isinstance(bits, str):
         bits = [int(c) if c in "01" else c for c in bits]  # any other character is refused below
+    elif isinstance(bits, Set):  # read in iteration order, {1, 0} would give |01>
+        raise ValueError(f"bits must be ordered, not a set, got {bits!r}")
     else:
         bits = _listed(bits, "bits")
     n = len(bits)

@@ -351,9 +351,10 @@ def expectations(key, rows):
 
 
 def passes(expected, actual, tolerance):
-    """``metrics._passes`` as it judged every check through one loop; it
-    raised on a value of another shape than its expectation, which
-    ``expectations`` never yields."""
+    """The pass rule ``reference.expectations`` applies to each check, as
+    ``metrics._passes`` wrote it: one loop over the check's numbers. It raised
+    on a value of another shape than its expectation, which ``expectations``
+    never reads."""
     if actual is None:
         return False
     if not isinstance(expected, tuple):

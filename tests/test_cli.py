@@ -40,8 +40,8 @@ from dnaswap.cli import (
 )
 from dnaswap.encodings import BaseCode, wc_initial_pattern
 from dnaswap.gates import BELL_LABELS
-from dnaswap.metrics import verify_against_reference
 from dnaswap.protocol import ProtocolConfig, canonical_table, run_pair, sample, swap
+from dnaswap.reference import verify_against_reference
 from dnaswap.statevec import StateVector
 
 

@@ -5,6 +5,13 @@ byte for byte. If a change is meant to alter an output, update its digest
 and say which outputs moved and why. ``PYTHONPATH=src python
 tests/test_golden.py`` prints ``case digest`` for every case, so a deliberate
 refresh is a copy of the moved lines.
+
+The bytes depend on the BLAS kernel of ``swap``'s 64x64 complex product
+(README, "Output contracts"). They are frozen for a kernel with fused
+multiply-add, such as OpenBLAS's ``SkylakeX`` and ``Haswell``. Under a kernel
+without it (``OPENBLAS_CORETYPE=Sandybridge``, ``Nehalem`` or ``Prescott``)
+four cases move by a last bit: ``inspect-GC-O``, ``run-exact-GC-csv``,
+``run-exact-GC-json`` and ``verify``.
 """
 from __future__ import annotations
 

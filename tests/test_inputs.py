@@ -9,15 +9,17 @@ from __future__ import annotations
 
 import ast
 import math
+import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dnaswap
-from dnaswap.cli import RunRequest, cmd_run
-from dnaswap.encodings import BaseCode, EdgePattern
+from dnaswap.cli import RunRequest, UsageError, cmd_recognize, cmd_run, cmd_verify
+from dnaswap.encodings import BaseCode, EdgePattern, recognition_matches
 from dnaswap.gates import BellLabel, bell_state
 from dnaswap.metrics import entanglement_entropy
 from dnaswap.protocol import ProtocolConfig, build_recognition_unitary, run_pair, sample
@@ -100,6 +102,20 @@ def test_every_entry_point_keeps_the_one_input_rule(entry, value):
     # A numpy number is accepted or refused as its Python equal is, with equal results.
     if isinstance(value, np.generic):
         assert got == _outcome(call, value.item()), f"{entry}: {value!r} != {value.item()!r}"
+
+
+@pytest.mark.parametrize("flag", ["no", 1, 0, None, np.bool_(True)],
+                         ids=["no", "1", "0", "None", "np.True_"])
+def test_a_flag_takes_only_a_bool(flag):
+    # As ``BaseCode.rare``: "no" is truthy, so it listed the rare forms and
+    # printed the reference dump. The CLI's store_true flags pass bools.
+    shown = re.escape(repr(flag))
+    with pytest.raises(ValueError, match=rf"^include_rare must be a bool, got {shown}$"):
+        recognition_matches(EdgePattern("H", (0, 1)), include_rare=flag)
+    with pytest.raises(UsageError, match=rf"^--tautomers must be a bool, got {shown}$"):
+        cmd_recognize("01", flag)
+    with pytest.raises(UsageError, match=rf"^--dump-reference must be a bool, got {shown}$"):
+        cmd_verify(dump_reference=flag)
 
 
 # --- only the two checks test a value's number type ---

@@ -143,6 +143,21 @@ def test_a_container_argument_that_is_not_iterable_is_refused_with_its_value(cal
         call(value)
 
 
+@pytest.mark.parametrize("bits", [{1, 0}, frozenset({1, 0})], ids=["set", "frozenset"])
+def test_basis_state_refuses_bits_in_a_set(bits):
+    # A set's bits were read in its iteration order: {1, 0} gave |01>.
+    message = rf"^bits must be ordered, not a set, got {re.escape(repr(bits))}$"
+    with pytest.raises(ValueError, match=message):
+        basis_state(bits)
+    # Ordered containers and a generator are read in their order, and the kept
+    # qubits may still be a set: ``reduced_density`` sorts them.
+    want = basis_state("10").amplitudes
+    for ordered in ([1, 0], (1, 0), np.array([1, 0]), (b for b in (1, 0))):
+        assert np.array_equal(basis_state(ordered).amplitudes, want)
+    rho = reduced_density(basis_state("10"), {2, 1})
+    assert np.array_equal(rho.matrix, np.outer(want, want))
+
+
 def test_supports_twelve_qubits():
     amps = np.zeros(2**12)
     amps[0] = 1.0
