@@ -75,9 +75,23 @@ class ProtocolConfig:
             if not _is_finite_real(angle):
                 raise ValueError(f"{name} must be a finite real number, got {angle!r}")
 
+    @cached_property
+    def _unitary(self) -> np.ndarray:
+        """This config's recognition unitary U, built on first read and shared,
+        read-only, by every later one (see ``_recognition_matrix``). It is no
+        field, so equality, hash and repr see the angles alone. U is a view of
+        a read-only array, so ``setflags(write=True)`` on it raises too."""
+        return _readonly(_recognition_matrix(self)).view()
+
+    def __getstate__(self) -> dict:
+        # A pickled or copied array comes back writeable: the copy builds its own U.
+        state = dict(self.__dict__)
+        state.pop("_unitary", None)
+        return state
+
 
 # The config ``recognize``, ``assemble_pair`` and ``build_recognition_unitary``
-# read when given none: built once, as its checks cost more than the lookup.
+# read when given none: built once, so its checks run and its U is built once.
 _DEFAULT_CONFIG = ProtocolConfig()
 
 
@@ -146,7 +160,7 @@ class OutcomeBranch(Outcome):
         return StateVector(6, np.multiply.outer(np.multiply.outer(f12, f34), self.residual))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Ensemble:
     """Exact outcome distribution of one swap run, held as arrays.
 
@@ -157,27 +171,39 @@ class Ensemble:
     is meaningful only where ``keep`` is set. The fields are frozen, so the
     values derived from them (``dropped_mass``, ``branches``) never go stale;
     ``dataclasses.replace`` derives them afresh.
+
+    ``__init__`` is written out, for the cost ``CanonicalRow`` gives. A
+    probability below 0 is refused; a non-finite one fails the mass rule first.
     """
 
     probabilities: np.ndarray
     residuals: np.ndarray
     keep: np.ndarray
     # The summed probability of the outcomes ``keep`` leaves out, which the
-    # mass rule reads: set once, by ``__post_init__``.
+    # mass rule reads: set once, by ``__init__``.
     dropped_mass: float = field(init=False)
 
-    def __post_init__(self) -> None:
-        shapes = (self.probabilities.shape, self.residuals.shape, self.keep.shape)
-        if shapes != ((16,), (16, 2, 2), (16,)) or self.keep.dtype != bool:
+    def __init__(self, probabilities: np.ndarray, residuals: np.ndarray, keep: np.ndarray) -> None:
+        shapes = (probabilities.shape, residuals.shape, keep.shape)
+        if shapes != ((16,), (16, 2, 2), (16,)) or keep.dtype != bool:
             raise ValueError(
                 "ensemble arrays must have shapes (16,), (16, 2, 2), (16,) and a boolean"
-                f" keep mask, got {shapes} and a {self.keep.dtype} mask"
+                f" keep mask, got {shapes} and a {keep.dtype} mask"
             )
-        dropped = float(self.probabilities[~self.keep].sum())
-        total = sum(self.probabilities[self.keep].tolist()) + dropped
+        # An empty selection sums to 0.0, so numpy's sum runs only when some
+        # outcome is dropped.
+        dropped = float(probabilities[~keep].sum()) if False in keep.tolist() else 0.0
+        total = sum(probabilities[keep].tolist()) + dropped
         if not abs(total - 1.0) <= _MASS_ATOL:
             raise ValueError(f"branch probabilities + dropped mass must be 1, got {total}")
-        object.__setattr__(self, "dropped_mass", dropped)
+        low = min(probabilities.tolist())
+        if low < 0:
+            raise ValueError(f"branch probabilities must be >= 0, got {low}")
+        d = self.__dict__
+        d["probabilities"] = probabilities
+        d["residuals"] = residuals
+        d["keep"] = keep
+        d["dropped_mass"] = dropped
 
     @cached_property
     def branches(self) -> list[OutcomeBranch]:
@@ -270,13 +296,14 @@ def _column(b: BaseCode) -> int:
 
 
 def build_recognition_unitary(cfg: ProtocolConfig | None = None) -> np.ndarray:
-    """The 3-qubit recognition unitary U, read-only (see ``_recognition_matrix``)."""
-    return _readonly(_recognition_matrix(cfg or _DEFAULT_CONFIG))
+    """The config's 3-qubit recognition unitary U: one read-only array per
+    config, the same object on every call (see ``_recognition_matrix``)."""
+    return (cfg or _DEFAULT_CONFIG)._unitary
 
 
 def recognize(b: BaseCode, cfg: ProtocolConfig | None = None) -> StateVector:
     """A base's post-recognition pairing face: U's column at its initial ket."""
-    return StateVector(3, _recognition_matrix(cfg or _DEFAULT_CONFIG)[:, _column(b)])
+    return StateVector(3, (cfg or _DEFAULT_CONFIG)._unitary[:, _column(b)])
 
 
 _PAIRED = frozenset(
@@ -293,7 +320,7 @@ def assemble_pair(
     t, i = _column(template), _column(incoming)
     if (template.base, incoming.base) not in _PAIRED:
         raise ValueError(f"unsupported pairing {template}.{incoming}")
-    u = _recognition_matrix(cfg or _DEFAULT_CONFIG)
+    u = (cfg or _DEFAULT_CONFIG)._unitary
     return StateVector(6, u[:, t][_TEMPLATE_ROW] * u[:, i][_INCOMING_ROW])
 
 
@@ -362,7 +389,9 @@ def swap(pair_state: StateVector) -> Ensemble:
     probs = np.add.reduce(sq.reshape(16, 4), axis=1)
     p34 = np.add.reduce(probs.reshape(4, 4), axis=1)[_ROW34]
     with np.errstate(divide="ignore", invalid="ignore"):
-        keep = (probs > 0) & (p34 >= PRUNE_DEFAULT) & (probs / p34 >= PRUNE_DEFAULT)
+        keep = probs / p34 >= PRUNE_DEFAULT
+        keep &= p34 >= PRUNE_DEFAULT
+        keep &= probs > 0
         residual = coeff[_ORDER]
         residual /= np.sqrt(probs)[:, None, None]
     # A kept row has P >= PRUNE_DEFAULT**2 = 1e-28, far above the subnormals,

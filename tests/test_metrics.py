@@ -162,11 +162,13 @@ def test_report_counts_cover_all_classes_and_rows(at_ensemble, gc_ensemble):
 
 def test_perturbed_probability_fails_with_named_check(gc_ensemble):
     # Shift mass between two branches so the ensemble invariant still holds
-    # but the canonical probabilities drift past tolerance.
+    # but the canonical probabilities drift past tolerance. The mass comes
+    # from the first branch (0.0948): the second (0.0302) would go negative,
+    # which ``Ensemble`` refuses.
     first, second = np.flatnonzero(gc_ensemble.keep)[:2]
     probs = gc_ensemble.probabilities.copy()
-    probs[first] += 0.05
-    probs[second] -= 0.05
+    probs[first] -= 0.05
+    probs[second] += 0.05
     tampered = replace(gc_ensemble, probabilities=probs)
     failed = [c.name for c in verify_against_reference("GC", tampered) if not c.passed]
     assert failed

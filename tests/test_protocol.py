@@ -221,6 +221,47 @@ def test_config_rejects_non_finite_angles():
     assert ProtocolConfig(theta=np.float64(0.5), phi=np.int64(1)).theta == 0.5
 
 
+def test_config_keeps_one_read_only_u_outside_its_fields():
+    cfg = ProtocolConfig(theta=0.3, phi=1.2)
+    twin = ProtocolConfig(theta=0.3, phi=1.2)
+    before = (hash(cfg), repr(cfg))
+    u = build_recognition_unitary(cfg)
+    # Reading U changes neither equality, nor hash, nor repr.
+    assert cfg == twin and (hash(cfg), repr(cfg)) == before == (hash(twin), repr(twin))
+    assert repr(cfg) == "ProtocolConfig(theta=0.3, phi=1.2)" and hash(cfg) == hash((0.3, 1.2))
+    recognize(A, cfg)
+    assemble_pair(G, C, cfg)
+    assert build_recognition_unitary(cfg) is u
+    assert u.tobytes() == protocol._recognition_matrix(cfg).tobytes()
+    assert build_recognition_unitary() is build_recognition_unitary(None)
+    assert build_recognition_unitary() is build_recognition_unitary(protocol._DEFAULT_CONFIG)
+    with pytest.raises(ValueError):
+        u[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        u.setflags(write=True)
+    # A copy is equal and holds a read-only U of the same bytes, read before
+    # the copy or not.
+    for source in (cfg, ProtocolConfig(theta=0.3, phi=1.2)):
+        for twin in (
+            pickle.loads(pickle.dumps(source)),
+            copy.copy(source),
+            copy.deepcopy(source),
+        ):
+            assert twin == source and hash(twin) == hash(source) and repr(twin) == repr(source)
+            got = build_recognition_unitary(twin)
+            with pytest.raises(ValueError):
+                got.setflags(write=True)
+            assert got.tobytes() == u.tobytes()
+    # A replaced config builds its own U for its own angles.
+    moved = dataclasses.replace(cfg, theta=-0.7)
+    got = build_recognition_unitary(moved)
+    assert got is not u
+    with pytest.raises(ValueError):
+        got.setflags(write=True)
+    assert got.tobytes() == protocol._recognition_matrix(ProtocolConfig(-0.7, 1.2)).tobytes()
+    assert build_recognition_unitary(cfg) is u
+
+
 # --- pair assembly ---
 
 
@@ -297,8 +338,8 @@ def test_assembly_is_the_interleaved_product_of_the_recognized_faces(theta, phi,
     assert got.tobytes() == oracle.interleave(np.kron(x, y)).tobytes()
 
 
-def test_run_pair_builds_one_state_and_reads_the_targets_once(monkeypatch):
-    calls = {"states": 0, "targets": 0}
+def test_run_pair_builds_one_state_and_u_once_per_config(monkeypatch):
+    calls = {"states": 0, "unitaries": 0}
     init, matrix = StateVector.__init__, protocol._recognition_matrix
 
     def counted_init(self, *args):
@@ -306,15 +347,36 @@ def test_run_pair_builds_one_state_and_reads_the_targets_once(monkeypatch):
         init(self, *args)
 
     def counted_matrix(cfg):
-        calls["targets"] += 1
+        calls["unitaries"] += 1
         return matrix(cfg)
 
     monkeypatch.setattr(StateVector, "__init__", counted_init)
     monkeypatch.setattr(protocol, "_recognition_matrix", counted_matrix)
-    for template, incoming in ((A, T), (G, C)):
-        calls.update(states=0, targets=0)
-        run_pair(template, incoming)
-        assert calls == {"states": 1, "targets": 1}
+    read = ProtocolConfig(theta=0.4, phi=-1.1)
+    build_recognition_unitary(read)
+    for cfg, built in ((read, 0), (ProtocolConfig(theta=0.4, phi=-1.1), 1)):
+        calls.update(states=0, unitaries=0)
+        for template, incoming in ((A, T), (G, C)):
+            before = calls["states"]
+            run_pair(template, incoming, cfg)
+            assert calls["states"] == before + 1
+        assert calls == {"states": 2, "unitaries": built}
+
+
+@settings(max_examples=200, deadline=None)
+@given(theta=ANGLES, phi=ANGLES, pair=st.sampled_from(ORIENTATIONS))
+def test_run_pair_matches_the_swap_of_a_freshly_built_u(theta, phi, pair):
+    # The config's shared U gives every bit that a U built for this call does.
+    cfg = ProtocolConfig(theta=theta, phi=phi)
+    template, incoming = pair
+    got = run_pair(template, incoming, cfg)
+    u = protocol._recognition_matrix(ProtocolConfig(theta=theta, phi=phi))
+    x = u[:, int(wc_initial_pattern(template).text, 2)]
+    y = u[:, int(wc_initial_pattern(incoming).text, 2)]
+    want = swap(StateVector(6, oracle.interleave(np.kron(x, y))))
+    for name in ("probabilities", "residuals", "keep"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert np.float64(got.dropped_mass).tobytes() == np.float64(want.dropped_mass).tobytes()
 
 
 # --- swap enumeration ---
@@ -643,6 +705,27 @@ def test_ensemble_is_frozen_and_replace_derives_dropped_mass_afresh(gc_state):
     kept = sum(br.probability for br in cleared.branches)
     assert kept + cleared.dropped_mass == pytest.approx(1.0, abs=1e-12)
     assert dataclasses.replace(cleared, keep=ens.keep).dropped_mass.hex() == (0.0).hex()
+
+
+def test_ensemble_refuses_a_negative_probability(gc_ensemble):
+    # 0.3 moved from outcome 1 to outcome 0 keeps the mass at 1, but leaves
+    # outcome 1 at -0.27: refused, not printed as a row or renormalized away.
+    probs = gc_ensemble.probabilities.copy()
+    probs[0] += 0.3
+    probs[1] -= 0.3
+    with pytest.raises(ValueError, match=r"^branch probabilities must be >= 0, got -0\.269"):
+        dataclasses.replace(gc_ensemble, probabilities=probs)
+    # A dropped outcome is refused the same way.
+    keep = gc_ensemble.keep.copy()
+    keep[1] = False
+    with pytest.raises(ValueError, match="must be >= 0"):
+        dataclasses.replace(gc_ensemble, probabilities=probs, keep=keep)
+    # A non-finite entry fails the mass rule first, -inf included.
+    for bad in (np.nan, np.inf, -np.inf):
+        probs = gc_ensemble.probabilities.copy()
+        probs[1] = bad
+        with pytest.raises(ValueError, match="must be 1"):
+            dataclasses.replace(gc_ensemble, probabilities=probs)
 
 
 def test_swap_rejects_a_non_finite_instrument(at_state, monkeypatch):
