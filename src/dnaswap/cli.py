@@ -15,9 +15,10 @@ an ``OutcomeBranch``. ``verify``'s document is compiled at import the same way,
 as one layout read from the reference's one check table (each check's name,
 expected value and tolerance, from ``reference.expectations(pair, ())``), and
 a run fills it with each ``Check``'s actual value and verdict and the verdicts
-of each pair and of the whole. CSV is written from a row
-layout behind a frozen header, with RFC-4180 line endings; its fields are
-integers, ``.15g`` numbers and Bell labels, so no field ever needs quoting.
+of each pair and of the whole. CSV and the exact-mode table are each written
+from a row layout behind a frozen header. CSV has RFC-4180 line endings, and
+its fields are integers, ``.15g`` numbers and Bell labels, so no field ever
+needs quoting.
 """
 from __future__ import annotations
 
@@ -178,10 +179,11 @@ def _exact_json(pair: str, e: Ensemble) -> str:
     return _EXACT_DOC % (branches, *tail) if branches else _NO_BRANCHES % tail
 
 
-# CSV rows, each filled into a %-format behind its frozen header. No field
-# needs quoting: the fields are integers, ``.15g`` numbers and Bell labels.
+# CSV and exact-table rows, each filled into a %-format behind its frozen header.
 _EXACT_CSV_HEADER = "group_j,group_m,rank_l,a,b,P\r\n"
 _EXACT_CSV_ROW = "%d,%d,%d,%.15g,%.15g,%.15g\r\n"
+_EXACT_TABLE_HEADER = "group l             a           b                 P\n"
+_EXACT_TABLE_ROW = "%d%d    %-3d%+12.6f%+12.6f%18.12f\n"
 _SAMPLE_HEADER = ("bell_34", "bell_12", "count")
 _SAMPLE_CSV_HEADER = ",".join(_SAMPLE_HEADER) + "\r\n"
 _SAMPLE_CSV_ROW = "%s,%s,%d\r\n"
@@ -192,6 +194,13 @@ def _exact_csv(rows) -> str:
     return _EXACT_CSV_HEADER + "".join([
         _EXACT_CSV_ROW % (*r.group, r.rank, r.a, r.b, r.probability) for r in rows
     ])
+
+
+def _exact_table(rows, dropped_mass: float) -> str:
+    """The exact-mode table of canonical table ``rows``, then the dropped mass."""
+    return _EXACT_TABLE_HEADER + "".join([
+        _EXACT_TABLE_ROW % (*r.group, r.rank, r.a, r.b, r.probability) for r in rows
+    ]) + "dropped_mass %.3e" % dropped_mass
 
 
 def _sample_csv(rows) -> str:
@@ -209,12 +218,7 @@ def cmd_run(req: RunRequest) -> str:
         rows = canonical_table(ens)
         if req.fmt == "csv":
             return _exact_csv(rows)
-        lines = [f"{'group':<6}{'l':<3}{'a':>12}{'b':>12}{'P':>18}"]
-        for r in rows:
-            group = f"{r.group[0]}{r.group[1]}"
-            lines.append(f"{group:<6}{r.rank:<3}{r.a:>+12.6f}{r.b:>+12.6f}{r.probability:>18.12f}")
-        lines.append(f"dropped_mass {ens.dropped_mass:.3e}")
-        return "\n".join(lines)
+        return _exact_table(rows, ens.dropped_mass)
 
     # A numpy integer prints as the equal int, which json.dumps can encode.
     shots, seed = int(req.shots), int(req.seed)
@@ -223,15 +227,9 @@ def cmd_run(req: RunRequest) -> str:
         for (l34, l12), count in sample(ens, shots=shots, seed=seed).items()
     ]
     if req.fmt == "json":
-        return to_json(
-            {
-                "pair": req.pair,
-                "mode": "sample",
-                "shots": shots,
-                "seed": seed,
-                "counts": [dict(zip(_SAMPLE_HEADER, row)) for row in rows],
-            }
-        )
+        counts = [dict(zip(_SAMPLE_HEADER, row)) for row in rows]
+        return to_json({"pair": req.pair, "mode": "sample", "shots": shots, "seed": seed,
+                        "counts": counts})
     if req.fmt == "csv":
         return _sample_csv(rows)
     return "\n".join("{:<9}{:<9}{:>9}".format(*row) for row in [_SAMPLE_HEADER, *rows])
@@ -313,14 +311,9 @@ def cmd_inspect(pair: str, stage: str) -> str:
     template, incoming = PAIRS[pair]
     doc = {"pair": pair, "stage": stage}
     if stage == "I":
-        doc["states"] = [
-            _state_entry(template.label, wc_initial_state(template)),
-            _state_entry(incoming.label, wc_initial_state(incoming)),
-        ]
+        doc["states"] = [_state_entry(b.label, wc_initial_state(b)) for b in (template, incoming)]
     elif stage == "Q":
-        doc["states"] = [
-            _state_entry(f"{template}.{incoming}", assemble_pair(template, incoming))
-        ]
+        doc["states"] = [_state_entry(f"{template}.{incoming}", assemble_pair(template, incoming))]
     else:
         ens = run_pair(template, incoming)
         rows = [

@@ -90,8 +90,7 @@ class ProtocolConfig:
         return state
 
 
-# The config ``recognize``, ``assemble_pair`` and ``build_recognition_unitary``
-# read when given none: built once, so its checks run and its U is built once.
+# The config ``_config`` gives for None: built once, so its U is built once.
 _DEFAULT_CONFIG = ProtocolConfig()
 
 
@@ -295,15 +294,23 @@ def _column(b: BaseCode) -> int:
     return _COLUMN[b.base]
 
 
+def _config(cfg: ProtocolConfig | None) -> ProtocolConfig:
+    """The config a ``cfg`` slot names: ``_DEFAULT_CONFIG`` for None; the one
+    place a value that is not a ``ProtocolConfig`` is refused."""
+    if not (cfg is None or isinstance(cfg, ProtocolConfig)):
+        raise ValueError(f"cfg must be a ProtocolConfig or None, got {cfg!r}")
+    return _DEFAULT_CONFIG if cfg is None else cfg
+
+
 def build_recognition_unitary(cfg: ProtocolConfig | None = None) -> np.ndarray:
     """The config's 3-qubit recognition unitary U: one read-only array per
     config, the same object on every call (see ``_recognition_matrix``)."""
-    return (cfg or _DEFAULT_CONFIG)._unitary
+    return _config(cfg)._unitary
 
 
 def recognize(b: BaseCode, cfg: ProtocolConfig | None = None) -> StateVector:
     """A base's post-recognition pairing face: U's column at its initial ket."""
-    return StateVector(3, (cfg or _DEFAULT_CONFIG)._unitary[:, _column(b)])
+    return StateVector(3, _config(cfg)._unitary[:, _column(b)])
 
 
 _PAIRED = frozenset(
@@ -320,7 +327,7 @@ def assemble_pair(
     t, i = _column(template), _column(incoming)
     if (template.base, incoming.base) not in _PAIRED:
         raise ValueError(f"unsupported pairing {template}.{incoming}")
-    u = (cfg or _DEFAULT_CONFIG)._unitary
+    u = _config(cfg)._unitary
     return StateVector(6, u[:, t][_TEMPLATE_ROW] * u[:, i][_INCOMING_ROW])
 
 

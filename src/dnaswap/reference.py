@@ -69,7 +69,8 @@ def _normalize(a: float, b: float) -> tuple[float, float]:
 
 
 def _compile(key: str) -> tuple[tuple, ...]:
-    """Every check of one pair as ``(name, expected, source, tolerance)``.
+    """Every check of one pair as ``(name, expected, source, tolerance)``: the
+    one place that says which values each pair's checks read.
 
     ``source`` keys the value the check reads: ``(group, rank)`` for a table
     row, ``("p", group)`` for the probability of a group's first row,
@@ -117,31 +118,28 @@ def expectations(key: str, rows: Sequence[protocol.CanonicalRow]) -> list[Check]
     and the check fails, where the table has no row for a reference entry.
 
     The checks are compiled at import; one pass over ``rows`` collects the
-    row of each ``(group, rank)`` (the last one of a repeated key) and, for
-    G.C, each group's probabilities, which ``sum`` adds in table order.
+    row of each ``(group, rank)`` (the last one of a repeated key) and each
+    group's probabilities, which ``sum`` adds in table order. Every value a
+    check can read is derived for either pair.
     """
     if key not in tuple(_CHECKS):  # a tuple: an unhashable key is refused too
         raise ValueError(f"no reference data for pair {key!r}")
     values: dict = {}
-    group_probs = {g: [] for g in GROUPS} if key == "GC" else {}
+    group_probs = {g: [] for g in GROUPS}
     for r in rows:
-        p = r.probability
-        values[r.group, r.rank] = (r.a, r.b, p)
+        values[r.group, r.rank] = (r.a, r.b, r.probability)
         if (probs := group_probs.get(r.group)) is not None:
-            probs.append(p)
+            probs.append(r.probability)
     # The derived values are stored after the rows, so no row can stand in
-    # for one.
+    # for one; each pair's checks read the ones ``_compile`` names.
     values["row_count"] = len(rows)
-    if key == "AT":
-        for g in GROUPS:
-            row = values.get((g, 1))
-            values["p", g] = None if row is None else row[2]
-    else:
-        total = 0.0
-        for g, probs in group_probs.items():
-            group_p = values["sum", g] = sum(probs)
-            total += group_p
-        values["total_p"] = total
+    total = 0.0
+    for g, probs in group_probs.items():
+        row = values.get((g, 1))
+        values["p", g] = None if row is None else row[2]
+        group_p = values["sum", g] = sum(probs)
+        total += group_p
+    values["total_p"] = total
     checks = []
     for name, expected, source, tol in _CHECKS[key]:
         actual = values.get(source)  # NaN fails: every comparison with NaN is False

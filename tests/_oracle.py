@@ -11,8 +11,9 @@ The rest are frozen copies of the package's earlier code, which it must
 reproduce bit for bit, errors included: ``branch_swap``, ``branch_table``
 and ``branch_ensemble_doc`` (from when the ensemble was a list of
 ``OutcomeBranch``), the sampler's ``sample_reference`` and
-``counts_from_uniforms``, ``to_json`` (``json.dumps``), and the per-call
-reference checks ``expectations`` and ``passes``.
+``counts_from_uniforms``, ``to_json`` (``json.dumps``), ``exact_table``
+(the exact-mode table as f-strings wrote it), and the per-call reference
+checks ``expectations`` and ``passes``.
 """
 from __future__ import annotations
 
@@ -200,6 +201,17 @@ def _quantize(obj):
 def to_json(doc: dict) -> str:
     """The CLI's JSON as ``json.dumps`` writes it: the reference for ``cli.to_json``."""
     return json.dumps(_quantize(doc), sort_keys=True, indent=2)
+
+
+def exact_table(rows, dropped_mass) -> str:
+    """The exact-mode table as ``cli.cmd_run`` wrote it, five f-string fields a
+    row: the reference for ``cli._exact_table``."""
+    lines = [f"{'group':<6}{'l':<3}{'a':>12}{'b':>12}{'P':>18}"]
+    for r in rows:
+        group = f"{r.group[0]}{r.group[1]}"
+        lines.append(f"{group:<6}{r.rank:<3}{r.a:>+12.6f}{r.b:>+12.6f}{r.probability:>18.12f}")
+    lines.append(f"dropped_mass {dropped_mass:.3e}")
+    return "\n".join(lines)
 
 
 # --- The per-branch ensemble, kept verbatim as the bit-level reference ---

@@ -26,6 +26,7 @@ from dnaswap.cli import (
     UsageError,
     _exact_csv,
     _exact_json,
+    _exact_table,
     _VALUE_INDENT,
     _float,
     _sample_csv,
@@ -40,7 +41,7 @@ from dnaswap.cli import (
 )
 from dnaswap.encodings import BaseCode, wc_initial_pattern
 from dnaswap.gates import BELL_LABELS
-from dnaswap.protocol import ProtocolConfig, canonical_table, run_pair, sample, swap
+from dnaswap.protocol import CanonicalRow, ProtocolConfig, canonical_table, run_pair, sample, swap
 from dnaswap.reference import verify_against_reference
 from dnaswap.statevec import StateVector
 
@@ -398,6 +399,50 @@ def test_exact_csv_writes_the_bytes_of_csv_writer(pair, theta, phi, cleared, odd
         (*r.group, r.rank, f"{r.a:.15g}", f"{r.b:.15g}", f"{r.probability:.15g}") for r in rows
     ])
     assert _exact_csv(rows) == want
+
+
+# --- the exact table, filled into a row layout ---
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pair=st.sampled_from(ORIENTATIONS),
+    theta=ANGLES,
+    phi=ANGLES,
+    cleared=st.sets(st.integers(0, 15), max_size=16),
+)
+def test_exact_table_writes_the_bytes_of_the_f_string_table(pair, theta, phi, cleared):
+    ens = run_pair(BaseCode(pair[0]), BaseCode(pair[1]), ProtocolConfig(theta=theta, phi=phi))
+    keep = ens.keep.copy()
+    keep[sorted(cleared)] = False
+    ens = dataclasses.replace(ens, keep=keep)
+    rows = canonical_table(ens)
+    assert _exact_table(rows, ens.dropped_mass) == oracle.exact_table(rows, ens.dropped_mass)
+
+
+# Numbers whose fixed-point form is odd: signed zeros, the infinities, one far
+# wider than its column, and the smallest subnormal.
+TABLE_NUMBERS = st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, 1e300, -1e300, 5e-324]
+) | st.floats(allow_nan=False)
+CRAFTED_ROW = st.tuples(
+    st.sampled_from(reference.GROUPS), st.integers(1, 10**4), TABLE_NUMBERS, TABLE_NUMBERS,
+    TABLE_NUMBERS,
+).filter(lambda c: c[2] > 0 or c[2] == 0 and c[3] >= 0)  # CanonicalRow's phase rule
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    cells=st.lists(CRAFTED_ROW, max_size=20),
+    dropped_mass=st.sampled_from([0, 0.0, 1e-20, 1e300, math.inf]) | st.floats(0.0, 1.0),
+)
+@example(cells=[((0, 0), 1, 0.0, -0.0, -0.0), ((0, 1), 12, -0.0, 0.0, 0.0),
+                ((1, 0), 10, math.inf, -math.inf, 1e300), ((1, 1), 100, 1e300, -1e300, -math.inf)],
+         dropped_mass=1e-20)
+@example(cells=[], dropped_mass=0)
+def test_exact_table_writes_the_bytes_of_the_f_string_table_on_crafted_rows(cells, dropped_mass):
+    rows = [CanonicalRow(*cell) for cell in cells]
+    assert _exact_table(rows, dropped_mass) == oracle.exact_table(rows, dropped_mass)
 
 
 @settings(max_examples=200, deadline=None)

@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import pickle
+import re
 import subprocess
 import sys
 import threading
@@ -313,6 +314,30 @@ def test_assemble_rejects_rare_tautomers(cfg):
                  lambda: recognize("A")):
         with pytest.raises(ValueError, match="^a base must be a BaseCode, got 'A'$"):
             call()
+
+
+# Every entry point with a config slot. Before the one lookup ``_config``, 0,
+# "" and () ran at the default angles and 0.3 raised AttributeError.
+CONFIG_ENTRIES = {
+    "recognize": lambda cfg: recognize(A, cfg).amplitudes,
+    "assemble_pair": lambda cfg: assemble_pair(G, C, cfg).amplitudes,
+    "run_pair": lambda cfg: run_pair(G, C, cfg).residuals,
+    "build_recognition_unitary": build_recognition_unitary,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(CONFIG_ENTRIES))
+def test_a_config_slot_takes_a_protocol_config_or_none(entry):
+    call = CONFIG_ENTRIES[entry]
+    default = call(None)
+    assert default.tobytes() == call(ProtocolConfig()).tobytes()
+    assert default.tobytes() != call(ProtocolConfig(theta=0.3, phi=0.7)).tobytes()
+    if entry == "build_recognition_unitary":
+        assert default is protocol._DEFAULT_CONFIG._unitary
+    for value in (0, 0.0, False, "", (), 0.3, "x", (0.3, 0.7), {"theta": 0.3}):
+        message = f"cfg must be a ProtocolConfig or None, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(value)
 
 
 def test_assemble_accepts_both_orientations(cfg):
