@@ -385,12 +385,16 @@ def swap(pair_state: StateVector) -> Ensemble:
     (1,2) outcome whose conditional probability is; ``dropped_mass`` is the
     summed probability of the dropped trajectories.
     """
+    return _swap(_K, pair_state)
+
+
+def _swap(k: np.ndarray, pair_state: StateVector) -> Ensemble:
+    """``swap`` with the (64, 64) instrument ``k`` in place of ``_K``."""
     if pair_state.num_qubits != 6:
         raise ValueError(f"swap needs a 6-qubit register, got {pair_state.num_qubits}")
     # Two 32-row blocks: OpenBLAS splits a 64-row product over two threads,
     # whose worker then spins while the rest of the swap runs in Python.
-    # ``_K`` is read at each call, so a patched instrument reaches it too.
-    coeff = (_K.reshape(2, 32, 64) @ pair_state.amplitudes).reshape(64)
+    coeff = (k.reshape(2, 32, 64) @ pair_state.amplitudes).reshape(64)
     sq = np.abs(coeff)
     sq *= sq
     probs = np.add.reduce(sq.reshape(16, 4), axis=1)

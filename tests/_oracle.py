@@ -217,22 +217,23 @@ def exact_table(rows, dropped_mass) -> str:
 # --- The per-branch ensemble, kept verbatim as the bit-level reference ---
 
 
-def branch_swap(pair_state):
-    """``protocol.swap`` as it built 16 ``OutcomeBranch`` objects one by one.
+def branch_swap(pair_state, k=None):
+    """``protocol.swap`` as it built 16 ``OutcomeBranch`` objects one by one,
+    with the instrument ``k`` (``protocol._K`` when None).
 
     Returns ``(branches, dropped_mass)`` and raises what it raised, the list
-    ensemble's own checks included. It reads ``protocol._K`` when called, so
-    a patched instrument reaches it too.
+    ensemble's own checks included.
     """
     from dnaswap import protocol
     from dnaswap.gates import BELL_LABELS
     from dnaswap.protocol import _FLIP, _MASS_ATOL, OutcomeBranch
     from dnaswap.statevec import NORM_ATOL, PRUNE_DEFAULT, _readonly
 
-    _K = protocol._K
+    if k is None:
+        k = protocol._K
     if pair_state.num_qubits != 6:
         raise ValueError(f"swap needs a 6-qubit register, got {pair_state.num_qubits}")
-    coeff = (_K @ pair_state.amplitudes).reshape(16, 2, 2)
+    coeff = (k @ pair_state.amplitudes).reshape(16, 2, 2)
     probs = np.sum(np.abs(coeff) ** 2, axis=(1, 2))
     p34 = np.repeat(probs.reshape(4, 4).sum(axis=1), 4)
     with np.errstate(divide="ignore", invalid="ignore"):

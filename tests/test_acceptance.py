@@ -5,6 +5,7 @@ pass lines; any assertion failure marks the criterion failed.
 """
 from __future__ import annotations
 
+import functools
 import math
 import subprocess
 import sys
@@ -241,7 +242,8 @@ def test_criterion_10_cli_verify_contract(monkeypatch):
         [sys.executable, "-m", "dnaswap", "verify"], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    monkeypatch.setattr(protocol, "_K", protocol._instrument(np.eye(4, dtype=complex)))
+    identity_k = protocol._instrument(np.eye(4, dtype=complex))
+    monkeypatch.setattr(protocol, "swap", functools.partial(protocol._swap, identity_k))
     _, code = cmd_verify()
     assert code == 1
     _passed(10, "verify exits 0 on the reference build, 1 with a broken entangler")

@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import enum
+import functools
 import io
 import json
 import math
@@ -855,7 +856,8 @@ def test_verify_json_matches_the_dict_oracle(at, gc):
 
 
 def test_verify_with_identity_entangler_fails(monkeypatch):
-    monkeypatch.setattr(protocol, "_K", protocol._instrument(np.eye(4, dtype=complex)))
+    identity_k = protocol._instrument(np.eye(4, dtype=complex))
+    monkeypatch.setattr(protocol, "swap", functools.partial(protocol._swap, identity_k))
     out, code = cmd_verify()
     assert code == 1
     doc = json.loads(out)

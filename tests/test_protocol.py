@@ -412,6 +412,41 @@ def test_swap_rejects_wrong_register_size():
         swap(basis_state("000"))
 
 
+def complex_register(seed: int) -> StateVector:
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=64) + 1j * rng.normal(size=64)
+    return StateVector(6, amps / np.linalg.norm(amps))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    state=st.one_of(
+        st.builds(
+            lambda pair, theta, phi: assemble_pair(*pair, ProtocolConfig(theta=theta, phi=phi)),
+            st.sampled_from(ORIENTATIONS),
+            ANGLES,
+            ANGLES,
+        ),
+        st.integers(0, 2**32 - 1).map(complex_register),
+    )
+)
+def test_swap_runs_the_default_instrument_and_another_changes_no_module_state(state):
+    # swap is _swap of the import-time K; running _swap with another
+    # instrument leaves swap's ensemble as it was, bit for bit.
+    ens = swap(state)
+    seam = protocol._swap(protocol._K, state)
+    protocol._swap(protocol._instrument(np.eye(4, dtype=complex)), state)
+    for other in (seam, swap(state)):
+        for name in ("probabilities", "residuals", "keep"):
+            assert getattr(other, name).tobytes() == getattr(ens, name).tobytes(), name
+        assert other.dropped_mass.hex() == ens.dropped_mass.hex()
+    with pytest.raises(ValueError) as want:
+        swap(basis_state("000"))
+    with pytest.raises(ValueError) as got:
+        protocol._swap(protocol._K, basis_state("000"))
+    assert str(got.value) == str(want.value)
+
+
 def test_at_branch_probabilities_match_exact_pattern(at_ensemble):
     assert len(at_ensemble.branches) == 16
     for br in at_ensemble.branches:
@@ -576,9 +611,7 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 def test_swap_with_any_entangler_agrees_with_independent_enumeration(pair, theta, phi, seed):
     v = random_unitary(seed)
     state = assemble_pair(*pair, ProtocolConfig(theta=theta, phi=phi))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(protocol, "_K", protocol._instrument(v))
-        ens = swap(state)
+    ens = protocol._swap(protocol._instrument(v), state)
     ref = {
         (BellLabel(*d["raw34"]), BellLabel(*d["raw12"])): d
         for d in oracle.run_swap(state.amplitudes, v_mat=v)
@@ -672,11 +705,10 @@ def test_swap_instrument_is_sparse_real_and_read_only():
 
 
 @pytest.mark.parametrize("pair", [(A, T), (G, C)])
-def test_explicit_default_entangler_gives_a_bit_identical_ensemble(pair, cfg, monkeypatch):
+def test_explicit_default_entangler_gives_a_bit_identical_ensemble(pair, cfg):
     state = assemble_pair(*pair, cfg)
     built = swap(state)
-    monkeypatch.setattr(protocol, "_K", protocol._instrument(V))
-    explicit = swap(state)
+    explicit = protocol._swap(protocol._instrument(V), state)
     assert built.dropped_mass == explicit.dropped_mass
     assert len(built.branches) == len(explicit.branches) == 16
     for x, y in zip(built.branches, explicit.branches):
@@ -753,12 +785,11 @@ def test_ensemble_refuses_a_negative_probability(gc_ensemble):
             dataclasses.replace(gc_ensemble, probabilities=probs)
 
 
-def test_swap_rejects_a_non_finite_instrument(at_state, monkeypatch):
+def test_swap_rejects_a_non_finite_instrument(at_state):
     k = np.array(protocol._K)
     k[5] = np.nan  # outcome (b00, b01), q5 q6 = 01
-    monkeypatch.setattr(protocol, "_K", k)
     with pytest.raises(ValueError, match="must be 1"):
-        swap(at_state)
+        protocol._swap(k, at_state)
 
 
 def test_measuring_back_pair_first_gives_identical_ensemble(at_state, gc_state):
@@ -1006,14 +1037,14 @@ def row_bits(rows) -> list[tuple]:
     return [(r.group, r.rank, r.a.hex(), r.b.hex(), r.probability.hex()) for r in rows]
 
 
-def assert_matches_the_branch_oracle(make, state) -> None:
-    """``make()``'s array ensemble equals ``oracle.branch_swap(state)`` bit for bit.
+def assert_matches_the_branch_oracle(make, state, k=None) -> None:
+    """``make()``'s array ensemble equals ``oracle.branch_swap(state, k)`` bit for bit.
 
     Branches, dropped mass and canonical rows must carry the same bits, and
     where the oracle raises, the package must raise the same ValueError.
     """
     try:
-        branches, dropped = oracle.branch_swap(state)
+        branches, dropped = oracle.branch_swap(state, k)
     except ValueError as exc:
         with pytest.raises(ValueError) as info:
             make()
@@ -1090,9 +1121,8 @@ def test_array_ensemble_matches_the_branch_oracle_on_any_register(kind, seed, su
     else:
         amps = rng.normal(size=64) + (1j * rng.normal(size=64) if kind == "complex" else 0)
     state = StateVector(6, amps / np.linalg.norm(amps))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(protocol, "_K", protocol._K * scale)
-        assert_matches_the_branch_oracle(lambda: swap(state), state)
+    k = protocol._K * scale
+    assert_matches_the_branch_oracle(lambda: protocol._swap(k, state), state, k)
 
 
 # Third-pair entries at the edges of canonical_table's sign rule for real
@@ -1693,9 +1723,8 @@ def test_sample_stops_the_helper_when_the_caller_is_interrupted_in_join(
 # --- mutation sanity: a broken entangler destroys the reference ensemble ---
 
 
-def test_identity_entangler_degenerates_the_at_ensemble(at_state, monkeypatch):
-    monkeypatch.setattr(protocol, "_K", protocol._instrument(np.eye(4, dtype=complex)))
-    broken = swap(at_state)
+def test_identity_entangler_degenerates_the_at_ensemble(at_state):
+    broken = protocol._swap(protocol._instrument(np.eye(4, dtype=complex)), at_state)
     rows = canonical_table(broken)
     groups = {row.group for row in rows}
     assert groups == {(0, 1), (1, 0)}
