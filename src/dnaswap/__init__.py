@@ -5,7 +5,6 @@ from .gates import BellLabel
 from .protocol import (
     CanonicalRow,
     Ensemble,
-    OutcomeBranch,
     ProtocolConfig,
     assemble_pair,
     build_recognition_unitary,
@@ -26,7 +25,6 @@ __all__ = [
     "DensityMatrix",
     "EdgePattern",
     "Ensemble",
-    "OutcomeBranch",
     "ProtocolConfig",
     "StateVector",
     "UnsupportedEncodingError",

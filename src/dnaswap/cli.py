@@ -105,7 +105,6 @@ def _float(x: float) -> str:
 
 # Writers of the leaves whose exact type is a JSON scalar, for ``_value``.
 _LEAVES = {
-    str: encode_basestring_ascii,
     float: _float,
     int: int.__repr__,
     bool: {True: "true", False: "false"}.__getitem__,

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevec import StateVector, _is_integer, _readonly
+from .statevec import _is_integer, _readonly
 
 _H = 1.0 / math.sqrt(2.0)
 
@@ -49,8 +49,3 @@ BELL = _readonly(np.array(
     ],
     dtype=complex,
 ))
-
-
-def bell_state(label: BellLabel) -> StateVector:
-    """The 2-qubit Bell state b_jk: row 2j + k of ``BELL``."""
-    return StateVector(2, BELL[2 * label.j + label.k])

@@ -49,7 +49,8 @@ _MASS_ATOL = 1e-10
 _IMAG_ATOL = 1e-9
 
 # ``sample`` reads the stream this many shots at a time, on each of at most
-# _SAMPLE_WORKERS threads: one per CPU this process may use, up to two.
+# _SAMPLE_WORKERS threads: one per CPU this process may use when
+# ``dnaswap.protocol`` is imported, up to two.
 _SAMPLE_CHUNK = 1 << 15
 _SAMPLE_WORKERS = min(
     2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -150,13 +151,6 @@ class OutcomeBranch(Outcome):
     @property
     def third_pair(self) -> tuple[complex, complex]:
         return (complex(self.residual[0, 1]), complex(self.residual[1, 0]))
-
-    @property
-    def final_state(self) -> StateVector:
-        """The corrected register b_j1(1,2) (x) b_m1(3,4) (x) residual(5,6)."""
-        f12 = _BELL[BELL_LABELS.index(self.final_bell_12)]
-        f34 = _BELL[BELL_LABELS.index(self.final_bell_34)]
-        return StateVector(6, np.multiply.outer(np.multiply.outer(f12, f34), self.residual))
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -581,8 +575,9 @@ def sample(
 
     The stream is read in chunks of ``_SAMPLE_CHUNK`` shots as raw 53-bit
     words k (``Generator.random`` would return k * 2**-53). The chunks split
-    into ``_SAMPLE_WORKERS`` (at most two) contiguous spans: the calling
-    thread counts the first and a helper thread the other, and each span's
+    into ``_SAMPLE_WORKERS`` contiguous spans, one per CPU the process may use
+    when ``dnaswap.protocol`` is imported, at most two: the calling thread
+    counts the first and a helper thread the other, and each span's
     own Philox jumps to its first shot with ``advance``. A run of one chunk
     starts no thread. Memory is O(workers x chunk) whatever ``shots`` is,
     and the counts do not depend on the worker count or the chunk size. A

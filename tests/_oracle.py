@@ -10,10 +10,11 @@ the oracle's own.
 The rest are frozen copies of the package's earlier code, which it must
 reproduce bit for bit, errors included: ``branch_swap``, ``branch_table``
 and ``branch_ensemble_doc`` (from when the ensemble was a list of
-``OutcomeBranch``), the sampler's ``sample_reference`` and
-``counts_from_uniforms``, ``to_json`` (``json.dumps``), ``exact_table``
-(the exact-mode table as f-strings wrote it), and the per-call reference
-checks ``expectations`` and ``passes``.
+``OutcomeBranch``), ``final_state`` (the corrected register a branch
+built), the sampler's ``sample_reference`` and ``counts_from_uniforms``,
+``to_json`` (``json.dumps``), ``exact_table`` (the exact-mode table as
+f-strings wrote it), and the per-call reference checks ``expectations``
+and ``passes``.
 """
 from __future__ import annotations
 
@@ -298,6 +299,18 @@ def branch_table(branches):
         for rank, (a, b, p) in enumerate(rows, start=1):
             out.append(CanonicalRow(group=group, rank=rank, a=a, b=b, probability=p))
     return out
+
+
+def final_state(branch):
+    """The corrected register b_j1(1,2) (x) b_m1(3,4) (x) residual(5,6) of an
+    ``OutcomeBranch``, as a ``StateVector``: the ``gates.BELL`` rows of its
+    corrected labels, each as a 2x2 array, times its (5, 6) residual."""
+    from dnaswap.gates import BELL, BELL_LABELS
+    from dnaswap.statevec import StateVector
+
+    f12 = BELL[BELL_LABELS.index(branch.final_bell_12)].reshape(2, 2)
+    f34 = BELL[BELL_LABELS.index(branch.final_bell_34)].reshape(2, 2)
+    return StateVector(6, np.multiply.outer(np.multiply.outer(f12, f34), branch.residual))
 
 
 def branch_ensemble_doc(pair, e):

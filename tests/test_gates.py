@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import _oracle as oracle
-from dnaswap.gates import BELL, BELL_LABELS, V, BellLabel, bell_state
+from dnaswap.gates import BELL, BELL_LABELS, V, BellLabel
 from dnaswap.protocol import ProtocolConfig, build_recognition_unitary
 
 S2 = math.sqrt(2.0)
@@ -45,10 +45,10 @@ def test_entangler_is_an_involution():
 
 def test_bell_states_match_frozen_convention():
     h = 1 / S2
-    assert np.allclose(bell_state(BellLabel(0, 0)).amplitudes, [h, 0, 0, h])
-    assert np.allclose(bell_state(BellLabel(1, 0)).amplitudes, [h, 0, 0, -h])
-    assert np.allclose(bell_state(BellLabel(0, 1)).amplitudes, [0, h, h, 0])
-    assert np.allclose(bell_state(BellLabel(1, 1)).amplitudes, [0, h, -h, 0])
+    assert np.allclose(BELL[BELL_LABELS.index(BellLabel(0, 0))], [h, 0, 0, h])
+    assert np.allclose(BELL[BELL_LABELS.index(BellLabel(1, 0))], [h, 0, 0, -h])
+    assert np.allclose(BELL[BELL_LABELS.index(BellLabel(0, 1))], [0, h, h, 0])
+    assert np.allclose(BELL[BELL_LABELS.index(BellLabel(1, 1))], [0, h, -h, 0])
 
 
 def test_bell_rows_are_orthonormal():
@@ -84,7 +84,7 @@ def test_x_on_second_qubit_repairs_bell_labels():
     # The step-3/5 correction: sends b00 -> b01 and b10 -> b11, turning
     # zero/two-proton bond states into one-proton ones.
     ix = np.kron(np.eye(2), oracle.X)
-    assert np.allclose(ix @ bell_state(BellLabel(0, 0)).amplitudes,
-                       bell_state(BellLabel(0, 1)).amplitudes)
-    assert np.allclose(ix @ bell_state(BellLabel(1, 0)).amplitudes,
-                       bell_state(BellLabel(1, 1)).amplitudes)
+    assert np.allclose(ix @ BELL[BELL_LABELS.index(BellLabel(0, 0))],
+                       BELL[BELL_LABELS.index(BellLabel(0, 1))])
+    assert np.allclose(ix @ BELL[BELL_LABELS.index(BellLabel(1, 0))],
+                       BELL[BELL_LABELS.index(BellLabel(1, 1))])

@@ -20,13 +20,13 @@ from hypothesis import strategies as st
 import dnaswap
 from dnaswap.cli import RunRequest, UsageError, cmd_recognize, cmd_run, cmd_verify
 from dnaswap.encodings import BaseCode, EdgePattern, recognition_matches
-from dnaswap.gates import BellLabel, bell_state
+from dnaswap.gates import BELL, BELL_LABELS, BellLabel
 from dnaswap.metrics import entanglement_entropy
 from dnaswap.protocol import ProtocolConfig, build_recognition_unitary, run_pair, sample
 from dnaswap.statevec import DensityMatrix, StateVector, basis_state, reduced_density
 
 _AT = run_pair(BaseCode("A"), BaseCode("T"))
-_BELL = bell_state(BellLabel(0, 0))
+_BELL = StateVector(2, BELL[BELL_LABELS.index(BellLabel(0, 0))])
 
 
 def _state(s):

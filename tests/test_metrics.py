@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import _oracle as oracle
 from dnaswap import metrics
 from dnaswap.encodings import BaseCode
-from dnaswap.gates import BellLabel, bell_state
+from dnaswap.gates import BELL, BELL_LABELS, BellLabel
 from dnaswap.metrics import concurrence, entanglement_entropy, hamming_support
 from dnaswap.protocol import recognize
 from dnaswap.statevec import StateVector, basis_state, reduced_density
@@ -31,7 +32,7 @@ def binary_entropy(p: float) -> float:
 
 
 def test_bell_pair_has_one_bit_across_the_cut():
-    s = bell_state(BellLabel(0, 1))
+    s = StateVector(2, BELL[BELL_LABELS.index(BellLabel(0, 1))])
     assert entanglement_entropy(s, (1,)) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -84,7 +85,7 @@ def test_pre_swap_intrabase_entanglement(at_state, gc_state):
 
 
 def test_bell_state_concurrence_is_one():
-    rho = reduced_density(bell_state(BellLabel(0, 1)), (1, 2))
+    rho = reduced_density(StateVector(2, BELL[BELL_LABELS.index(BellLabel(0, 1))]), (1, 2))
     assert concurrence(rho) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -119,7 +120,7 @@ def test_assembled_pair_supports_weight_three_only(at_state, gc_state):
 
 
 def test_mixed_weight_state_support():
-    bell, ket = bell_state(BellLabel(0, 0)).amplitudes, basis_state("10").amplitudes
+    bell, ket = BELL[BELL_LABELS.index(BellLabel(0, 0))], basis_state("10").amplitudes
     s = StateVector(4, np.kron(bell, ket))
     assert hamming_support(s) == {1, 3}
 
@@ -127,7 +128,7 @@ def test_mixed_weight_state_support():
 def test_every_post_correction_branch_conserves_weight(at_ensemble, gc_ensemble):
     for ens in (at_ensemble, gc_ensemble):
         for br in ens.branches:
-            assert hamming_support(br.final_state) == {3}
+            assert hamming_support(oracle.final_state(br)) == {3}
 
 
 # --- the swap moves entanglement across the fixed cut structure ---
@@ -137,17 +138,17 @@ def test_branches_are_products_of_three_bonded_pairs(gc_ensemble):
     # zero entropy between each bonded pair and the rest of the register
     for br in gc_ensemble.branches[:4]:
         for bond in ((1, 2), (3, 4), (5, 6)):
-            assert entanglement_entropy(br.final_state, bond) <= 1e-10
+            assert entanglement_entropy(oracle.final_state(br), bond) <= 1e-10
 
 
 def test_post_swap_interbase_concurrences(at_ensemble, gc_ensemble):
     for ens in (at_ensemble, gc_ensemble):
         for br in ens.branches:
             for bond in ((1, 2), (3, 4)):
-                rho = reduced_density(br.final_state, bond)
+                rho = reduced_density(oracle.final_state(br), bond)
                 assert concurrence(rho) == pytest.approx(1.0, abs=1e-10)
             a, b = br.third_pair
-            rho56 = reduced_density(br.final_state, (5, 6))
+            rho56 = reduced_density(oracle.final_state(br), (5, 6))
             assert concurrence(rho56) == pytest.approx(2 * abs(a) * abs(b), abs=1e-10)
 
 

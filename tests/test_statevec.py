@@ -9,7 +9,7 @@ import pytest
 
 import _oracle as oracle
 from dnaswap.encodings import BaseCode
-from dnaswap.gates import BELL, V, bell_state, BellLabel
+from dnaswap.gates import BELL, BELL_LABELS, V, BellLabel
 from dnaswap.protocol import _INTERLEAVE_INDEX, recognize, swap
 from dnaswap.statevec import DensityMatrix, StateVector, basis_state, reduced_density
 
@@ -189,7 +189,7 @@ def bell_probabilities(amps: np.ndarray) -> np.ndarray:
 
 
 def test_measuring_an_eigenstate_gives_single_branch():
-    p = bell_probabilities(bell_state(BellLabel(0, 1)).amplitudes)
+    p = bell_probabilities(BELL[BELL_LABELS.index(BellLabel(0, 1))])
     assert np.allclose(p, [0.0, 1.0, 0.0, 0.0], atol=1e-12)  # b01 in basis order
 
 
@@ -211,7 +211,7 @@ def test_step2_measurement_on_recognized_pair_is_uniform(at_state):
 
 
 def test_reduced_bell_pair_is_maximally_mixed():
-    rho = reduced_density(bell_state(BellLabel(0, 1)), (1,))
+    rho = reduced_density(StateVector(2, BELL[BELL_LABELS.index(BellLabel(0, 1))]), (1,))
     assert np.allclose(rho.matrix, np.eye(2) / 2, atol=1e-12)
 
 
