@@ -22,7 +22,6 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -49,12 +48,10 @@ _MASS_ATOL = 1e-10
 _IMAG_ATOL = 1e-9
 
 # ``sample`` reads the stream this many shots at a time, on each of at most
-# _SAMPLE_WORKERS threads: one per CPU this process may use when
-# ``dnaswap.protocol`` is imported, up to two.
+# _SAMPLE_WORKERS threads: one per CPU this process may use when ``sample``
+# runs (``_cpus``), up to two.
 _SAMPLE_CHUNK = 1 << 15
-_SAMPLE_WORKERS = min(
-    2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-)
+_SAMPLE_WORKERS = 2
 # Generator.random keeps the top 53 bits of each 64-bit Philox word.
 _WORD_BITS = 53
 
@@ -75,24 +72,16 @@ class ProtocolConfig:
         for name, angle in (("theta", self.theta), ("phi", self.phi)):
             if not _is_finite_real(angle):
                 raise ValueError(f"{name} must be a finite real number, got {angle!r}")
+        # This config's recognition unitary U, built here and shared, read-only,
+        # by every reader (see ``_recognition_matrix``). It is no field, so
+        # equality, hash and repr see the angles alone. U is a view of a
+        # read-only array, so ``setflags(write=True)`` on it raises too.
+        self.__dict__["_unitary"] = _readonly(_recognition_matrix(self)).view()
 
-    @cached_property
-    def _unitary(self) -> np.ndarray:
-        """This config's recognition unitary U, built on first read and shared,
-        read-only, by every later one (see ``_recognition_matrix``). It is no
-        field, so equality, hash and repr see the angles alone. U is a view of
-        a read-only array, so ``setflags(write=True)`` on it raises too."""
-        return _readonly(_recognition_matrix(self)).view()
-
-    def __getstate__(self) -> dict:
-        # A pickled or copied array comes back writeable: the copy builds its own U.
-        state = dict(self.__dict__)
-        state.pop("_unitary", None)
-        return state
-
-
-# The config ``_config`` gives for None: built once, so its U is built once.
-_DEFAULT_CONFIG = ProtocolConfig()
+    def __reduce__(self):
+        # Pickle and copy rebuild the config from its angles, so the copy builds
+        # its own read-only U: a pickled or copied array comes back writeable.
+        return (type(self), (self.theta, self.phi))
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,28 +96,28 @@ class Outcome:
     bell_34: BellLabel
     bell_12: BellLabel
 
-    @cached_property
+    @property
     def x45_applied(self) -> bool:
         return self.bell_34.k == 0
 
-    @cached_property
+    @property
     def x25_applied(self) -> bool:
         return self.bell_12.k == 0
 
-    @cached_property
+    @property
     def final_bell_34(self) -> BellLabel:
         return BellLabel(self.bell_34.j, 1)
 
-    @cached_property
+    @property
     def final_bell_12(self) -> BellLabel:
         return BellLabel(self.bell_12.j, 1)
 
-    @cached_property
+    @property
     def group(self) -> tuple[int, int]:
         """(j, m): first bits of the corrected (1,2) and (3,4) Bell labels."""
         return (self.bell_12.j, self.bell_34.j)
 
-    @cached_property
+    @property
     def corrections(self) -> tuple[str, ...]:
         fired = (("x45", self.x45_applied), ("x25", self.x25_applied))
         return tuple(name for name, hit in fired if hit)
@@ -198,7 +187,7 @@ class Ensemble:
         d["keep"] = keep
         d["dropped_mass"] = dropped
 
-    @cached_property
+    @property
     def branches(self) -> list[OutcomeBranch]:
         """The kept trajectories as ``OutcomeBranch`` views, in outcome order."""
         probs = self.probabilities.tolist()
@@ -274,6 +263,9 @@ def _recognition_matrix(cfg: ProtocolConfig) -> np.ndarray:
         dtype=float,
     ).reshape(8, 8).astype(complex)
 
+
+# The config ``_config`` gives for None: built once, so its U is built once.
+_DEFAULT_CONFIG = ProtocolConfig()
 
 _COLUMN = {base: 4 * q1 + 2 * q2 + q3 for base, (q1, q2, q3) in WC_INITIAL.items()}
 
@@ -487,6 +479,11 @@ def _divide_phase(a: complex, b: complex) -> tuple[float, float]:
     return af, bf
 
 
+def _cpus() -> int:
+    """The number of CPUs the calling thread, and so ``sample``'s helper, may use now."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _word_thresholds(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inverse-CDF thresholds over the positive-probability outcomes only.
 
@@ -576,9 +573,9 @@ def sample(
     The stream is read in chunks of ``_SAMPLE_CHUNK`` shots as raw 53-bit
     words k (``Generator.random`` would return k * 2**-53). The chunks split
     into ``_SAMPLE_WORKERS`` contiguous spans, one per CPU the process may use
-    when ``dnaswap.protocol`` is imported, at most two: the calling thread
-    counts the first and a helper thread the other, and each span's
-    own Philox jumps to its first shot with ``advance``. A run of one chunk
+    when ``sample`` runs (``_cpus``), at most two: the calling thread counts
+    the first and a helper thread the other, and each span's own Philox
+    jumps to its first shot with ``advance``. A run of one chunk
     starts no thread. Memory is O(workers x chunk) whatever ``shots`` is,
     and the counts do not depend on the worker count or the chunk size. A
     span that fails, or a Ctrl-C on the calling thread, stops every span at
@@ -624,7 +621,7 @@ def sample(
     # Contiguous spans cut at chunk boundaries: the caller counts the first,
     # one helper thread each of the others.
     chunks = -(-shots // _SAMPLE_CHUNK)
-    spans = min(_SAMPLE_WORKERS, chunks)
+    spans = min(_SAMPLE_WORKERS, _cpus(), chunks)
     cuts = [min(shots, chunks * w // spans * _SAMPLE_CHUNK) for w in range(spans + 1)]
     found: list = [None] * spans
     # Set by the first failure, or when the caller leaves early: every other

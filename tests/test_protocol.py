@@ -5,6 +5,7 @@ import copy
 import dataclasses
 import json
 import math
+import os
 import pickle
 import re
 import subprocess
@@ -224,6 +225,8 @@ def test_config_rejects_non_finite_angles():
 
 def test_config_keeps_one_read_only_u_outside_its_fields():
     cfg = ProtocolConfig(theta=0.3, phi=1.2)
+    # U is built with the config, before anything reads it.
+    assert "_unitary" in vars(cfg)
     twin = ProtocolConfig(theta=0.3, phi=1.2)
     before = (hash(cfg), repr(cfg))
     u = build_recognition_unitary(cfg)
@@ -240,8 +243,8 @@ def test_config_keeps_one_read_only_u_outside_its_fields():
         u[0, 0] = 0.0
     with pytest.raises(ValueError):
         u.setflags(write=True)
-    # A copy is equal and holds a read-only U of the same bytes, read before
-    # the copy or not.
+    # A copy is equal and holds its own read-only U of the same bytes, whether
+    # the source's U was read before the copy or not.
     for source in (cfg, ProtocolConfig(theta=0.3, phi=1.2)):
         for twin in (
             pickle.loads(pickle.dumps(source)),
@@ -250,6 +253,7 @@ def test_config_keeps_one_read_only_u_outside_its_fields():
         ):
             assert twin == source and hash(twin) == hash(source) and repr(twin) == repr(source)
             got = build_recognition_unitary(twin)
+            assert got is not build_recognition_unitary(source)
             with pytest.raises(ValueError):
                 got.setflags(write=True)
             assert got.tobytes() == u.tobytes()
@@ -379,13 +383,16 @@ def test_run_pair_builds_one_state_and_u_once_per_config(monkeypatch):
     monkeypatch.setattr(protocol, "_recognition_matrix", counted_matrix)
     read = ProtocolConfig(theta=0.4, phi=-1.1)
     build_recognition_unitary(read)
-    for cfg, built in ((read, 0), (ProtocolConfig(theta=0.4, phi=-1.1), 1)):
+    for fresh in (False, True):
         calls.update(states=0, unitaries=0)
+        # A config builds its one U when it is made, and run_pair builds none.
+        cfg = ProtocolConfig(theta=0.4, phi=-1.1) if fresh else read
+        assert calls == {"states": 0, "unitaries": int(fresh)}
         for template, incoming in ((A, T), (G, C)):
             before = calls["states"]
             run_pair(template, incoming, cfg)
             assert calls["states"] == before + 1
-        assert calls == {"states": 2, "unitaries": built}
+        assert calls == {"states": 2, "unitaries": int(fresh)}
 
 
 @settings(max_examples=200, deadline=None)
@@ -1335,6 +1342,7 @@ def test_streaming_sample_equals_the_whole_run_sampler(
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(protocol, "_SAMPLE_CHUNK", chunk)
         mp.setattr(protocol, "_SAMPLE_WORKERS", workers)
+        mp.setattr(protocol, "_cpus", lambda: workers)
         counts = sample(ens, shots=shots, seed=seed)
     assert counts == keyed_counts(ens, ref)
 
@@ -1394,6 +1402,7 @@ def test_sample_splits_words_on_every_threshold_like_the_float_sampler(
     # 529 shots in chunks of 101: the second worker's span starts at shot 303.
     monkeypatch.setattr(protocol, "_SAMPLE_CHUNK", 101)
     monkeypatch.setattr(protocol, "_SAMPLE_WORKERS", 2)
+    monkeypatch.setattr(protocol, "_cpus", lambda: 2)
     assert sample_words(monkeypatch, ens, words) == keyed_counts(
         ens, oracle.counts_from_uniforms(joint, words * 2.0**-53)
     )
@@ -1446,6 +1455,7 @@ def test_sample_reads_every_bucket_edge_like_the_float_sampler(
     assert len(blocks) > 2
     monkeypatch.setattr(protocol, "_SAMPLE_CHUNK", 1000)
     monkeypatch.setattr(protocol, "_SAMPLE_WORKERS", 2)
+    monkeypatch.setattr(protocol, "_cpus", lambda: 2)
     for words in blocks:
         assert sample_words(monkeypatch, ens, words) == keyed_counts(
             ens, oracle.counts_from_uniforms(joint, words * 2.0**-53)
@@ -1594,6 +1604,7 @@ def test_sample_memory_does_not_grow_with_shots(at_ensemble, monkeypatch):
     # tracemalloc sees the helper thread's chunks too.
     monkeypatch.setattr(protocol, "_SAMPLE_CHUNK", 1024)
     monkeypatch.setattr(protocol, "_SAMPLE_WORKERS", 2)
+    monkeypatch.setattr(protocol, "_cpus", lambda: 2)
     shots = 10**6
     sample(at_ensemble, shots=1, seed=5)  # first use imports numpy.random's helpers
     tracemalloc.start()
@@ -1613,6 +1624,7 @@ def test_sample_counts_hold_with_more_workers_than_cores(gc_ensemble, monkeypatc
     ref = oracle.sample_reference(joint_of(gc_ensemble), shots, seed)
     monkeypatch.setattr(protocol, "_SAMPLE_CHUNK", 97)
     monkeypatch.setattr(protocol, "_SAMPLE_WORKERS", 8)
+    monkeypatch.setattr(protocol, "_cpus", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -1632,11 +1644,39 @@ def test_sample_starts_a_helper_thread_only_past_one_chunk(at_ensemble, monkeypa
 
     monkeypatch.setattr(protocol, "_SAMPLE_CHUNK", 100)
     monkeypatch.setattr(protocol, "_SAMPLE_WORKERS", 2)
+    monkeypatch.setattr(protocol, "_cpus", lambda: 2)
     monkeypatch.setattr(threading, "Thread", CountedThread)
     sample(at_ensemble, shots=100, seed=1)
     assert started == []
     sample(at_ensemble, shots=101, seed=1)
     assert len(started) == 1
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs a CPU mask to narrow, over two CPUs or more",
+)
+def test_sample_counts_its_cpus_when_it_runs(gc_ensemble, monkeypatch):
+    # Narrowed to one CPU after import, a run of four default chunks counts
+    # every shot on the calling thread: sample reads the CPU mask on each call.
+    started = []
+
+    class CountedThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    seed, shots = 7, 10**5
+    ref = oracle.sample_reference(joint_of(gc_ensemble), shots, seed)
+    monkeypatch.setattr(threading, "Thread", CountedThread)
+    mask = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(mask)})
+    try:
+        counts = sample(gc_ensemble, shots=shots, seed=seed)
+    finally:
+        os.sched_setaffinity(0, mask)
+    assert started == []
+    assert counts == keyed_counts(gc_ensemble, ref)
 
 
 def test_sample_reraises_a_helper_thread_error(at_ensemble, monkeypatch):
@@ -1655,6 +1695,7 @@ def test_sample_reraises_a_helper_thread_error(at_ensemble, monkeypatch):
 
     monkeypatch.setattr(protocol, "_SAMPLE_CHUNK", 100)
     monkeypatch.setattr(protocol, "_SAMPLE_WORKERS", 2)
+    monkeypatch.setattr(protocol, "_cpus", lambda: 2)
     monkeypatch.setattr(np.random, "Philox", FailsPastShotZero)
     with pytest.raises(RuntimeError, match="helper span failed"):
         sample(at_ensemble, shots=1000, seed=1)
@@ -1687,6 +1728,7 @@ def chunk_counting_helper(monkeypatch, gate: threading.Event, failing: str | Non
 
     monkeypatch.setattr(protocol, "_SAMPLE_CHUNK", 64)
     monkeypatch.setattr(protocol, "_SAMPLE_WORKERS", 2)
+    monkeypatch.setattr(protocol, "_cpus", lambda: 2)
     monkeypatch.setattr(protocol, "_count_chunk", counted)
     return calls
 
